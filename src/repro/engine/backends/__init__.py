@@ -1,6 +1,9 @@
 """Pluggable execution backends for :func:`~repro.engine.executor.map_tasks`.
 
-Three implementations of one protocol (:class:`ExecutionBackend`):
+One fault policy — the :class:`TaskLifecycle` of
+:mod:`~repro.engine.backends.lifecycle` (retry, timeout, worker loss,
+quarantine, ``on_error``) — and three transports that drive it through
+the :class:`ExecutionBackend` protocol:
 
 * :class:`SerialBackend` — a plain loop in the calling process; the
   reference implementation every other backend must match byte-for-byte;
@@ -18,21 +21,7 @@ otherwise.
 
 from __future__ import annotations
 
-from repro.engine.backends.base import (
-    ExecutionBackend,
-    RunState,
-    TaskEnvelope,
-    execute_task,
-    get_worker_context,
-    get_worker_name,
-    install_worker_bundle,
-    record_event,
-    set_worker_context,
-    set_worker_name,
-    settle_failure,
-    settle_success,
-    worker_bundle,
-)
+from repro.engine.backends.base import ExecutionBackend, RunState
 from repro.engine.backends.dispatch import DispatchBackend, worker_loop
 from repro.engine.backends.pool import ProcessPoolBackend
 from repro.engine.backends.serial import SerialBackend
@@ -44,18 +33,7 @@ __all__ = [
     "ProcessPoolBackend",
     "RunState",
     "SerialBackend",
-    "TaskEnvelope",
-    "execute_task",
-    "get_worker_context",
-    "get_worker_name",
-    "install_worker_bundle",
-    "record_event",
     "resolve_executor",
-    "set_worker_context",
-    "set_worker_name",
-    "settle_failure",
-    "settle_success",
-    "worker_bundle",
     "worker_loop",
 ]
 

@@ -12,8 +12,9 @@ lives here:
 * :class:`TaskEnvelope` — the result wrapper that carries worker-side
   telemetry (and the worker's identity) back to the dispatching process;
 * :func:`settle_success` / :func:`settle_failure` — the single settle
-  path (metric merge, task span, journal record, failure report) every
-  backend funnels through, in task order;
+  path (metric merge, task span, journal record, failure report) the
+  shared task lifecycle (:mod:`~repro.engine.backends.lifecycle`)
+  funnels every outcome through, in task order;
 * :func:`worker_bundle` / :func:`install_worker_bundle` — the shared
   state a worker process must install before running tasks (context,
   guard mode, chaos plan, metrics switch, array-backend config), used
@@ -50,7 +51,6 @@ __all__ = [
     "TaskEnvelope",
     "execute_task",
     "get_worker_context",
-    "get_worker_name",
     "install_worker_bundle",
     "record_event",
     "set_worker_name",
@@ -86,11 +86,6 @@ def set_worker_context(context: Any) -> Any:
     previous = _WORKER_CONTEXT
     _WORKER_CONTEXT = context
     return previous
-
-
-def get_worker_name() -> "str | None":
-    """This process's worker identity, if it has declared one."""
-    return _WORKER_NAME
 
 
 def set_worker_name(name: "str | None") -> None:
@@ -237,8 +232,8 @@ class RunState:
     journal: "RunJournal | None"
     report: "RunReport | None"
     n_jobs: int = 1
-    #: Poison-task circuit breaker: after this many fatal attempts
-    #: (worker deaths) a task is quarantined instead of re-issued.
+    #: Poison-task circuit breaker: after this many worker deaths
+    #: (counting the journal's) a task is quarantined instead of re-issued.
     quarantine_after: int = 3
 
 
@@ -322,10 +317,12 @@ class ExecutionBackend:
     (journal-replayed results already removed), and the mutable
     ``results`` mapping to fill — one entry per pending task index,
     holding either the task's value or a
-    :class:`~repro.engine.faults.TaskFailure`.  Backends must settle
-    every outcome through :func:`settle_success` / :func:`settle_failure`
-    and must never touch task randomness, so any backend at any worker
-    count produces bit-identical aggregates.
+    :class:`~repro.engine.faults.TaskFailure`.  Backends are transports:
+    they report what happens to each execution to a
+    :class:`~repro.engine.backends.lifecycle.StageRun`, which decides
+    every fault and settles every outcome, and they never touch task
+    randomness, so any backend at any worker count produces
+    bit-identical aggregates.
     """
 
     #: Short name used by ``--executor`` and the ambient policy.

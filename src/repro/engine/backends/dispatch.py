@@ -37,6 +37,13 @@ and re-issues the task.  Every file is written atomically
 (write-then-rename), so readers on any host see whole records or
 nothing.
 
+The dispatcher is a transport for the shared task lifecycle
+(:mod:`~repro.engine.backends.lifecycle`): it turns what the files show
+— a result envelope, a unit past its wall-clock budget, a lease that
+stopped moving — into lifecycle events, and publishes whatever the
+lifecycle makes ready (a retry, a re-issue after a lost worker) as a
+singleton unit.  Retry, quarantine and ``on_error`` are decided there.
+
 Determinism is inherited, not re-proven: tasks carry their spawned
 seeds, workers install the dispatcher's exact bundle before executing,
 result envelopes are settled strictly in task order, and retry /
@@ -57,6 +64,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -68,12 +76,10 @@ from repro.engine.backends.base import (
     install_worker_bundle,
     record_event,
     set_worker_name,
-    settle_failure,
-    settle_success,
     worker_bundle,
 )
-from repro.engine.backends.serial import attempt_serial
-from repro.engine.faults import TaskFailure, is_failure
+from repro.engine.backends.lifecycle import StageRun
+from repro.engine.backends.serial import degrade_local
 from repro.engine.journal import LeaseLedger
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
@@ -218,17 +224,12 @@ class DispatchBackend(ExecutionBackend):
         return self.root / "queues" / queue_id
 
     def _open_queue(
-        self,
-        state: RunState,
-        pending: "list[Task]",
-        attempts: "dict[int, int]",
-        units: "dict[int, list[int]]",
-        unit_attempt: "dict[int, int]",
-        unit_size: "dict[int, int]",
-    ) -> Path:
-        """Publish bundle + chunked todo units, then the manifest
-        (workers only act once the manifest appears, so ordering makes
-        the queue appear atomically complete)."""
+        self, state: RunState, pending: "list[Task]"
+    ) -> "tuple[Path, list[list[int]]]":
+        """Publish bundle + chunked todo units (all at attempt 1), then the
+        manifest (workers only act once the manifest appears, so ordering
+        makes the queue appear atomically complete).  Returns the queue
+        directory and the member indices of every unit."""
         chaos.on_write("dispatch.queue", state.stage)
         qdir = self._queue_dir(state.stage)
         for sub in ("todo", "claimed", "leases", "results"):
@@ -243,17 +244,13 @@ class DispatchBackend(ExecutionBackend):
             pickle.dumps(bundle_doc, protocol=pickle.HIGHEST_PROTOCOL),
         )
         chunk = self._resolve_chunk(len(pending))
+        groups = []
         for lo in range(0, len(pending), chunk):
             group = pending[lo : lo + chunk]
-            head = group[0].index
-            units[head] = [t.index for t in group]
-            unit_attempt[head] = 1
-            unit_size[head] = len(group)
-            for task in group:
-                attempts[task.index] = 1
+            groups.append([t.index for t in group])
             payload: "Any" = group if len(group) > 1 else group[0]
             atomic_write_bytes(
-                qdir / "todo" / _task_name(head, 1),
+                qdir / "todo" / _task_name(group[0].index, 1),
                 pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
             )
         manifest = {
@@ -275,7 +272,7 @@ class DispatchBackend(ExecutionBackend):
             tasks=len(pending),
             chunk=chunk,
         )
-        return qdir
+        return qdir, groups
 
     @staticmethod
     def _close_queue(qdir: Path) -> None:
@@ -334,97 +331,52 @@ class DispatchBackend(ExecutionBackend):
         pending: "list[Task]",
         results: "dict[int, Any]",
     ) -> None:
-        if not pending:
+        run = StageRun(state, pending, results)
+        if run.done:
             return
-        taskmap = {t.index: t for t in pending}
-        order = [t.index for t in pending]
-        attempts: "dict[int, int]" = {}
-        losses: "dict[int, int]" = {i: 0 for i in order}
-        if state.journal is not None:
-            for idx, count in state.journal.crash_counts(state.stage).items():
-                if idx in losses:
-                    losses[idx] = count
-        terminal: "dict[int, tuple[str, Any]]" = {}
-        # A resumed run already knows its poison tasks: settle them up
-        # front instead of publishing them to a fresh worker fleet.
-        if state.on_error != "raise":
-            for idx in order:
-                if losses[idx] >= state.quarantine_after:
-                    terminal[idx] = (
-                        "fail", self._quarantine_failure(state, idx, losses[idx], 0)
-                    )
-        publish = [t for t in pending if t.index not in terminal]
-        reissue_at: "dict[int, tuple[float, int]]" = {}
-        # Work-unit state, keyed by the head task's index: live (still
-        # unresolved) members, the unit's queue-file attempt, and its
-        # size at issue time (which scales the wall-clock budget).
-        units: "dict[int, list[int]]" = {}
-        unit_attempt: "dict[int, int]" = {}
-        unit_size: "dict[int, int]" = {}
-        claim_seen: "dict[int, float]" = {}
-        beat_seen: "dict[int, tuple[float, float]]" = {}
-        settle_ptr = 0
-        started = time.monotonic()
-        hinted = False
-
+        publish = [run.tasks[i] for i in run.ready()]
         try:
-            qdir = self._open_queue(state, publish, attempts, units,
-                                    unit_attempt, unit_size)
+            qdir, groups = self._open_queue(state, publish)
         except OSError as exc:
             kind = exhaustion_kind(exc)
             if kind is None:
                 raise
-            # The queue root itself is exhausted: the degraded-local
-            # path (execute in the dispatcher process) beats crashing.
-            record_event(
-                state,
-                "degraded-serial",
+            # The queue root itself is exhausted: running the stage in
+            # the dispatcher process beats crashing.
+            degrade_local(
+                run,
                 f"cannot publish the dispatch queue ({kind}: {exc}); "
                 f"executing {len(publish)} task(s) in the dispatcher process",
             )
-            for task in publish:
-                outcome = attempt_serial(state, task)
-                if is_failure(outcome):
-                    results[task.index] = settle_failure(state, outcome)
-                else:
-                    results[task.index] = settle_success(state, task, outcome)
-            for idx in order:
-                if idx in terminal and terminal[idx][0] == "fail":
-                    results[idx] = settle_failure(state, terminal[idx][1])
             return
-        ledger = LeaseLedger(qdir / "leases")
+        queue = _QueueRun(self, run, qdir)
+        for members in groups:
+            for idx in members:
+                run.issue(idx)
+            queue.add_unit(members, 1)
         self._ensure_workers()
         pulse = obs_events.Heartbeat(
             "dispatcher", period=min(2.0, max(0.5, self.lease_timeout / 4.0))
         )
+        started = time.monotonic()
+        hinted = False
+        degraded = None
         try:
-            while settle_ptr < len(order):
+            while not run.done:
                 now = time.monotonic()
-                pulse.beat(tasks=settle_ptr, stage=state.stage,
-                           inflight=len(claim_seen))
-                self._harvest(state, qdir, ledger, taskmap, attempts, terminal,
-                              reissue_at, units, unit_attempt, unit_size,
-                              claim_seen, beat_seen, now)
-                self._watch_inflight(state, qdir, ledger, taskmap, attempts,
-                                     losses, terminal, reissue_at, units,
-                                     unit_attempt, unit_size, claim_seen,
-                                     beat_seen, now)
-                self._issue_due(state, qdir, taskmap, attempts, terminal,
-                                reissue_at, units, unit_attempt, unit_size,
-                                claim_seen, beat_seen, now)
-                while settle_ptr < len(order) and order[settle_ptr] in terminal:
-                    idx = order[settle_ptr]
-                    kind, payload = terminal.pop(idx)
-                    if kind == "ok":
-                        results[idx] = settle_success(state, taskmap[idx], payload)
-                    else:
-                        results[idx] = settle_failure(state, payload)
-                    terminal[idx] = ("settled", None)
-                    settle_ptr += 1
+                pulse.beat(
+                    tasks=run.settled_count, stage=state.stage,
+                    inflight=sum(u.claimed_at is not None for u in queue.units.values()),
+                )
+                queue.harvest()
+                queue.watch(now)
+                degraded = queue.issue_due()
+                if degraded is not None:
+                    break
                 if (
                     not hinted
-                    and not claim_seen
-                    and settle_ptr < len(order)
+                    and not queue.claimed_any
+                    and not run.done
                     and now - started > _NO_WORKER_HINT_AFTER
                 ):
                     hinted = True
@@ -433,68 +385,92 @@ class DispatchBackend(ExecutionBackend):
                         f"workers with: repro worker {self.root}",
                         file=sys.stderr,
                     )
-                if settle_ptr < len(order):
+                if not run.done:
                     time.sleep(self.poll)
         finally:
             self._close_queue(qdir)
+        if degraded is not None:
+            degrade_local(run, degraded)
 
-    # The helpers below mutate the per-run dicts the loop owns; ``terminal``
-    # maps a resolved index to ("ok", outcome) / ("fail", TaskFailure) until
-    # the ordered settle replaces it with ("settled", None).
 
-    @staticmethod
-    def _unit_of(units: "dict[int, list[int]]", idx: int) -> "int | None":
-        for head, members in units.items():
-            if idx in members:
-                return head
-        return None
+def _remote_error(idx: int, stage: str, doc: "dict[str, Any]") -> BaseException:
+    """The exception a worker shipped back in a failure envelope, or a
+    stand-in naming it when it cannot be unpickled here."""
+    try:
+        exc = pickle.loads(doc["exception"])
+    except Exception:
+        exc = None
+    if isinstance(exc, BaseException):
+        return exc
+    return RuntimeError(
+        f"task {idx} (stage {stage!r}) failed on worker {doc.get('worker')!r}: "
+        f"[{doc.get('error_type')}] {doc.get('message')}"
+    )
 
-    def _clear_unit(
-        self,
-        qdir: Path,
-        ledger: LeaseLedger,
-        head: int,
-        attempt: int,
-        units: "dict[int, list[int]]",
-        unit_attempt: "dict[int, int]",
-        unit_size: "dict[int, int]",
-        claim_seen: "dict[int, float]",
-        beat_seen: "dict[int, tuple[float, float]]",
-    ) -> None:
+
+@dataclass
+class _Unit:
+    """One published work unit, keyed by its head task's index."""
+
+    #: Members not yet resolved; the unit is dropped when none remain.
+    members: "list[int]"
+    #: The queue-file attempt every member was issued at.
+    attempt: int
+    #: Size at issue time, which scales the wall-clock budget.
+    size: int
+    #: Dispatcher-clock time the claim was first seen.
+    claimed_at: "float | None" = None
+    #: The lease mtime last seen, and the dispatcher-clock time it moved.
+    beat: "tuple[float, float] | None" = None
+
+
+class _QueueRun:
+    """The dispatcher side of one open queue: turns what workers leave
+    behind (claims, lease heartbeats, result envelopes) into lifecycle
+    events, and publishes what the lifecycle makes ready."""
+
+    def __init__(self, backend: DispatchBackend, run: StageRun, qdir: Path):
+        self.backend = backend
+        self.run = run
+        self.state = run.state
+        self.qdir = qdir
+        self.ledger = LeaseLedger(qdir / "leases")
+        self.units: "dict[int, _Unit]" = {}
+        self.head_of: "dict[int, int]" = {}
+        self.claimed_any = False
+
+    def add_unit(self, members: "list[int]", attempt: int) -> None:
+        self.units[members[0]] = _Unit(list(members), attempt, len(members))
+        for idx in members:
+            self.head_of[idx] = members[0]
+
+    def _clear(self, head: int) -> _Unit:
         """Drop a work unit's queue file, lease, and tracking state."""
-        try:
-            (qdir / "claimed" / _task_name(head, attempt)).unlink()
-        except OSError:
-            pass
-        try:
-            (qdir / "todo" / _task_name(head, attempt)).unlink()
-        except OSError:
-            pass
-        ledger.release(head)
-        units.pop(head, None)
-        unit_attempt.pop(head, None)
-        unit_size.pop(head, None)
-        claim_seen.pop(head, None)
-        beat_seen.pop(head, None)
+        unit = self.units.pop(head)
+        for sub in ("claimed", "todo"):
+            try:
+                (self.qdir / sub / _task_name(head, unit.attempt)).unlink()
+            except OSError:
+                pass
+        self.ledger.release(head)
+        for idx in unit.members:
+            self.head_of.pop(idx, None)
+        return unit
 
-    def _resolve_member(self, qdir, ledger, idx, units, unit_attempt,
-                        unit_size, claim_seen, beat_seen) -> None:
+    def _resolve_member(self, idx: int) -> None:
         """Mark one task resolved inside its unit; drop the unit once its
         last member resolves."""
-        head = self._unit_of(units, idx)
-        if head is None:
-            return
-        units[head].remove(idx)
-        if not units[head]:
-            self._clear_unit(qdir, ledger, head, unit_attempt[head], units,
-                             unit_attempt, unit_size, claim_seen, beat_seen)
+        head = self.head_of.pop(idx, None)
+        if head is not None:
+            members = self.units[head].members
+            members.remove(idx)
+            if not members:
+                self._clear(head)
 
-    def _harvest(self, state, qdir, ledger, taskmap, attempts, terminal,
-                 reissue_at, units, unit_attempt, unit_size, claim_seen,
-                 beat_seen, now) -> None:
-        """Consume streamed per-task result envelopes; schedule retries
-        for failed attempts; raise under ``on_error="raise"``."""
-        results_dir = qdir / "results"
+    def harvest(self) -> None:
+        """Report streamed per-task result envelopes to the lifecycle,
+        which ignores stale attempts (timed out and re-issued)."""
+        results_dir = self.qdir / "results"
         try:
             names = sorted(p.name for p in results_dir.iterdir())
         except OSError:
@@ -508,258 +484,111 @@ class DispatchBackend(ExecutionBackend):
             try:
                 doc = pickle.loads(path.read_bytes())
             except Exception:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-                continue
+                doc = None
             try:
                 path.unlink()
             except OSError:
                 pass
-            if (
-                idx in terminal
-                or idx in reissue_at
-                or idx not in taskmap
-                or attempt != attempts.get(idx)
-            ):
-                continue  # stale attempt (timed out and re-issued) or unknown
-            self._resolve_member(qdir, ledger, idx, units, unit_attempt,
-                                 unit_size, claim_seen, beat_seen)
+            if doc is None:
+                continue
             if doc.get("ok"):
-                terminal[idx] = ("ok", doc["outcome"])
-                continue
-            if state.on_error == "raise":
-                exc = None
-                if doc.get("exception") is not None:
-                    try:
-                        exc = pickle.loads(doc["exception"])
-                    except Exception:
-                        exc = None
-                if isinstance(exc, BaseException):
-                    raise exc
-                raise RuntimeError(
-                    f"task {idx} (stage {state.stage!r}) failed on worker "
-                    f"{doc.get('worker')!r}: [{doc.get('error_type')}] "
-                    f"{doc.get('message')}"
+                accepted = self.run.succeeded(idx, attempt, doc["outcome"])
+            else:
+                accepted = self.run.raised(
+                    idx, attempt, _remote_error(idx, self.state.stage, doc),
+                    str(doc.get("error_type")), str(doc.get("message")),
                 )
-            if state.on_error == "retry" and attempt < state.retry.max_attempts:
-                obs_metrics.add("executor.retries")
-                reissue_at[idx] = (now + state.retry.delay(idx, attempt), attempt + 1)
-                continue
-            terminal[idx] = (
-                "fail",
-                TaskFailure(
-                    index=idx,
-                    stage=state.stage,
-                    kind="error",
-                    error_type=str(doc.get("error_type")),
-                    message=str(doc.get("message")),
-                    attempts=attempt,
-                ),
-            )
+            if accepted:
+                self._resolve_member(idx)
 
-    def _watch_inflight(self, state, qdir, ledger, taskmap, attempts, losses,
-                        terminal, reissue_at, units, unit_attempt, unit_size,
-                        claim_seen, beat_seen, now) -> None:
-        """Track unit claims and heartbeats; enforce the wall-clock
-        budget; re-issue units whose worker stopped heartbeating."""
-        for head in list(units):
-            members = units.get(head)
-            if not members:
+    def watch(self, now: float) -> None:
+        """Track unit claims and heartbeats on the dispatcher's own clock;
+        report units past their wall-clock budget as timed out and units
+        whose lease stopped moving as lost."""
+        timeout = self.state.timeout
+        for head, unit in list(self.units.items()):
+            if not (self.qdir / "claimed" / _task_name(head, unit.attempt)).exists():
+                # A claim that vanished without results for the live
+                # members means its worker died mid-cleanup.  With result
+                # files the worker simply finished between our harvest
+                # and this scan.
+                if unit.claimed_at is not None and not any(
+                    (self.qdir / "results" / _task_name(m, unit.attempt)).exists()
+                    for m in unit.members
+                ):
+                    self._lost(head)
                 continue
-            attempt = unit_attempt[head]
-            claimed = (qdir / "claimed" / _task_name(head, attempt)).exists()
-            if not claimed:
-                pending_results = any(
-                    (qdir / "results" / _task_name(m, attempts[m])).exists()
-                    for m in members
-                )
-                if head in claim_seen and not pending_results:
-                    # Claim vanished without results for the live members
-                    # (a worker died mid-cleanup): treat like a lost
-                    # worker below.  When result files exist the worker
-                    # simply finished between our harvest and this scan.
-                    self._worker_lost(state, qdir, ledger, taskmap, attempts,
-                                      losses, terminal, reissue_at, units,
-                                      unit_attempt, unit_size, claim_seen,
-                                      beat_seen, head, now)
-                continue
-            if head not in claim_seen:
-                claim_seen[head] = now
-            mt = ledger.mtime(head)
-            prev = beat_seen.get(head)
-            if mt is not None and (prev is None or mt != prev[0]):
-                beat_seen[head] = (mt, now)
-            if state.timeout is not None:
-                # A unit executes its tasks back to back on one claim, so
-                # its budget is the per-task budget times its issue size.
-                budget = state.timeout * unit_size[head]
-                if now - claim_seen[head] > budget:
-                    self._timed_out(state, qdir, ledger, attempts, terminal,
-                                    reissue_at, units, unit_attempt, unit_size,
-                                    claim_seen, beat_seen, head, now)
-                    continue
-            last_sign = beat_seen[head][1] if head in beat_seen else claim_seen[head]
-            if now - last_sign > self.lease_timeout:
-                self._worker_lost(state, qdir, ledger, taskmap, attempts, losses,
-                                  terminal, reissue_at, units, unit_attempt,
-                                  unit_size, claim_seen, beat_seen, head, now)
+            if unit.claimed_at is None:
+                unit.claimed_at = now
+                self.claimed_any = True
+            mt = self.ledger.mtime(head)
+            if mt is not None and (unit.beat is None or mt != unit.beat[0]):
+                unit.beat = (mt, now)
+            last_sign = unit.beat[1] if unit.beat is not None else unit.claimed_at
+            # A unit executes its tasks back to back on one claim, so its
+            # budget is the per-task budget times its issue size.
+            if timeout is not None and now - unit.claimed_at > timeout * unit.size:
+                self._timed_out(head, timeout * unit.size)
+            elif now - last_sign > self.backend.lease_timeout:
+                self._lost(head)
 
-    def _timed_out(self, state, qdir, ledger, attempts, terminal, reissue_at,
-                   units, unit_attempt, unit_size, claim_seen, beat_seen,
-                   head, now) -> None:
-        members = list(units.get(head, ()))
-        attempt = unit_attempt[head]
-        budget = (state.timeout or 0.0) * unit_size.get(head, 1)
+    def _timed_out(self, head: int, budget: float) -> None:
+        unit = self._clear(head)
         record_event(
-            state,
+            self.state,
             "timeout",
-            f"work unit {head} ({len(members)} unfinished tasks) exceeded "
+            f"work unit {head} ({len(unit.members)} unfinished tasks) exceeded "
             f"its {budget:g}s wall-clock budget on the dispatch backend; "
             "abandoning the attempt",
             index=head,
         )
-        self._clear_unit(qdir, ledger, head, attempt, units, unit_attempt,
-                         unit_size, claim_seen, beat_seen)
-        if state.on_error == "raise":
-            raise TimeoutError(
-                f"task {members[0] if members else head} "
-                f"(stage {state.stage!r}) exceeded its "
-                f"{budget:g}s wall-clock budget"
-            )
-        for idx in members:
-            m_attempt = attempts[idx]
-            if state.on_error == "retry" and m_attempt < state.retry.max_attempts:
-                obs_metrics.add("executor.retries")
-                reissue_at[idx] = (now + state.retry.delay(idx, m_attempt),
-                                   m_attempt + 1)
-                continue
-            # Bump the attempt so a late result from the hung worker is
-            # ignored as stale (the worker itself cannot be preempted).
-            attempts[idx] = m_attempt + 1
-            terminal[idx] = (
-                "fail",
-                TaskFailure(
-                    index=idx,
-                    stage=state.stage,
-                    kind="timeout",
-                    error_type="TimeoutError",
-                    message=f"exceeded {budget:g}s budget",
-                    attempts=m_attempt,
-                ),
-            )
+        for idx in unit.members:
+            self.run.timed_out(idx, unit.attempt, budget)
 
-    def _worker_lost(self, state, qdir, ledger, taskmap, attempts, losses,
-                     terminal, reissue_at, units, unit_attempt, unit_size,
-                     claim_seen, beat_seen, head, now) -> None:
-        lease = ledger.load(head) or {}
-        members = list(units.get(head, ()))
-        attempt = unit_attempt[head]
-        obs_metrics.add("executor.dispatch.workers_lost")
+    def _lost(self, head: int) -> None:
+        lease = self.ledger.load(head) or {}
+        unit = self._clear(head)
         record_event(
-            state,
+            self.state,
             "worker-lost",
             f"worker {lease.get('worker', '<unknown>')!r} stopped "
             f"heartbeating while holding work unit {head} "
-            f"({len(members)} unfinished tasks); re-issuing them",
+            f"({len(unit.members)} unfinished tasks); re-issuing them",
             index=head,
         )
-        self._clear_unit(qdir, ledger, head, attempt, units, unit_attempt,
-                         unit_size, claim_seen, beat_seen)
-        for idx in members:
-            losses[idx] += 1
-            if state.journal is not None:
-                losses[idx] = max(
-                    losses[idx], state.journal.record_crash(state.stage, idx)
-                )
-            if losses[idx] >= state.quarantine_after:
-                # Workers keep dying on this task: quarantine it (never
-                # re-issue, never execute it in the dispatcher — it just
-                # proved it kills its host) and let the sweep complete.
-                if state.on_error == "raise":
-                    raise RuntimeError(
-                        f"task {idx} (stage {state.stage!r}) killed "
-                        f"{losses[idx]} worker(s) and was quarantined; re-run "
-                        "with --on-error skip or retry to let the remaining "
-                        "tasks complete without it"
-                    )
-                terminal[idx] = (
-                    "fail",
-                    self._quarantine_failure(
-                        state, idx, losses[idx], attempts.get(idx, 0)
-                    ),
-                )
-                continue
-            # Worker loss is not a task failure: re-issue the same attempt.
-            reissue_at[idx] = (now, attempts[idx])
+        for idx in unit.members:
+            self.run.lost(idx, unit.attempt)
 
-    @staticmethod
-    def _quarantine_failure(
-        state: RunState, idx: int, count: int, attempted: int
-    ) -> TaskFailure:
-        """Build (and count) the failure record of a quarantined task."""
-        obs_metrics.add("quarantine.tasks")
-        record_event(
-            state,
-            "quarantined",
-            f"task {idx} killed its worker {count} time(s) "
-            f"(quarantine-after={state.quarantine_after}); no longer re-issued",
-            index=idx,
-        )
-        return TaskFailure(
-            index=idx,
-            stage=state.stage,
-            kind="quarantined",
-            error_type="WorkerLost",
-            message=f"worker died {count} time(s) executing this task",
-            attempts=max(attempted, count),
-        )
+    def issue_due(self) -> "str | None":
+        """Re-issue ready tasks as singleton units; returns the reason to
+        degrade to local execution when the queue filesystem is exhausted.
 
-    def _issue_due(self, state, qdir, taskmap, attempts, terminal, reissue_at,
-                   units, unit_attempt, unit_size, claim_seen, beat_seen,
-                   now) -> None:
-        """Re-issue due tasks as singleton units.  A task whose index
-        still heads a live unit (its siblings remain in flight under that
-        head) waits until the unit drains, so queue-file names and the
-        head's lease stay unambiguous."""
-        for idx, (due, attempt) in list(reissue_at.items()):
-            if due > now or idx in units:
+        A task whose index still heads a live unit (its siblings remain
+        in flight under that head) waits until the unit drains, so
+        queue-file names and the head's lease stay unambiguous."""
+        for idx in self.run.ready():
+            if idx in self.units:
                 continue
-            del reissue_at[idx]
-            attempts[idx] = attempt
-            obs_metrics.add("executor.dispatch.reissues")
-            obs_events.emit(
-                "reissue", stage=state.stage, index=idx, attempt=attempt
-            )
+            attempt = self.run.attempt[idx]
             try:
-                chaos.on_write("dispatch.todo", state.stage, idx)
+                chaos.on_write("dispatch.todo", self.state.stage, idx)
                 atomic_write_bytes(
-                    qdir / "todo" / _task_name(idx, attempt),
-                    pickle.dumps(taskmap[idx], protocol=pickle.HIGHEST_PROTOCOL),
+                    self.qdir / "todo" / _task_name(idx, attempt),
+                    pickle.dumps(self.run.tasks[idx], protocol=pickle.HIGHEST_PROTOCOL),
                 )
             except OSError as exc:
-                if exhaustion_kind(exc) is None:
-                    reissue_at[idx] = (now, attempt)  # transient FS error; retry
-                    continue
-                # The queue filesystem is exhausted — re-queueing cannot
-                # succeed, so fall back to the degraded-local path.
-                record_event(
-                    state,
-                    "degraded-serial",
-                    f"cannot re-issue task {idx} "
-                    f"({exhaustion_kind(exc)}: {exc}); executing it in the "
-                    "dispatcher process",
-                    index=idx,
+                kind = exhaustion_kind(exc)
+                if kind is None:
+                    continue  # transient FS error; retried on the next poll
+                return (
+                    f"cannot re-issue task {idx} ({kind}: {exc}); executing "
+                    "the rest of the stage in the dispatcher process"
                 )
-                outcome = attempt_serial(state, taskmap[idx])
-                terminal[idx] = (
-                    ("fail", outcome) if is_failure(outcome) else ("ok", outcome)
-                )
-                continue
-            units[idx] = [idx]
-            unit_attempt[idx] = attempt
-            unit_size[idx] = 1
+            self.run.issue(idx)
+            obs_metrics.add("executor.dispatch.reissues")
+            obs_events.emit("reissue", stage=self.state.stage, index=idx, attempt=attempt)
+            self.add_unit([idx], attempt)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +639,31 @@ def _heartbeat_loop(ledger: LeaseLedger, index: int, period: float,
         ledger.heartbeat(index)
 
 
+def _envelope(worker: str, attempt: int, outcome: Any = None,
+              error: "Exception | None" = None) -> bytes:
+    """Pickle one per-task result envelope: the outcome, or (``error``
+    set) the failure with its exception shipped when it pickles."""
+    doc: "dict[str, Any]" = {"ok": error is None, "worker": worker, "attempt": attempt}
+    if error is None:
+        doc["outcome"] = outcome
+    else:
+        doc.update(error_type=type(error).__name__, message=str(error), exception=None)
+        try:
+            doc["exception"] = pickle.dumps(error, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            pass
+    return pickle.dumps(doc, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _post(qdir: Path, stage: str, index: int, attempt: int, payload: bytes) -> None:
+    """Stream one result envelope back to the dispatcher."""
+    try:
+        chaos.on_write("dispatch.result", stage, index)
+        atomic_write_bytes(qdir / "results" / _task_name(index, attempt), payload)
+    except OSError:
+        pass  # queue closed under us; the attempt was re-issued
+
+
 def _run_claimed(qdir: Path, fn, stage: str, worker: str, heartbeat: float,
                  claimed: Path, head: int, attempt: int) -> None:
     """Execute one stolen work unit and stream one envelope per member
@@ -836,60 +690,15 @@ def _run_claimed(qdir: Path, fn, stage: str, worker: str, heartbeat: float,
             # The unit file itself is unreadable: report on the head; the
             # dispatcher recovers any remaining members via the
             # lost-worker path once the claim disappears.
-            doc: "dict[str, Any]" = {
-                "ok": False,
-                "error_type": type(exc).__name__,
-                "message": str(exc),
-                "worker": worker,
-                "attempt": attempt,
-            }
-            try:
-                doc["exception"] = pickle.dumps(
-                    exc, protocol=pickle.HIGHEST_PROTOCOL
-                )
-            except Exception:
-                doc["exception"] = None
-            try:
-                atomic_write_bytes(
-                    qdir / "results" / _task_name(head, attempt),
-                    pickle.dumps(doc, protocol=pickle.HIGHEST_PROTOCOL),
-                )
-            except OSError:
-                pass
+            _post(qdir, stage, head, attempt, _envelope(worker, attempt, error=exc))
             return
         tasks = payload_obj if isinstance(payload_obj, list) else [payload_obj]
         for task in tasks:
             try:
-                outcome = execute_task(fn, task, stage)
-                doc = {
-                    "ok": True,
-                    "outcome": outcome,
-                    "worker": worker,
-                    "attempt": attempt,
-                }
-                payload = pickle.dumps(doc, protocol=pickle.HIGHEST_PROTOCOL)
+                payload = _envelope(worker, attempt, execute_task(fn, task, stage))
             except Exception as exc:
-                doc = {
-                    "ok": False,
-                    "error_type": type(exc).__name__,
-                    "message": str(exc),
-                    "worker": worker,
-                    "attempt": attempt,
-                }
-                try:
-                    doc["exception"] = pickle.dumps(
-                        exc, protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                except Exception:
-                    doc["exception"] = None
-                payload = pickle.dumps(doc, protocol=pickle.HIGHEST_PROTOCOL)
-            try:
-                chaos.on_write("dispatch.result", stage, task.index)
-                atomic_write_bytes(
-                    qdir / "results" / _task_name(task.index, attempt), payload
-                )
-            except OSError:
-                pass  # queue closed under us; the attempt was re-issued
+                payload = _envelope(worker, attempt, error=exc)
+            _post(qdir, stage, task.index, attempt, payload)
     finally:
         stop.set()
         beat.join(timeout=1.0)

@@ -1,35 +1,37 @@
 """Process-pool backend — :class:`concurrent.futures.ProcessPoolExecutor`.
 
-Workers are initialised with the shared worker bundle (context, guards,
-chaos plan, metrics switch, array-backend config), futures are awaited
-in task order, and every fault path of the single-host world is
-handled here: a task exception is retried or settled, a hung task is
-abandoned after its wall-clock budget (the pool is restarted so the
-remaining tasks keep running), and a broken pool (a worker died hard)
-is rebuilt a bounded number of times before degrading to re-executing
-the unfinished remainder on the serial backend.
+A transport for the shared task lifecycle
+(:mod:`~repro.engine.backends.lifecycle`): workers are initialised with
+the shared worker bundle (context, guards, chaos plan, metrics switch,
+array-backend config), every task the lifecycle makes ready is
+submitted to one pool that lives across retries, and futures are
+awaited oldest submission first.  What the pool observes goes back to
+the lifecycle as an event — a result, an exception, a blown wall-clock
+budget (the pool is torn down so the hung worker stops), or a worker
+death that broke the pool.  The pool is rebuilt only after such a
+break or timeout.
 
-Poison-task quarantine: every submission runs under an *in-flight
+Blaming a worker death: every submission runs under an *in-flight
 marker* (a file named for the task index, holding the worker's pid)
 that the worker removes when the task settles — so when a worker death
 breaks the pool, the surviving markers identify exactly which tasks
 were executing, and matching their pids against the dead workers'
-identifies which of those to blame.  Blamed tasks accumulate fatal-
-attempt counts (persisted in the journal's ``crashes.json`` so they
-survive rebuilds and ``--resume``); a task blamed
-``state.quarantine_after`` times is settled as
-``TaskFailure(kind="quarantined")`` instead of being re-submitted, so
-one deterministically crashing task can no longer pin the run in a
-rebuild loop.
+identifies which of those to blame.  Blamed tasks are reported lost
+(the lifecycle re-issues them, and quarantines one that keeps killing
+its worker); the innocent ones are re-issued at no cost.  A break no
+marker explains cannot be attributed to any task, so the stage
+degrades to running the rest in this process.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import signal
 import tempfile
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+# A distinct class from the builtin ``TimeoutError`` before Python 3.11.
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from typing import TYPE_CHECKING, Any
 
@@ -40,12 +42,10 @@ from repro.engine.backends.base import (
     install_worker_bundle,
     record_event,
     set_worker_name,
-    settle_failure,
-    settle_success,
     worker_bundle,
 )
-from repro.engine.backends.serial import SerialBackend
-from repro.engine.faults import TaskFailure
+from repro.engine.backends.lifecycle import StageRun
+from repro.engine.backends.serial import degrade_local
 from repro.obs import metrics as obs_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,16 +53,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ProcessPoolBackend"]
 
-#: How many times a broken pool is rebuilt (under ``on_error="retry"``)
-#: before the run degrades to the serial backend.
-_MAX_POOL_REBUILDS = 2
-
 
 def _init_worker(bundle: tuple) -> None:
     """Pool initializer: install the shared worker bundle and declare
     this process's identity for task spans."""
     install_worker_bundle(bundle)
     set_worker_name(f"pool-{os.getpid()}")
+
+
+def _marker_path(marker_dir: str, index: int) -> str:
+    return os.path.join(marker_dir, f"inflight-{int(index):06d}")
 
 
 def _execute_marked(marker_dir: str, fn, task, stage: str):
@@ -75,7 +75,7 @@ def _execute_marked(marker_dir: str, fn, task, stage: str):
     right task when the pool breaks.  Marker I/O is best effort: a full
     disk costs blame precision, never the task.
     """
-    path = os.path.join(marker_dir, f"inflight-{int(task.index):06d}")
+    path = _marker_path(marker_dir, task.index)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(str(os.getpid()))
@@ -112,298 +112,129 @@ class ProcessPoolBackend(ExecutionBackend):
         pending: "list[Task]",
         results: "dict[int, Any]",
     ) -> None:
-        queue: "dict[int, Task]" = {t.index: t for t in pending}
-        attempts: "dict[int, int]" = {t.index: 0 for t in pending}
-        losses: "dict[int, int]" = {}
-        if state.journal is not None:
-            for idx, count in state.journal.crash_counts(state.stage).items():
-                if idx in queue:
-                    losses[idx] = count
-        if state.on_error != "raise":
-            # A resumed run already knows its poison tasks: settle them
-            # up front instead of feeding them a fresh pool.
-            for idx in sorted(queue):
-                if losses.get(idx, 0) >= state.quarantine_after:
-                    self._quarantine(state, queue, attempts, results, idx, losses[idx])
-        marker_dir = tempfile.mkdtemp(prefix="repro-pool-inflight-")
+        run = StageRun(state, pending, results)
+        pool: "ProcessPoolExecutor | None" = None
+        marker_dir = ""
+        #: attempt and future of every in-flight task, in submission order
+        inflight: "dict[int, tuple[int, Future]]" = {}
         try:
-            self._run_rounds(state, queue, attempts, losses, results, marker_dir)
-        finally:
-            shutil.rmtree(marker_dir, ignore_errors=True)
-
-    def _run_rounds(
-        self,
-        state: RunState,
-        queue: "dict[int, Task]",
-        attempts: "dict[int, int]",
-        losses: "dict[int, int]",
-        results: "dict[int, Any]",
-        marker_dir: str,
-    ) -> None:
-        pool_breaks = 0
-        unresolved_at_break: "int | None" = None
-        while queue:
-            self._clear_markers(marker_dir)
-            submitted = sorted(queue)
-            pool = ProcessPoolExecutor(
-                max_workers=min(max(state.n_jobs, 1), len(submitted)),
-                initializer=_init_worker,
-                initargs=(worker_bundle(state.context),),
-            )
-            futures = {}
-            for idx in submitted:
-                attempts[idx] += 1
-                futures[idx] = pool.submit(
-                    _execute_marked, marker_dir, state.fn, queue[idx], state.stage
-                )
-            abort = None
-            for idx in submitted:
-                if idx not in queue:
+            while not run.done:
+                for idx in run.ready():
+                    if pool is None:
+                        # A fresh marker directory per pool: markers a
+                        # torn-down pool left behind can never be blamed.
+                        marker_dir = tempfile.mkdtemp(prefix="repro-pool-inflight-")
+                        pool = ProcessPoolExecutor(
+                            max_workers=min(
+                                max(state.n_jobs, 1), len(run.due) + len(run.inflight)
+                            ),
+                            initializer=_init_worker,
+                            initargs=(worker_bundle(state.context),),
+                        )
+                    inflight[idx] = (run.issue(idx), pool.submit(
+                        _execute_marked, marker_dir, state.fn, run.tasks[idx], state.stage
+                    ))
+                if not inflight:
+                    time.sleep(max(0.0, run.next_due() - run.clock()))
                     continue
-                fut = futures[idx]
-                try:
-                    value = fut.result(timeout=state.timeout)
-                except BrokenExecutor:
-                    abort = "broken"
-                    break
-                except _FuturesTimeout as exc:
-                    if fut.done():  # the task itself raised a TimeoutError
-                        if state.on_error == "raise":
-                            pool.shutdown(wait=True, cancel_futures=True)
-                            raise
-                        self._task_error(state, queue, attempts, results, idx, exc)
-                        continue
-                    budget = state.timeout if state.timeout is not None else 0.0
-                    record_event(
-                        state,
-                        "timeout",
-                        f"task {idx} exceeded its {budget:g}s wall-clock budget; "
-                        "restarting the worker pool",
-                        index=idx,
-                    )
-                    if state.on_error == "raise":
-                        _kill_pool(pool)
-                        raise TimeoutError(
-                            f"task {idx} (stage {state.stage!r}) exceeded its "
-                            f"{budget:g}s wall-clock budget"
-                        ) from None
-                    self._task_error(
-                        state, queue, attempts, results, idx,
-                        TimeoutError(f"exceeded {budget:g}s budget"), kind="timeout",
-                    )
-                    abort = "timeout"
-                    break
-                except Exception as exc:
-                    if state.on_error == "raise":
-                        pool.shutdown(wait=True, cancel_futures=True)
-                        raise
-                    self._task_error(state, queue, attempts, results, idx, exc)
-                else:
-                    results[idx] = settle_success(state, queue.pop(idx), value)
-
-            if abort is None:
-                pool.shutdown(wait=True)
-            else:
-                self._harvest_done(state, futures, queue, results)
+                abort = self._collect(run, inflight)
+                if abort is None:
+                    continue
                 dead_pids = self._dead_pids(pool) if abort == "broken" else set()
                 _kill_pool(pool)
+                pool = None
                 if abort == "broken":
-                    # The rebuild budget guards against a *stuck* loop,
-                    # not against many distinct transient deaths: a break
-                    # that arrives with fewer unresolved tasks than the
-                    # previous one means the run is advancing, so the
-                    # budget starts over.
-                    if unresolved_at_break is not None and (
-                        len(queue) < unresolved_at_break
-                    ):
-                        pool_breaks = 0
-                    unresolved_at_break = len(queue)
-                    pool_breaks += 1
+                    unresolved = len(run.due) + len(run.inflight)
                     record_event(
                         state,
                         "pool-broken",
                         "a worker process died and broke the pool "
-                        f"({len(queue)} task(s) unresolved)",
+                        f"({unresolved} task(s) unresolved)",
                     )
-                    blamed = self._blame(marker_dir, queue, dead_pids)
-                    quarantined = 0
-                    for idx in blamed:
-                        losses[idx] = losses.get(idx, 0) + 1
-                        if state.journal is not None:
-                            losses[idx] = max(
-                                losses[idx],
-                                state.journal.record_crash(state.stage, idx),
-                            )
-                        obs_metrics.add("executor.worker_losses")
-                        if (
-                            state.on_error == "retry"
-                            and losses[idx] >= state.quarantine_after
-                        ):
-                            self._quarantine(
-                                state, queue, attempts, results, idx, losses[idx]
-                            )
-                            quarantined += 1
-                    if quarantined:
-                        # The breaker tripped and removed the culprit:
-                        # that is forward progress, so the rebuild budget
-                        # starts over for the survivors.
-                        pool_breaks = 0
-                    if not queue:
-                        return
-                    can_rebuild = (
-                        state.on_error == "retry"
-                        and pool_breaks <= _MAX_POOL_REBUILDS
-                        and all(
-                            attempts[i] < state.retry.max_attempts for i in queue
+                    blamed = _blamed(marker_dir, inflight, dead_pids)
+                    if not blamed:
+                        degrade_local(
+                            run,
+                            f"re-executing the unfinished {unresolved} task(s) "
+                            "on the serial backend",
                         )
-                    )
-                    if not can_rebuild:
-                        if queue:
-                            record_event(
-                                state,
-                                "degraded-serial",
-                                f"re-executing the unfinished {len(queue)} task(s) "
-                                "on the serial backend",
-                            )
-                            SerialBackend().run(
-                                state, [queue[i] for i in sorted(queue)], results
-                            )
-                            queue.clear()
                         return
-                    obs_metrics.add("executor.pool_rebuilds")
-            if state.on_error == "retry" and queue:
-                time.sleep(max(state.retry.delay(i, attempts[i]) for i in queue))
+                    for idx in blamed:
+                        run.lost(idx, inflight.pop(idx)[0])
+                    if not run.done:
+                        obs_metrics.add("executor.pool_rebuilds")
+                shutil.rmtree(marker_dir, ignore_errors=True)
+                for idx in inflight:
+                    run.withdraw(idx)
+                inflight.clear()
+            if pool is not None:
+                pool.shutdown(wait=True)
+                pool = None
+        finally:
+            if pool is not None:
+                _kill_pool(pool)
+            if marker_dir:
+                shutil.rmtree(marker_dir, ignore_errors=True)
+
+    @staticmethod
+    def _collect(
+        run: StageRun, inflight: "dict[int, tuple[int, Future]]"
+    ) -> "str | None":
+        """Await the in-flight futures oldest submission first, reporting
+        each outcome to the lifecycle.  Returns ``"broken"`` or
+        ``"timeout"`` when the pool must be torn down — after reporting
+        the futures that finished before it went down (their work must
+        not be discarded) — else ``None``."""
+        timeout = run.state.timeout
+        abort = None
+        for idx, (attempt, fut) in list(inflight.items()):
+            if abort is not None and not fut.done():
+                continue
+            try:
+                value = fut.result(timeout=timeout if abort is None else 0)
+            except BrokenExecutor:
+                abort = abort or "broken"
+                continue
+            except Exception as exc:
+                del inflight[idx]
+                if isinstance(exc, _FuturesTimeout) and not fut.done():
+                    record_event(
+                        run.state,
+                        "timeout",
+                        f"task {idx} exceeded its {timeout:g}s wall-clock "
+                        "budget; restarting the worker pool",
+                        index=idx,
+                    )
+                    run.timed_out(idx, attempt, timeout)
+                    abort = "timeout"
+                else:
+                    run.raised(idx, attempt, exc)
+            else:
+                del inflight[idx]
+                run.succeeded(idx, attempt, value)
+        return abort
 
     @staticmethod
     def _dead_pids(pool: ProcessPoolExecutor) -> "set[int]":
-        """Pids of workers that died on their own (before the teardown)."""
+        """Pids of workers that died on their own — not the survivors the
+        broken pool itself terminated (``SIGTERM``) on its way down."""
         procs = list((getattr(pool, "_processes", None) or {}).values())
-        return {p.pid for p in procs if p.exitcode not in (None, 0)}
+        return {p.pid for p in procs if p.exitcode not in (None, 0, -signal.SIGTERM)}
 
-    @staticmethod
-    def _clear_markers(marker_dir: str) -> None:
-        """Drop stale in-flight markers (e.g. left by a timeout teardown)."""
+
+def _blamed(marker_dir: str, inflight: "dict[int, Any]",
+            dead_pids: "set[int]") -> "list[int]":
+    """In-flight task indices whose marker survived the break — narrowed
+    to markers held by a worker that actually died, when the dead
+    workers are identifiable (innocent tasks that were merely
+    co-resident in the pool are not blamed)."""
+    marked: "dict[int, int | None]" = {}
+    for idx in inflight:
         try:
-            names = os.listdir(marker_dir)
+            with open(_marker_path(marker_dir, idx), encoding="utf-8") as fh:
+                text = fh.read().strip()
         except OSError:
-            return
-        for name in names:
-            try:
-                os.unlink(os.path.join(marker_dir, name))
-            except OSError:
-                pass
-
-    @staticmethod
-    def _blame(
-        marker_dir: str, queue: "dict[int, Task]", dead_pids: "set[int]"
-    ) -> "list[int]":
-        """Unresolved task indices whose in-flight marker survived the
-        break — narrowed to markers held by a worker that actually died,
-        when the dead workers are identifiable (innocent tasks that were
-        merely co-resident in the pool are not blamed)."""
-        marked: "dict[int, int | None]" = {}
-        try:
-            names = os.listdir(marker_dir)
-        except OSError:
-            return []
-        for name in names:
-            if not name.startswith("inflight-"):
-                continue
-            path = os.path.join(marker_dir, name)
-            idx: "int | None" = None
-            pid: "int | None" = None
-            try:
-                idx = int(name.split("-", 1)[1])
-                with open(path, "r", encoding="utf-8") as fh:
-                    pid = int(fh.read().strip() or "0")
-            except (OSError, ValueError):
-                pass
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            if idx is not None and idx in queue:
-                marked[idx] = pid
-        if not marked:
-            return []
-        blamed = [i for i, pid in marked.items() if pid in dead_pids]
-        return sorted(blamed if blamed else marked)
-
-    @staticmethod
-    def _quarantine(
-        state: RunState,
-        queue: "dict[int, Task]",
-        attempts: "dict[int, int]",
-        results: "dict[int, Any]",
-        idx: int,
-        count: int,
-    ) -> None:
-        """Settle a poison task: it has killed ``count`` workers, which
-        meets the ``quarantine_after`` budget, so it is never re-issued."""
-        obs_metrics.add("quarantine.tasks")
-        record_event(
-            state,
-            "quarantined",
-            f"task {idx} killed its worker {count} time(s) "
-            f"(quarantine-after={state.quarantine_after}); no longer re-issued",
-            index=idx,
-        )
-        queue.pop(idx, None)
-        results[idx] = settle_failure(
-            state,
-            TaskFailure(
-                index=idx,
-                stage=state.stage,
-                kind="quarantined",
-                error_type="WorkerLost",
-                message=f"worker died {count} time(s) executing this task",
-                attempts=max(attempts.get(idx, 0), count),
-            ),
-        )
-
-    @staticmethod
-    def _task_error(
-        state: RunState,
-        queue: "dict[int, Task]",
-        attempts: "dict[int, int]",
-        results: "dict[int, Any]",
-        idx: int,
-        exc: BaseException,
-        kind: str = "error",
-    ) -> None:
-        """Handle a task-level failure on the pool backend: requeue for a
-        retry when the policy allows, else settle a :class:`TaskFailure`."""
-        if state.on_error == "retry" and attempts[idx] < state.retry.max_attempts:
-            obs_metrics.add("executor.retries")
-            return  # stays in the queue; next pool round re-runs it
-        queue.pop(idx)
-        results[idx] = settle_failure(
-            state,
-            TaskFailure(
-                index=idx,
-                stage=state.stage,
-                kind=kind,
-                error_type=type(exc).__name__,
-                message=str(exc),
-                attempts=attempts[idx],
-            ),
-        )
-
-    @staticmethod
-    def _harvest_done(
-        state: RunState,
-        futures: dict,
-        queue: "dict[int, Task]",
-        results: "dict[int, Any]",
-    ) -> None:
-        """After an abort, collect results of futures that finished cleanly
-        before the pool went down (their work must not be discarded)."""
-        for idx in list(queue):
-            fut = futures.get(idx)
-            if fut is None or not fut.done():
-                continue
-            try:
-                value = fut.result(timeout=0)
-            except Exception:
-                continue  # broken-pool sentinel or task error: re-run / re-judge later
-            results[idx] = settle_success(state, queue.pop(idx), value)
+            continue
+        marked[idx] = int(text) if text.isdigit() else None
+    blamed = [i for i, pid in marked.items() if pid in dead_pids]
+    return sorted(blamed or marked)

@@ -1,10 +1,13 @@
 """Serial backend — a plain loop in the calling process.
 
 The reference implementation of the backend protocol: every other
-backend must produce exactly the results this loop produces.  Retries
-follow the shared :class:`~repro.engine.faults.RetryPolicy`; per-task
-wall-clock timeouts cannot be enforced in-process and are ignored
-(documented in ``map_tasks``).
+backend must produce exactly the results this loop produces.  It runs
+each task in task order, reports the outcome to the shared
+:class:`~repro.engine.backends.lifecycle.StageRun`, and sleeps until a
+retry is due; per-task wall-clock timeouts cannot be enforced
+in-process and are ignored (documented in ``map_tasks``).  The same
+loop is the *degrade-local* fallback of the process backends
+(:func:`degrade_local`).
 """
 
 from __future__ import annotations
@@ -16,42 +19,45 @@ from repro.engine.backends.base import (
     ExecutionBackend,
     RunState,
     execute_task,
+    record_event,
     set_worker_context,
-    settle_failure,
-    settle_success,
 )
-from repro.engine.faults import TaskFailure, is_failure
-from repro.obs import metrics as obs_metrics
+from repro.engine.backends.lifecycle import StageRun
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.executor import Task
 
-__all__ = ["SerialBackend", "attempt_serial"]
+__all__ = ["SerialBackend", "degrade_local", "run_local"]
 
 
-def attempt_serial(state: RunState, task: "Task") -> Any:
-    """Run one task in-process with the retry schedule; returns the
-    value or a :class:`TaskFailure` (under ``skip``/``retry``)."""
-    max_attempts = state.retry.max_attempts if state.on_error == "retry" else 1
-    last_exc: "BaseException | None" = None
-    for attempt in range(1, max_attempts + 1):
-        try:
-            return execute_task(state.fn, task, state.stage)
-        except Exception as exc:
-            if state.on_error == "raise":
-                raise
-            last_exc = exc
-            if attempt < max_attempts:
-                obs_metrics.add("executor.retries")
-                time.sleep(state.retry.delay(task.index, attempt))
-    return TaskFailure(
-        index=task.index,
-        stage=state.stage,
-        kind="error",
-        error_type=type(last_exc).__name__,
-        message=str(last_exc),
-        attempts=max_attempts,
-    )
+def run_local(run: StageRun) -> None:
+    """Execute every unresolved task of ``run`` in this process, in task
+    order, each until the lifecycle resolves it."""
+    previous = set_worker_context(run.state.context)
+    try:
+        for idx in run.order:
+            while idx in run.due:
+                wait = run.due[idx] - run.clock()
+                if wait > 0:
+                    time.sleep(wait)
+                attempt = run.issue(idx)
+                try:
+                    outcome = execute_task(run.state.fn, run.tasks[idx], run.stage)
+                except Exception as exc:
+                    run.raised(idx, attempt, exc)
+                else:
+                    run.succeeded(idx, attempt, outcome)
+    finally:
+        set_worker_context(previous)
+
+
+def degrade_local(run: StageRun, detail: str) -> None:
+    """The degrade-local fallback: record why, take back every in-flight
+    execution, and run the rest of the stage in this process."""
+    record_event(run.state, "degraded-serial", detail)
+    for idx in sorted(run.inflight):
+        run.withdraw(idx)
+    run_local(run)
 
 
 class SerialBackend(ExecutionBackend):
@@ -65,13 +71,4 @@ class SerialBackend(ExecutionBackend):
         pending: "list[Task]",
         results: "dict[int, Any]",
     ) -> None:
-        previous = set_worker_context(state.context)
-        try:
-            for task in pending:
-                outcome = attempt_serial(state, task)
-                if is_failure(outcome):
-                    results[task.index] = settle_failure(state, outcome)
-                else:
-                    results[task.index] = settle_success(state, task, outcome)
-        finally:
-            set_worker_context(previous)
+        run_local(StageRun(state, pending, results))

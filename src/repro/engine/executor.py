@@ -39,11 +39,12 @@ deterministic jitter), and a :class:`~repro.engine.journal.RunJournal`
 for checkpoint/resume.  Under ``skip``/``retry`` a task that ultimately
 cannot produce a result occupies its slot with a structured
 :class:`~repro.engine.faults.TaskFailure` instead of raising, a hung
-task is abandoned after its budget, and a dying worker degrades the run
-(pool rebuild / dispatch re-issue / serial fallback) rather than
-discarding the sweep.  None of this touches task randomness, so a
-journaled run interrupted at any point resumes to the bit-identical
-aggregate.
+task is abandoned after its budget, and a dying worker's task is
+re-issued (and quarantined once it has killed ``quarantine_after``
+workers) rather than discarding the sweep — one policy for every
+backend, :mod:`repro.engine.backends.lifecycle`.  None of this touches
+task randomness, so a journaled run interrupted at any point resumes to
+the bit-identical aggregate.
 """
 
 from __future__ import annotations
@@ -232,6 +233,8 @@ def map_tasks(
         quarantine_after = policy.quarantine_after if policy else 3
     if quarantine_after < 1:
         raise ValueError(f"quarantine_after must be >= 1, got {quarantine_after}")
+    if timeout is not None and timeout <= 0:
+        raise ValueError(f"timeout must be positive, got {timeout}")
 
     items = list(tasks)
     results: "dict[int, Any]" = {}

@@ -65,15 +65,16 @@ class TaskFailure:
         The ``map_tasks`` stage name the task belonged to.
     kind:
         ``"error"`` (the task function raised), ``"timeout"`` (the
-        process backend's wall-clock budget expired), ``"crash"``
-        (the worker process died and broke the pool), or
+        process backend's wall-clock budget expired), or
         ``"quarantined"`` (the task killed its worker
         ``quarantine_after`` times and is no longer re-issued — the
         poison-task circuit breaker).
     error_type, message:
         Exception class name and message, where one exists.
     attempts:
-        How many executions were tried before giving up.
+        How many executions were tried before giving up (for a
+        quarantined task, at least its worker-loss count: every loss
+        was one execution).
     """
 
     index: int

@@ -32,7 +32,7 @@ __all__ = ["RunDirError", "render_run_dir", "stats_doc"]
 FLEET_COUNTERS = (
     "executor.dispatch.queues",
     "executor.dispatch.reissues",
-    "executor.dispatch.workers_lost",
+    "executor.worker_losses",
     "executor.events.worker-lost",
     "quarantine.tasks",
     "journal.degraded_writes",

@@ -73,6 +73,16 @@ class TestMapTasks:
     def test_empty_tasks(self):
         assert map_tasks(_payload_square, [], jobs=4) == []
 
+    @pytest.mark.parametrize("timeout", [0, -1, -0.5])
+    def test_nonpositive_timeout_rejected(self, timeout):
+        # Same message as ExecutionPolicy: a non-positive budget would
+        # time out every task of a process backend.
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            map_tasks(
+                _payload_square, make_tasks([1, 2]), jobs=2, executor="pool",
+                timeout=timeout,
+            )
+
 
 class TestWorkerContext:
     def test_serial_sees_context(self):

@@ -16,6 +16,9 @@ import pytest
 
 from repro.core.sinr import SINRInstance
 from repro.engine import chaos, guards
+from repro.engine.backends import RunState
+from repro.engine.backends import pool as pool_backend
+from repro.engine.backends.lifecycle import StageRun
 from repro.engine.chaos import ChaosError, ChaosPlan, Fault
 from repro.engine.executor import Task, get_worker_context, make_tasks, map_tasks
 from repro.engine.faults import (
@@ -63,6 +66,10 @@ def _journaled_double(task: Task) -> int:
     with open(log_dir / "executions.log", "a", encoding="utf-8") as fh:
         fh.write(f"{task.index}\n")
     return task.payload * 2
+
+
+def _unwritable_marker(marker_dir: str, index: int) -> str:
+    return str(Path(marker_dir) / "no-such-dir" / f"inflight-{index}")
 
 
 def _executions(log_dir) -> "list[int]":
@@ -190,10 +197,56 @@ class TestPoolFaults:
         assert out == [2, 4, 6, 8]  # nothing lost despite the dead worker
         assert any(e["kind"] == "pool-broken" for e in report.events)
 
-    def test_worker_death_skip_degrades_to_serial(self, tmp_path):
-        # A persistent killer fault: the pool cannot survive it, so the
-        # engine falls back to the serial backend, where the injected
-        # death is downgraded to an exception and skipped.
+    def test_hung_tasks_each_charged_one_attempt(self, tmp_path):
+        # Two tasks hang on every attempt.  Tearing the pool down for the
+        # first re-issues the second at no cost, so under skip each
+        # failure records exactly the one execution it was allowed.
+        _install(
+            tmp_path,
+            Fault(kind="hang", stage="sweep", index=1, hang_seconds=30.0, once=False),
+            Fault(kind="hang", stage="sweep", index=2, hang_seconds=30.0, once=False),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = map_tasks(
+                _double, make_tasks([1, 2, 3, 4]), jobs=2, executor="pool",
+                on_error="skip", timeout=0.5,
+            )
+        assert [out[0], out[3]] == [2, 8]
+        for failure in (out[1], out[2]):
+            assert is_failure(failure) and failure.kind == "timeout"
+            assert failure.attempts == 1
+
+    def test_futures_timeout_detected_on_python_3_10(self, monkeypatch):
+        # Before Python 3.11 a future's timeout raises
+        # concurrent.futures.TimeoutError, which is not the builtin.
+        class FuturesTimeout(Exception):
+            pass
+
+        class HungFuture:
+            def result(self, timeout=None):
+                raise FuturesTimeout()
+
+            def done(self):
+                return False
+
+        monkeypatch.setattr(pool_backend, "_FuturesTimeout", FuturesTimeout)
+        state = RunState(_double, "sweep", None, "skip", RetryPolicy(), 0.5, None, None)
+        results: "dict[int, object]" = {}
+        run = StageRun(state, make_tasks([1]), results)
+        inflight = {0: (run.issue(0), HungFuture())}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            abort = pool_backend.ProcessPoolBackend._collect(run, inflight)
+        assert abort == "timeout"
+        assert results[0].kind == "timeout" and results[0].attempts == 1
+
+    def test_worker_death_skip_degrades_to_serial(self, tmp_path, monkeypatch):
+        # A persistent killer fault whose in-flight marker cannot be
+        # written (a full disk): no task can be blamed for the break, so
+        # the engine runs the rest of the stage in this process, where
+        # the injected death is downgraded to an exception and skipped.
+        monkeypatch.setattr(pool_backend, "_marker_path", _unwritable_marker)
         _install(tmp_path, Fault(kind="exit", stage="sweep", index=1, once=False))
         report = RunReport()
         policy = ExecutionPolicy(on_error="skip", report=report)

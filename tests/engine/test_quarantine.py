@@ -2,7 +2,9 @@
 must stop being re-issued after ``quarantine_after`` fatal attempts and
 settle as ``TaskFailure(kind="quarantined")`` — on the pool backend's
 rebuild loop and on the dispatch backend's re-issue loop — while the
-rest of the sweep completes with correct bytes.
+rest of the sweep completes with correct bytes.  Both backends share one
+task lifecycle, so they must agree on the record and the counters under
+every ``on_error`` mode.
 """
 
 import json
@@ -10,7 +12,8 @@ import json
 import pytest
 
 from repro.engine import chaos
-from repro.engine.backends import DispatchBackend
+from repro.engine.backends import DispatchBackend, RunState
+from repro.engine.backends.lifecycle import StageRun
 from repro.engine.chaos import ChaosPlan, Fault
 from repro.engine.executor import Task, make_tasks, map_tasks
 from repro.engine.faults import (
@@ -20,6 +23,7 @@ from repro.engine.faults import (
     is_failure,
 )
 from repro.engine.journal import RunJournal
+from repro.obs import metrics as obs_metrics
 
 FAST_RETRY = RetryPolicy(max_attempts=6, base_delay=0.001, max_delay=0.01)
 
@@ -28,6 +32,7 @@ FAST_RETRY = RetryPolicy(max_attempts=6, base_delay=0.001, max_delay=0.01)
 def _clean_chaos():
     yield
     chaos.uninstall()
+    obs_metrics.install(None)
 
 
 def _install_persistent_kill(tmp_path, stage: str, index: int) -> ChaosPlan:
@@ -99,6 +104,22 @@ class TestPoolQuarantine:
         assert is_failure(out[1]) and out[1].kind == "quarantined"
         assert completed(out) == [0, 4]
 
+    def test_losses_recorded_elsewhere_count(self, tmp_path):
+        """A loss another process journaled after this stage read the
+        crash counts still counts toward quarantine."""
+        journal = RunJournal.create(tmp_path / "runs", "r2", {})
+        state = RunState(
+            _double, "shared", None, "skip", RetryPolicy(), None, journal, None,
+            quarantine_after=2,
+        )
+        results: "dict[int, object]" = {}
+        run = StageRun(state, make_tasks(range(2)), results)
+        journal.record_crash("shared", 1)  # another dispatcher's loss
+        with pytest.warns(UserWarning, match="quarantine"):
+            run.lost(1, run.issue(1))
+        assert run.losses[1] == 2 and 1 not in run.due
+        assert journal.crash_counts("shared")[1] == 2
+
     def test_transient_death_still_recovers(self, tmp_path):
         """A once-only death stays below the quarantine budget and the
         task completes on the rebuilt pool — no behaviour change."""
@@ -159,3 +180,53 @@ class TestDispatchQuarantine:
                     )
         finally:
             backend.close()
+
+
+def _poison_run(tmp_path, executor: str, on_error: str, stage: str):
+    """Five tasks, the last kills its worker on every attempt, K = 2.
+
+    The poison task is the last in claim order, so a dispatch worker
+    finishes every other task before a re-issue can kill it: the run
+    never loses its whole fleet with work still unclaimed."""
+    _install_persistent_kill(tmp_path, stage, 4)
+    backend = (
+        DispatchBackend(tmp_path / "runs", local_workers=2, lease_timeout=0.6, poll=0.02)
+        if executor == "dispatch" else executor
+    )
+    registry = obs_metrics.MetricsRegistry()
+    obs_metrics.install(registry)
+    try:
+        out = map_tasks(
+            _double, make_tasks(range(5)), jobs=2, executor=backend, stage=stage,
+            on_error=on_error, retry=FAST_RETRY, quarantine_after=2,
+        )
+    finally:
+        obs_metrics.install(None)
+        if executor == "dispatch":
+            backend.close()
+    return out, registry.counters
+
+
+class TestQuarantineParity:
+    """One rule on every backend: a worker loss never uses up a retry
+    attempt; the K-th loss quarantines under skip and retry alike."""
+
+    @pytest.mark.parametrize("on_error", ["skip", "retry"])
+    @pytest.mark.parametrize("executor", ["pool", "dispatch"])
+    def test_same_record_and_counters(self, tmp_path, executor, on_error):
+        with pytest.warns(UserWarning, match="quarantine"):
+            out, counters = _poison_run(tmp_path, executor, on_error, "par")
+        assert [is_failure(r) for r in out] == [False, False, False, False, True]
+        assert (out[4].kind, out[4].error_type, out[4].attempts) == (
+            "quarantined", "WorkerLost", 2,
+        )
+        assert completed(out) == [0, 2, 4, 6]
+        assert counters["executor.worker_losses"] == 2
+        assert counters["quarantine.tasks"] == 1
+        assert counters["executor.task_failures"] == 1
+        assert "executor.retries" not in counters
+
+    def test_pool_raise_mode_refuses_after_k_losses(self, tmp_path):
+        with pytest.warns(UserWarning, match="pool-broken"):
+            with pytest.raises(RuntimeError, match="killed 2 worker"):
+                _poison_run(tmp_path, "pool", "raise", "praise")

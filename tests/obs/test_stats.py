@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.stats import RunDirError, render_run_dir
+from repro.obs.stats import RunDirError, render_run_dir, stats_doc
 
 
 def _write(path, doc):
@@ -124,3 +124,16 @@ class TestRenderRunDir:
         (tmp_path / "profile-E1-sweep.pstats").write_bytes(b"")
         out = render_run_dir(tmp_path)
         assert "profile: profile-E1-sweep.pstats" in out
+
+    def test_pool_worker_losses_reach_the_fleet_section(self, tmp_path):
+        # Every backend counts a worker death under one name, so a pool
+        # run's losses show up next to a dispatch run's.
+        _write(tmp_path / "summary.json", _summary())
+        _write(
+            tmp_path / "metrics.json",
+            {"counters": {"E1": {"executor.worker_losses": 2, "quarantine.tasks": 1}}},
+        )
+        out = render_run_dir(tmp_path)
+        assert "fleet:" in out
+        assert "executor.worker_losses  2" in out
+        assert stats_doc(tmp_path)["fleet"]["executor.worker_losses"] == 2
