@@ -39,6 +39,14 @@ enforces per-kernel speedup floors via ``KERNEL_EXPECTATIONS``: default
 decay engines at ``n = 10³``, and explicit ``floor: None`` annotations
 for overhead-tradeoff or informational entries.
 
+Two entries time a default vectorized path at a scale an experiment
+runs against the loop it replaced: ``capacity_game_T100_n200`` plays
+the Figure-2 game with a list of scalar ``RWMLearner`` objects against
+the default ``CapacityGame.play`` (a per-player-streams learner bank,
+bit-identical), and ``block_transformed_steps_n60`` runs E15's
+transformed step as a ``realize``-per-slot loop against
+``BlockFadingChannel.transformed_steps``.  Both take the default floor.
+
 The **executor throughput** entry times one identical sweep end-to-end
 on the process-pool backend (``before_s``) and on the dispatch backend
 with the same number of local workers (``after_s``), so the recorded
@@ -66,12 +74,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.backend import BackendConfig, backend_scope, numba_available
-from repro.channel import NonFadingChannel, RayleighChannel
+from repro.channel import BlockFadingChannel, NonFadingChannel, RayleighChannel
 from repro.core.network import Network
 from repro.core.power import UniformPower
 from repro.core.sinr import SINRInstance
 from repro.geometry.placement import paper_random_network
+from repro.learning.game import CapacityGame
 from repro.learning.regret import expected_send_rewards, lemma5_quantities
+from repro.learning.rwm import RWMLearner
 
 BENCH_DIR = Path(__file__).resolve().parent
 SUMMARY_PATH = BENCH_DIR / "BENCH_summary.json"
@@ -83,6 +93,12 @@ BATCH = 256
 BETA = 2.5
 BLOCK_L = 16
 BLOCK_SLOTS = 512
+
+#: Capacity game at the Figure-2 scale (n=200 links, T=100 rounds,
+#: beta=0.5, alpha=2.1, no noise) and the E15 transformed step (n=60,
+#: q=0.3, 4 repeats) under block fading with coherence 2.
+GAME_N, GAME_ROUNDS, GAME_BETA = 200, 100, 0.5
+STEPS_N, STEPS_NUM, STEPS_L = 60, 500, 2
 
 #: n-scaling sweep sizes: 10² → 10⁴ (full) and the CI subset (quick).
 SCALING_NS = (100, 300, 1000, 3000, 10000)
@@ -224,6 +240,18 @@ def _naive_rayleigh_counterfactual(
     return gen.random(instance.n) < p
 
 
+def _naive_transformed_steps(
+    channel: BlockFadingChannel, q: np.ndarray, num_steps: int,
+    gen: np.random.Generator, repeats: int,
+) -> np.ndarray:
+    """The transformed step as a slot loop: one ``realize`` per slot."""
+    out = np.zeros((num_steps, channel.n), dtype=bool)
+    for t in range(num_steps):
+        for _ in range(repeats):
+            out[t] |= channel.realize(gen.random(channel.n) < q, gen)
+    return out
+
+
 def _naive_nonfading_counterfactual(
     instance: SINRInstance, mask: np.ndarray, beta: float
 ) -> np.ndarray:
@@ -339,17 +367,55 @@ def measure_kernels(
         lambda: ray.counterfactual_batch(patterns, g4),
     )
 
-    from repro.fading.block import BlockFadingChannel
+    from repro.fading.block import BlockFadingChannel as LegacyBlockFading
 
     def naive_block():
-        ch = BlockFadingChannel(inst, BLOCK_L, rng=7)
+        ch = LegacyBlockFading(inst, BLOCK_L, rng=7)
         return [ch.step(mask, BETA) for _ in range(BLOCK_SLOTS)]
 
     def fast_block():
-        ch = BlockFadingChannel(inst, BLOCK_L, rng=7)
+        ch = LegacyBlockFading(inst, BLOCK_L, rng=7)
         return ch.run(mask, BETA, BLOCK_SLOTS)
 
     record("block_fading_run_L16_512slots", naive_block, fast_block)
+
+    s, r = paper_random_network(
+        GAME_N, area=1000.0, min_length=0.0, max_length=100.0, rng=0
+    )
+    game_inst = SINRInstance.from_network(Network(s, r), UniformPower(2.0), 2.1, 0.0)
+
+    def scalar_game():
+        gen = np.random.default_rng(11)
+        players = [RWMLearner(child) for child in gen.spawn(GAME_N)]
+        game = CapacityGame(game_inst, GAME_BETA, channel="rayleigh", rng=gen)
+        return game.play(GAME_ROUNDS, learners=players)
+
+    def default_game():
+        game = CapacityGame(
+            game_inst, GAME_BETA, channel="rayleigh", rng=np.random.default_rng(11)
+        )
+        return game.play(GAME_ROUNDS)
+
+    record(
+        f"capacity_game_T{GAME_ROUNDS}_n{GAME_N}",
+        scalar_game,
+        default_game,
+        naive_repeats=max(1, repeats // 2),
+    )
+
+    s, r = paper_random_network(STEPS_N, area=1000.0 * (STEPS_N / 100.0) ** 0.5, rng=0)
+    steps_inst = SINRInstance.from_network(Network(s, r), UniformPower(2.0), 2.2, 4e-7)
+    q = np.full(STEPS_N, 0.3)
+    record(
+        f"block_transformed_steps_n{STEPS_N}",
+        lambda: _naive_transformed_steps(
+            BlockFadingChannel(steps_inst, BETA, block_length=STEPS_L),
+            q, STEPS_NUM, np.random.default_rng(5), 4,
+        ),
+        lambda: BlockFadingChannel(
+            steps_inst, BETA, block_length=STEPS_L
+        ).transformed_steps(q, STEPS_NUM, np.random.default_rng(5), repeats=4),
+    )
     return kernels
 
 

@@ -28,6 +28,10 @@ from repro.utils.rng import as_generator
 
 __all__ = ["BlockFadingChannel"]
 
+#: Bytes of per-slot draw matrices :meth:`BlockFadingChannel.transformed_steps`
+#: stages before evaluating them in one kernel call.
+STEP_BUFFER_BYTES = 1 << 20
+
 
 class BlockFadingChannel(Channel):
     """Channel whose realisation is frozen for ``block_length`` slots.
@@ -206,22 +210,50 @@ class BlockFadingChannel(Channel):
         return sinr >= self.beta
 
     def transformed_step(self, q, rng=None, *, repeats: int = 4) -> np.ndarray:
-        """One Section-4 transformed protocol step under this channel.
+        """One Section-4 transformed protocol step under this channel
+        (:meth:`transformed_steps` with one step)."""
+        return self.transformed_steps(q, 1, rng, repeats=repeats)[0]
 
-        Each of the ``repeats`` executions redraws the transmit pattern
-        (protocol randomness is always fresh) but the channel refreshes
-        only at block boundaries — the regime E15 studies.  Returns the
-        per-link any-execution success mask.
+    def transformed_steps(
+        self, q, num_steps: int, rng=None, *, repeats: int = 4
+    ) -> np.ndarray:
+        """``num_steps`` consecutive Section-4 transformed protocol steps.
+
+        Each of a step's ``repeats`` executions is one slot: it redraws
+        the transmit pattern (protocol randomness is always fresh) but
+        the channel refreshes only at block boundaries — the regime E15
+        studies.  Returns the ``(num_steps, n)`` per-step any-execution
+        success masks.
+
+        Slot by slot, the generator calls are those of a loop of
+        ``pattern = rng.random(n) < q`` then ``realize(pattern, rng)``:
+        the pattern draw, then the block redraw at block boundaries.
+        Uniforms and draw matrices are staged for as many whole steps as
+        fit in :data:`STEP_BUFFER_BYTES` (at least one step) and
+        evaluated by one SINR kernel call per buffer, so masks, clock and
+        redraw counts equal the loop's.
         """
-        if repeats <= 0:
+        if num_steps < 1:
+            raise ValueError(f"num_steps must be positive, got {num_steps}")
+        if repeats < 1:
             raise ValueError(f"repeats must be positive, got {repeats}")
         gen = as_generator(rng)
         qv = np.asarray(q, dtype=np.float64)
-        success = np.zeros(self.n, dtype=bool)
-        for _ in range(repeats):
-            pattern = gen.random(self.n) < qv
-            success |= self.realize(pattern, gen)
-        return success
+        n = self.n
+        chunk = max(1, STEP_BUFFER_BYTES // (8 * n * n * repeats))
+        slots = min(chunk, num_steps) * repeats
+        uniforms = np.empty((slots, n), dtype=np.float64)
+        draws = np.empty((slots, n, n), dtype=np.float64)
+        out = np.empty((num_steps, n), dtype=bool)
+        for first in range(0, num_steps, chunk):
+            stop = min(first + chunk, num_steps)
+            k = (stop - first) * repeats
+            for s in range(k):
+                gen.random(out=uniforms[s])
+                draws[s] = self._step_draws(gen)
+            sinr = _sinr_from_draws(draws[:k], uniforms[:k] < qv, self.instance.noise)
+            out[first:stop] = (sinr >= self.beta).reshape(-1, repeats, n).any(axis=1)
+        return out
 
     def expected_successes(self, subset, rng=None) -> float:
         """Single-slot expectation by Monte Carlo (coherence is temporal

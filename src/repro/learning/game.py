@@ -32,7 +32,7 @@ from repro.learning.regret import (
     lemma5_quantities,
     realized_rewards,
 )
-from repro.learning.rwm import RWMLearner
+from repro.learning.rwm_bank import RWMLearnerBank
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive
 
@@ -172,9 +172,6 @@ class CapacityGame:
             w = None
         self.weights = w
 
-    def _default_learners(self) -> list[RWMLearner]:
-        return [RWMLearner(child) for child in self._rng.spawn(self.instance.n)]
-
     def play(
         self,
         num_rounds: int,
@@ -182,15 +179,19 @@ class CapacityGame:
     ) -> GameResult:
         """Run the game for ``num_rounds`` rounds.
 
-        ``learners`` defaults to one paper-configured
-        :class:`~repro.learning.rwm.RWMLearner` per link.  Any object with
-        ``choose() -> int`` and either ``observe_outcome(bool)``
-        (full information) or ``update(action, reward)`` (bandit) works;
-        :class:`~repro.learning.exp3.Exp3Learner` uses the latter.
-        Alternatively pass one
-        :class:`~repro.learning.rwm_bank.RWMLearnerBank` (anything with
-        ``choose_all``/``observe_outcomes``) for the vectorized fast path
-        — preferred at paper scale (200 players).
+        ``learners`` defaults to one paper-configured RWM learner per
+        link, each sampling from its own child stream spawned off the
+        game's generator, played as one vectorized
+        :class:`~repro.learning.rwm_bank.RWMLearnerBank` (see
+        :meth:`~repro.learning.rwm_bank.RWMLearnerBank.from_streams`).
+        The result is bit-identical to passing
+        ``[RWMLearner(c) for c in rng.spawn(n)]`` drawn from the same
+        generator.  Explicit learners may be a list of objects with
+        ``choose() -> int`` and either ``observe_outcome(bool)`` (full
+        information) or ``update(action, reward)`` (bandit;
+        :class:`~repro.learning.exp3.Exp3Learner` uses it), or one
+        bank-like object (anything with ``choose_all``/
+        ``observe_outcomes``).
 
         Returns
         -------
@@ -200,13 +201,15 @@ class CapacityGame:
             raise ValueError(f"num_rounds must be positive, got {num_rounds}")
         inst = self.instance
         n = inst.n
+        if learners is None:
+            learners = RWMLearnerBank.from_streams(self._rng.spawn(n))
         bank = learners if hasattr(learners, "choose_all") else None
         if bank is not None:
             if getattr(bank, "n", None) != n:
                 raise ValueError(f"learner bank covers {getattr(bank, 'n', '?')} players, need {n}")
             players = []
         else:
-            players = list(learners) if learners is not None else self._default_learners()
+            players = list(learners)
             if len(players) != n:
                 raise ValueError(f"need one learner per link ({n}), got {len(players)}")
         channel = self._rng.spawn(1)[0]

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.channel import BlockFadingChannel, RayleighChannel
+from repro.channel.block import STEP_BUFFER_BYTES
 from repro.fading.models import NakagamiFading
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
 
 BETA = 1.0
 
@@ -79,4 +82,72 @@ class TestDegenerateL1:
         ch = BlockFadingChannel(paper_instance, BETA, block_length=5)
         value = ch.expected_successes(np.arange(0, paper_instance.n, 4), rng=13)
         assert value >= 0.0
+        assert ch.time == 0
+
+
+def _step_loop(ch, q, num_steps, gen, repeats):
+    """The transformed step as a slot loop: the reference
+    ``transformed_steps`` must reproduce bit for bit."""
+    out = np.zeros((num_steps, ch.n), dtype=bool)
+    for t in range(num_steps):
+        for _ in range(repeats):
+            out[t] |= ch.realize(gen.random(ch.n) < q, gen)
+    return out
+
+
+def _redraws(fn):
+    reg = MetricsRegistry()
+    previous = obs_metrics.install(reg)
+    try:
+        result = fn()
+    finally:
+        obs_metrics.install(previous)
+    return result, reg.counters.get("channel.block_redraws", 0)
+
+
+class TestTransformedSteps:
+    STEPS = 301  # several staging buffers at n=30; not a multiple of any L
+
+    @pytest.mark.parametrize("family", [None, NakagamiFading(2.0)], ids=["rayleigh", "nakagami"])
+    @pytest.mark.parametrize("repeats", [1, 4])
+    @pytest.mark.parametrize("L", [1, 2, 3, 8])
+    def test_matches_step_loop(self, paper_instance, L, repeats, family):
+        n = paper_instance.n
+        assert self.STEPS * repeats * n * n * 8 > 2 * STEP_BUFFER_BYTES
+        q = np.linspace(0.1, 0.6, n)
+        fast_ch = BlockFadingChannel(paper_instance, BETA, block_length=L, model=family)
+        ref_ch = BlockFadingChannel(paper_instance, BETA, block_length=L, model=family)
+        fast_gen, ref_gen = np.random.default_rng(L), np.random.default_rng(L)
+        fast, fast_redraws = _redraws(
+            lambda: fast_ch.transformed_steps(q, self.STEPS, fast_gen, repeats=repeats)
+        )
+        ref, ref_redraws = _redraws(
+            lambda: _step_loop(ref_ch, q, self.STEPS, ref_gen, repeats)
+        )
+        np.testing.assert_array_equal(fast, ref)
+        assert fast_ch.time == ref_ch.time == self.STEPS * repeats
+        assert fast_redraws == ref_redraws > 0
+        # The channel state (clock, current block's draws) carries over.
+        mask = q > 0.3
+        np.testing.assert_array_equal(
+            fast_ch.realize(mask, fast_gen), ref_ch.realize(mask, ref_gen)
+        )
+
+    def test_single_step_form(self, paper_instance):
+        q = np.full(paper_instance.n, 0.4)
+        a = BlockFadingChannel(paper_instance, BETA, block_length=3)
+        b = BlockFadingChannel(paper_instance, BETA, block_length=3)
+        ga, gb = np.random.default_rng(5), np.random.default_rng(5)
+        steps = np.array([a.transformed_step(q, ga, repeats=2) for _ in range(7)])
+        np.testing.assert_array_equal(steps, b.transformed_steps(q, 7, gb, repeats=2))
+
+    def test_rejects_empty_runs(self, paper_instance):
+        ch = BlockFadingChannel(paper_instance, BETA, block_length=2)
+        q = np.full(paper_instance.n, 0.3)
+        with pytest.raises(ValueError):
+            ch.transformed_steps(q, 0, 1)
+        with pytest.raises(ValueError):
+            ch.transformed_steps(q, 3, 1, repeats=0)
+        with pytest.raises(ValueError):
+            ch.transformed_step(q, 1, repeats=0)
         assert ch.time == 0

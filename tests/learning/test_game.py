@@ -10,6 +10,7 @@ from repro.geometry.placement import paper_random_network
 from repro.learning.exp3 import Exp3Learner
 from repro.learning.game import CapacityGame
 from repro.learning.rwm import RWMLearner
+from repro.learning.rwm_bank import UNIFORM_BLOCK
 
 BETA = 0.5
 
@@ -122,3 +123,32 @@ class TestConvergence:
         tail_ray = ray.average_successes(20)
         assert tail_ray >= 0.4 * tail_nf
         assert tail_ray <= 1.6 * tail_nf + 1.0
+
+
+class TestDefaultLearnersMatchScalar:
+    """The default game plays a per-player-streams bank; it must be
+    bit-identical to scalar RWM learners spawned from the same stream."""
+
+    ROUNDS = UNIFORM_BLOCK + 11  # crosses the bank's uniform refill
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["binary", "weighted"])
+    @pytest.mark.parametrize(
+        "channel", ["nonfading", "rayleigh", "nakagami:m=2", "block:coherence=3"]
+    )
+    def test_bit_identical(self, instance, channel, weighted):
+        w = np.linspace(0.5, 2.0, instance.n) if weighted else None
+        fast = CapacityGame(
+            instance, BETA, channel=channel, rng=np.random.default_rng(21), weights=w
+        ).play(self.ROUNDS)
+        gen = np.random.default_rng(21)
+        ref = CapacityGame(instance, BETA, channel=channel, rng=gen, weights=w).play(
+            self.ROUNDS, learners=[RWMLearner(c) for c in gen.spawn(instance.n)]
+        )
+        for name in (
+            "actions", "send_success", "success_counts", "send_probabilities"
+        ):
+            np.testing.assert_array_equal(getattr(fast, name), getattr(ref, name))
+        if weighted:
+            np.testing.assert_array_equal(fast.weighted_values, ref.weighted_values)
+        else:
+            assert fast.weighted_values is None and ref.weighted_values is None

@@ -11,7 +11,7 @@ from repro.core.sinr import SINRInstance
 from repro.geometry.placement import paper_random_network
 from repro.learning.game import CapacityGame
 from repro.learning.rwm import RWMLearner
-from repro.learning.rwm_bank import RWMLearnerBank
+from repro.learning.rwm_bank import UNIFORM_BLOCK, RWMLearnerBank
 
 
 class TestEquivalenceWithScalarLearner:
@@ -29,11 +29,29 @@ class TestEquivalenceWithScalarLearner:
             for i, sc in enumerate(scalars):
                 sc.update(float(li[i]), float(ls[i]))
         for i, sc in enumerate(scalars):
-            assert bank.send_probabilities[i] == pytest.approx(
-                sc.send_probability, rel=1e-12
-            )
-            assert bank.eta == pytest.approx(sc.eta)
+            assert bank.send_probabilities[i] == sc.send_probability
+            assert bank.eta == sc.eta
             assert bank.t == sc.t
+
+    def test_per_player_streams_choose_like_scalar_learners(self):
+        """``from_streams`` draws each player's uniform from its own
+        generator, so its actions and probabilities equal scalar
+        learners' on the same streams, across uniform refills."""
+        n = 5
+        bank = RWMLearnerBank.from_streams(np.random.default_rng(8).spawn(n))
+        scalars = [RWMLearner(g) for g in np.random.default_rng(8).spawn(n)]
+        losses = np.random.default_rng(9)
+        for _ in range(2 * UNIFORM_BLOCK + 3):
+            np.testing.assert_array_equal(
+                bank.send_probabilities, [sc.send_probability for sc in scalars]
+            )
+            np.testing.assert_array_equal(
+                bank.choose_all(), [bool(sc.choose()) for sc in scalars]
+            )
+            ok = losses.random(n) < 0.5
+            bank.observe_outcomes(ok)
+            for sc, o in zip(scalars, ok):
+                sc.observe_outcome(bool(o))
 
     def test_observe_outcomes_matches_loss_table(self):
         bank = RWMLearnerBank(2, rng=0)
@@ -93,6 +111,22 @@ class TestBankMechanics:
             bank.update_all(np.full(2, 1.5), np.zeros(2))
         with pytest.raises(ValueError):
             bank.observe_outcomes(np.array([True]))
+        with pytest.raises(ValueError):
+            RWMLearnerBank.from_streams([])
+
+    @pytest.mark.parametrize("which", ["idle", "send"])
+    def test_nan_loss_rejected_like_scalar(self, which):
+        """A NaN loss raises, as in ``RWMLearner.update``, and leaves the
+        weights untouched instead of poisoning the send probability."""
+        bank = RWMLearnerBank(2, rng=0)
+        bad = np.array([np.nan, 0.5])
+        losses = (bad, np.zeros(2)) if which == "idle" else (np.zeros(2), bad)
+        with pytest.raises(ValueError):
+            RWMLearner(rng=0).update(float(losses[0][0]), float(losses[1][0]))
+        with pytest.raises(ValueError):
+            bank.update_all(*losses)
+        np.testing.assert_array_equal(bank.send_probabilities, [0.5, 0.5])
+        assert bank.t == 0
 
     def test_no_underflow(self):
         bank = RWMLearnerBank(2, rng=0, eta=0.9, schedule="fixed")
