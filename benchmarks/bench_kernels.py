@@ -156,6 +156,6 @@ def test_algorithm1_simulation_n100(benchmark, inst100):
 
 def test_capacity_game_50_rounds_n100(benchmark, inst100):
     def run():
-        return CapacityGame(inst100, BETA, model="rayleigh", rng=7).play(50)
+        return CapacityGame(inst100, BETA, channel="rayleigh", rng=7).play(50)
 
     benchmark.pedantic(run, rounds=3, iterations=1)

@@ -21,7 +21,7 @@ with the machine, but a fast path that lands within the regression
 budget of its own recorded baseline is healthy regardless.
 
 The array-backend **n-scaling sweep** times ``counterfactual_batch``
-per backend mode (dense, top-k sparse, float32, numba when importable)
+per backend mode (dense, top-k sparse, float32)
 from ``n = 10²`` to ``n = 10⁴`` and records throughput, the sparse
 speedup over dense, and the measured max deviation per point in
 ``benchmarks/BENCH_scaling.json``.  ``--check`` also enforces the
@@ -73,7 +73,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backend import BackendConfig, backend_scope, numba_available
+from repro.backend import BackendConfig, backend_scope
 from repro.channel import BlockFadingChannel, NonFadingChannel, RayleighChannel
 from repro.core.network import Network
 from repro.core.power import UniformPower
@@ -367,15 +367,15 @@ def measure_kernels(
         lambda: ray.counterfactual_batch(patterns, g4),
     )
 
-    from repro.fading.block import BlockFadingChannel as LegacyBlockFading
-
     def naive_block():
-        ch = LegacyBlockFading(inst, BLOCK_L, rng=7)
-        return [ch.step(mask, BETA) for _ in range(BLOCK_SLOTS)]
+        ch, g = BlockFadingChannel(inst, BETA, block_length=BLOCK_L), np.random.default_rng(7)
+        return [ch.realize(mask, g) for _ in range(BLOCK_SLOTS)]
+
+    block_patterns = np.tile(mask, (BLOCK_SLOTS, 1))
 
     def fast_block():
-        ch = LegacyBlockFading(inst, BLOCK_L, rng=7)
-        return ch.run(mask, BETA, BLOCK_SLOTS)
+        ch, g = BlockFadingChannel(inst, BETA, block_length=BLOCK_L), np.random.default_rng(7)
+        return ch.realize_batch(block_patterns, g)
 
     record("block_fading_run_L16_512slots", naive_block, fast_block)
 
@@ -432,18 +432,11 @@ def _scaling_instance(n: int) -> SINRInstance:
 
 
 def _scaling_modes() -> "list[tuple[str, BackendConfig]]":
-    modes = [
+    return [
         ("dense", BackendConfig()),
         (f"topk{SCALING_TOPK}", BackendConfig(topk=SCALING_TOPK)),
         ("float32", BackendConfig(dtype="float32")),
     ]
-    if numba_available():
-        modes.append(
-            (f"numba_topk{SCALING_TOPK}", BackendConfig(backend="numba", topk=SCALING_TOPK))
-        )
-    else:
-        print("  (numba not importable; skipping the numba scaling leg)")
-    return modes
 
 
 def measure_scaling(

@@ -41,9 +41,9 @@ def main() -> None:
     print(f"{N_LINKS} links; non-fading OPT estimate: {opt} simultaneous successes\n")
 
     results = {}
-    for model in ("nonfading", "rayleigh"):
-        game = CapacityGame(inst, BETA, model=model, rng=42)
-        results[model] = game.play(ROUNDS)
+    for channel in ("nonfading", "rayleigh"):
+        game = CapacityGame(inst, BETA, channel=channel, rng=42)
+        results[channel] = game.play(ROUNDS)
 
     print("round   successes (non-fading)   successes (Rayleigh)")
     for t in (1, 5, 10, 20, 30, 40, 60, 80, ROUNDS):
@@ -69,7 +69,7 @@ def main() -> None:
                   f"(O(sqrt(T ln T)) scale: {bound:.1f})")
 
     # Bandit-feedback variant: links observe only what they played.
-    bandit = CapacityGame(inst, BETA, model="rayleigh", rng=43)
+    bandit = CapacityGame(inst, BETA, channel="rayleigh", rng=43)
     learners = [Exp3Learner(rng=i, horizon=ROUNDS) for i in range(N_LINKS)]
     res = bandit.play(ROUNDS, learners=learners)
     print(f"\n[exp3 bandit, rayleigh] tail capacity "

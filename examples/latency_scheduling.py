@@ -40,12 +40,12 @@ def main() -> None:
     # --- single-hop: four scheduler/model combinations --------------------
     rm_nf = repeated_max_latency(inst, BETA)
     rm_ray = [
-        repeated_max_latency(inst, BETA, model="rayleigh", rng=t).latency
+        repeated_max_latency(inst, BETA, channel="rayleigh", rng=t).latency
         for t in range(10)
     ]
     al_nf = aloha_latency(inst, BETA, rng=0)
     al_ray = [
-        aloha_latency(inst, BETA, rng=100 + t, model="rayleigh").latency
+        aloha_latency(inst, BETA, rng=100 + t, channel="rayleigh").latency
         for t in range(10)
     ]
     print("scheduler          model       latency (slots)")
@@ -71,7 +71,7 @@ def main() -> None:
     total_hops = sum(r.num_hops for r in requests)
     nf = multihop_latency(requests, beta=BETA, alpha=ALPHA, noise=NOISE)
     ray = multihop_latency(
-        requests, beta=BETA, alpha=ALPHA, noise=NOISE, model="rayleigh", rng=1
+        requests, beta=BETA, alpha=ALPHA, noise=NOISE, channel="rayleigh", rng=1
     )
     print(f"multi-hop: {len(requests)} requests, {total_hops} hops total")
     print(f"  makespan non-fading: {nf.makespan} slots "

@@ -43,9 +43,9 @@ def main() -> None:
         print(f"  start {s}: {int(eq.actions.sum()):3d} senders, "
               f"welfare {eq.welfare:5.1f}, {eq.steps:3d} switches  [{tag}]")
 
-    for model in ("nonfading", "rayleigh"):
-        sample = price_of_anarchy_sample(inst, BETA, rng=100, model=model, num_starts=10)
-        print(f"\n[{model}] equilibrium welfare {sample['worst']:.1f}"
+    for channel in ("nonfading", "rayleigh"):
+        sample = price_of_anarchy_sample(inst, BETA, rng=100, channel=channel, num_starts=10)
+        print(f"\n[{channel}] equilibrium welfare {sample['worst']:.1f}"
               f"-{sample['best']:.1f} vs OPT {sample['opt']:.0f} "
               f"-> empirical PoA {sample['poa']:.2f}")
     print("\nNon-fading equilibria are (strongly maximal) feasible sets —")
@@ -53,7 +53,7 @@ def main() -> None:
     print("its usual ~1/0.62 discount (cf. experiments E11/E16).\n")
 
     # --- and learning gets there without best-response coordination --------
-    game = CapacityGame(inst, BETA, model="rayleigh", rng=7)
+    game = CapacityGame(inst, BETA, channel="rayleigh", rng=7)
     res = game.play(120)
     rep = convergence_report(res.success_counts.astype(float))
     print(f"no-regret learners (Rayleigh): final {rep.final_level:.1f} "

@@ -1,22 +1,20 @@
-"""Pluggable array backend for the gain-matrix hot paths.
+"""Array backend for the gain-matrix hot paths.
 
 See DESIGN.md, "Array backend & dtype policy".  Public surface:
 
 * :class:`BackendConfig` + :func:`get_config` / :func:`set_config` /
-  :func:`backend_scope` — the ambient (backend, dtype, top-k) policy;
-* :func:`active` — the resolved :class:`ArrayBackend` for the ambient
-  config (kernels call ``active().gain_operator(M)`` and cache the
-  result keyed by config);
+  :func:`backend_scope` — the ambient (dtype, top-k) policy;
+* :func:`active` — the :class:`ArrayBackend` for the ambient config
+  (kernels call ``active().gain_operator(M)`` and cache the result
+  keyed by config);
 * :class:`TopKGains` — the sparse top-k-interferer matrix
-  representation;
-* :func:`numba_available` — whether the optional JIT backend can run.
+  representation.
 
-The default config is the hard invariant: NumPy, float64, dense is
+The default config is the hard invariant: float64, dense is
 byte-identical to the pre-shim library at any ``--jobs``.
 """
 
 from repro.backend.config import (
-    BACKENDS,
     DTYPE_RTOL,
     DTYPES,
     BackendConfig,
@@ -24,32 +22,19 @@ from repro.backend.config import (
     get_config,
     set_config,
 )
-from repro.backend.core import (
-    ArrayBackend,
-    DenseGains,
-    NumbaUnavailableError,
-    NumpyBackend,
-    active,
-    numba_available,
-    resolve,
-)
+from repro.backend.core import ArrayBackend, DenseGains, active
 from repro.backend.sparse import TopKGains, topk_indices
 
 __all__ = [
-    "BACKENDS",
     "DTYPES",
     "DTYPE_RTOL",
     "ArrayBackend",
     "BackendConfig",
     "DenseGains",
-    "NumbaUnavailableError",
-    "NumpyBackend",
     "TopKGains",
     "active",
     "backend_scope",
     "get_config",
-    "numba_available",
-    "resolve",
     "set_config",
     "topk_indices",
 ]

@@ -1,16 +1,14 @@
-"""Backend configuration — which array engine, dtype, and sparsity mode.
+"""Backend configuration — which dtype and sparsity mode.
 
 One frozen :class:`BackendConfig` names everything a hot-path kernel
-needs to know about *how* to compute: the array backend (``numpy`` is
-the default; ``numba`` is feature-gated behind importability), the
-compute dtype policy (``float64`` default; ``float32`` opt-in with the
-tolerances documented in :data:`DTYPE_RTOL`), and the optional top-k
-sparsification of gain-style matrices (``topk=None`` keeps every matrix
-dense).
+needs to know about *how* to compute: the compute dtype policy
+(``float64`` default; ``float32`` opt-in with the tolerances documented
+in :data:`DTYPE_RTOL`), and the optional top-k sparsification of
+gain-style matrices (``topk=None`` keeps every matrix dense).
 
 The configuration is **ambient**: kernels read the process-wide config
-through :func:`get_config` (installed by the CLI's
-``--backend/--dtype/--topk`` flags, a :func:`backend_scope` block, or
+through :func:`get_config` (installed by the CLI's ``--dtype/--topk``
+flags, a :func:`backend_scope` block, or
 the executor's worker initializer) instead of threading a backend
 argument through every call.  The default config is the hard invariant
 of the whole layer: with ``BackendConfig()`` active, every routed
@@ -32,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BACKENDS",
     "DTYPES",
     "DTYPE_RTOL",
     "BackendConfig",
@@ -40,10 +37,6 @@ __all__ = [
     "get_config",
     "set_config",
 ]
-
-#: Recognised backend names.  ``numpy`` is always available; ``numba``
-#: requires the numba package and is rejected at resolve time otherwise.
-BACKENDS = ("numpy", "numba")
 
 #: Recognised compute dtypes for the gain-matrix kernels.
 DTYPES = ("float64", "float32")
@@ -59,13 +52,10 @@ DTYPE_RTOL = {"float64": 0.0, "float32": 2e-4}
 
 @dataclass(frozen=True)
 class BackendConfig:
-    """One immutable choice of (backend, dtype, top-k sparsity).
+    """One immutable choice of (dtype, top-k sparsity).
 
     Attributes
     ----------
-    backend:
-        ``"numpy"`` (default) or ``"numba"`` (JIT kernels for the sparse
-        gather product; requires the numba package).
     dtype:
         Compute dtype of the gain-matrix kernels: ``"float64"``
         (default, exact) or ``"float32"`` (documented tolerances in
@@ -76,15 +66,10 @@ class BackendConfig:
         representation (see :class:`repro.backend.sparse.TopKGains`).
     """
 
-    backend: str = "numpy"
     dtype: str = "float64"
     topk: "int | None" = None
 
     def __post_init__(self):
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
         if self.topk is not None:
@@ -105,18 +90,18 @@ class BackendConfig:
 
     def is_default(self) -> bool:
         """Whether this is the byte-identical NumPy/float64/dense path."""
-        return self.backend == "numpy" and self.dtype == "float64" and self.topk is None
+        return self.dtype == "float64" and self.topk is None
 
     # -- worker shipping ----------------------------------------------------
+    # The fixed "numpy" label keeps summary.json and older run journals byte-identical.
 
     def to_dict(self) -> "dict[str, object]":
         """Plain-data form for the executor's worker bundle / summary.json."""
-        return {"backend": self.backend, "dtype": self.dtype, "topk": self.topk}
+        return {"backend": "numpy", "dtype": self.dtype, "topk": self.topk}
 
     @classmethod
     def from_dict(cls, doc: "dict[str, object]") -> "BackendConfig":
         return cls(
-            backend=str(doc.get("backend", "numpy")),
             dtype=str(doc.get("dtype", "float64")),
             topk=None if doc.get("topk") is None else int(doc["topk"]),  # type: ignore[arg-type]
         )
@@ -124,7 +109,7 @@ class BackendConfig:
     def describe(self) -> str:
         """Short human-readable form, e.g. ``numpy/float32/topk=16``."""
         tail = "dense" if self.topk is None else f"topk={self.topk}"
-        return f"{self.backend}/{self.dtype}/{tail}"
+        return f"numpy/{self.dtype}/{tail}"
 
 
 #: The ambient process-wide configuration; default = byte-identical path.

@@ -9,7 +9,7 @@ shim reduces all of them to one abstraction:
 
 * an :class:`ArrayBackend` resolves the ambient
   :class:`~repro.backend.config.BackendConfig` into concrete behaviour
-  (compute dtype, dense vs top-k representation, NumPy vs JIT product);
+  (compute dtype, dense vs top-k representation);
 * a **gain operator** (:class:`DenseGains` or
   :class:`~repro.backend.sparse.TopKGains`) wraps one matrix and
   answers ``matmul``/``matvec``/``gather_matmul``.
@@ -27,19 +27,7 @@ import numpy as np
 from repro.backend.config import BackendConfig, get_config
 from repro.backend.sparse import TopKGains
 
-__all__ = [
-    "ArrayBackend",
-    "DenseGains",
-    "NumbaUnavailableError",
-    "NumpyBackend",
-    "active",
-    "numba_available",
-    "resolve",
-]
-
-
-class NumbaUnavailableError(RuntimeError):
-    """The ``numba`` backend was requested but numba is not importable."""
+__all__ = ["ArrayBackend", "DenseGains", "active"]
 
 
 class DenseGains:
@@ -77,21 +65,13 @@ class DenseGains:
 
 
 class ArrayBackend:
-    """Base backend: resolves a config into dtype + operator choices."""
-
-    name = "numpy"
+    """Resolves a config into dtype + operator choices: NumPy for dense
+    products, plus SciPy's sparse product when importable (see
+    :mod:`repro.backend.sparse`)."""
 
     def __init__(self, config: BackendConfig):
         self.config = config
         self.dtype = config.np_dtype
-
-    def asarray(self, a) -> np.ndarray:
-        """Cast to the compute dtype (a no-op view under float64)."""
-        return np.asarray(a, dtype=self.dtype)
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Dense product; both backends delegate dense math to BLAS."""
-        return a @ b
 
     def gain_operator(self, matrix: np.ndarray, *, keep_diagonal: bool = False):
         """Wrap a gain-style matrix per the active policy.
@@ -104,50 +84,12 @@ class ArrayBackend:
         n = np.asarray(matrix).shape[0]
         if self.config.topk is None or n < 2 or self.config.topk >= n - 1:
             return DenseGains(matrix, dtype=self.dtype)
-        return self._topk_operator(matrix, keep_diagonal)
-
-    def _topk_operator(self, matrix: np.ndarray, keep_diagonal: bool) -> TopKGains:
         return TopKGains.build(
             matrix, self.config.topk, dtype=self.dtype, keep_diagonal=keep_diagonal
         )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.config.describe()})"
-
-
-class NumpyBackend(ArrayBackend):
-    """The default backend — pure NumPy (plus SciPy's sparse product
-    when importable; see :mod:`repro.backend.sparse`)."""
-
-    name = "numpy"
-
-
-def numba_available() -> bool:
-    """Whether the optional numba JIT backend can be used here."""
-    from repro.backend.numba_backend import available
-
-    return available()
-
-
-def resolve(config: BackendConfig) -> ArrayBackend:
-    """Build the backend object a config names.
-
-    Raises :class:`NumbaUnavailableError` when the ``numba`` backend is
-    requested in an environment without the numba package — callers
-    (the CLI, the worker initializer) surface this as a one-line error
-    instead of an ImportError deep inside a kernel.
-    """
-    if config.backend == "numba":
-        from repro.backend.numba_backend import NumbaBackend, available
-
-        if not available():
-            raise NumbaUnavailableError(
-                "the 'numba' backend requires the numba package, which is "
-                "not importable in this environment; install numba or use "
-                "--backend numpy"
-            )
-        return NumbaBackend(config)
-    return NumpyBackend(config)
 
 
 #: One-slot resolve cache: (config, backend).  Configs are tiny frozen
@@ -161,5 +103,5 @@ def active() -> ArrayBackend:
     global _ACTIVE
     config = get_config()
     if _ACTIVE is None or _ACTIVE[0] != config:
-        _ACTIVE = (config, resolve(config))
+        _ACTIVE = (config, ArrayBackend(config))
     return _ACTIVE[1]

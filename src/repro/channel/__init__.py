@@ -24,9 +24,8 @@ the single place that answers "does a transmission succeed":
 
 The game (:mod:`repro.learning.game`), the latency schedulers
 (:mod:`repro.latency`), the model transfers (:mod:`repro.transform`),
-and the experiment drivers all evaluate service through a channel; the
-``model="nonfading"/"rayleigh"`` strings those layers used to branch on
-survive as spec aliases.
+and the experiment drivers all evaluate service through a channel,
+named by a :class:`Channel` or a spec string.
 """
 
 from repro.channel.base import Channel

@@ -1,11 +1,12 @@
 """Block-fading channel: coherent gains over a coherence time ``L``.
 
-The temporally-correlated member of the channel family, wrapping the
-block-fading regime of :mod:`repro.fading.block`: instantaneous gains
-stay constant for ``L`` consecutive slots and are redrawn independently
-between blocks.  ``L = 1`` recovers the i.i.d. assumption of Section 2
-exactly; the E15 ablation prices what the Section-4 transformation
-loses as ``L`` grows.
+The temporally-correlated member of the channel family, modelling block
+fading for any :class:`~repro.fading.models.FadingModel`: instantaneous
+gains stay constant for ``L`` consecutive slots and are redrawn
+independently between blocks.  ``L = 1`` recovers the i.i.d. assumption
+of Section 2 exactly; the E15 ablation prices what the Section-4
+transformation loses as ``L`` grows (repeats inside one coherence block
+see the same channel, so they stop helping).
 
 This is the one *stateful* channel: consecutive :meth:`realize` calls
 advance time, and the current block's draw matrix persists between

@@ -15,10 +15,9 @@ One compact, CLI-friendly grammar for naming an interference model:
 The grammar is ``name[:key=value[,key=value...]]``.  ``slots`` sets the
 sample count of the Monte-Carlo probability estimators; ``family``
 selects the per-block fading family of the block channel (default
-rayleigh).  Experiment drivers and the CLI's ``--channel`` flag pass
-these strings through :func:`make_channel`; the legacy ``model=``
-strings ``"nonfading"``/``"rayleigh"`` are valid specs, which is what
-keeps every pre-channel call site working unchanged.
+rayleigh).  Experiment drivers, the ``channel=`` keyword of the game
+and the latency schedulers, and the CLI's ``--channel`` flag all pass
+these strings through :func:`make_channel`.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ def _pop_int(params: "dict[str, str]", *names: str) -> "int | None":
                 value = float(raw)
             except ValueError:
                 value = None
-            if value is None or value != int(value):
+            if value is None or not value.is_integer():
                 raise ValueError(
                     f"channel parameter {key}={raw!r} must be an integer"
                 )

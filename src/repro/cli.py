@@ -62,13 +62,12 @@ ETAs, worker health with stale-heartbeat warnings); ``repro tail
 any host mounting the runs root.  Events never change result bytes.
 
 Array backend (see DESIGN.md, "Array backend & dtype policy"):
-``--backend numpy|numba`` picks the kernel engine (numba is
-feature-gated behind importability), ``--dtype float64|float32`` the
-compute precision of the gain-matrix products, and ``--topk K`` the
-sparse top-k-interferer representation for large ``n``.  The defaults
-(``numpy``, ``float64``, dense) are byte-identical to the pre-backend
-library at any ``--jobs``; non-default modes trade the documented
-tolerances for speed and are recorded in ``summary.json``.
+``--dtype float64|float32`` picks the compute precision of the
+gain-matrix products and ``--topk K`` the sparse top-k-interferer
+representation for large ``n``.  The defaults (``float64``, dense) are
+byte-identical to the pre-backend library at any ``--jobs``;
+non-default modes trade the documented tolerances for speed and are
+recorded in ``summary.json``.
 
 Execution backends (see DESIGN.md, "Execution backends"):
 ``--executor`` picks where sweep tasks run — ``auto`` (default: serial
@@ -130,19 +129,11 @@ def _resolve_specs(spec: str) -> "list[ExperimentSpec]":
 def _install_backend(args) -> "_backend.BackendConfig":
     """Install the array-backend configuration the flags describe.
 
-    Resolves the backend eagerly so a ``--backend numba`` invocation in
-    an environment without numba fails with a one-line error up front,
-    not with an ImportError deep inside the first kernel.  The installed
-    config is shipped to ``--jobs`` workers by the executor's pool
-    initializer, so parent and workers always compute under one policy.
+    The installed config is shipped to ``--jobs`` workers by the
+    executor's pool initializer, so parent and workers always compute
+    under one policy.
     """
-    try:
-        config = _backend.BackendConfig(
-            backend=args.backend, dtype=args.dtype, topk=args.topk
-        )
-        _backend.resolve(config)
-    except (ValueError, _backend.NumbaUnavailableError) as exc:
-        raise SystemExit(str(exc)) from exc
+    config = _backend.BackendConfig(dtype=args.dtype, topk=args.topk)
     _backend.set_config(config)
     if getattr(args, "slot_block", None) is not None:
         from repro.latency.slotloop import set_default_slot_block
@@ -205,7 +196,7 @@ def _open_journal(args) -> "RunJournal | None":
     A resumed journal must have been created by a compatible invocation:
     the experiment selection, scale, seed, and channel all feed the sweep
     shape and the per-task seeds, and the array-backend configuration
-    (backend/dtype/topk) feeds the recorded result bytes, so a mismatch
+    (dtype/topk) feeds the recorded result bytes, so a mismatch
     would silently mix two different runs.  ``--jobs`` and ``--executor``
     are deliberately *not* checked — results are bit-identical across
     worker counts and backends by construction.
@@ -650,11 +641,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "--guards", choices=guards.GUARD_MODES, default="warn",
         help="numerical-guard strictness for kernel outputs "
         "(default warn; strict turns violations into task failures)",
-    )
-    parser.add_argument(
-        "--backend", choices=_backend.BACKENDS, default="numpy",
-        help="array backend for the gain-matrix kernels (default numpy; "
-        "numba requires the numba package and JITs the sparse product)",
     )
     parser.add_argument(
         "--dtype", choices=_backend.DTYPES, default="float64",

@@ -110,7 +110,7 @@ def worker_bundle(context: Any) -> tuple:
     the shared context, the guard strictness, any chaos plan, whether to
     buffer telemetry metrics for shipping back, the array-backend
     configuration (so workers — pool or dispatch, local or remote —
-    compute under the parent's backend/dtype/top-k policy and the
+    compute under the parent's dtype/top-k policy and the
     determinism invariant holds), whether to collect task spans for
     trace stitching, and the event-bus directory of a monitored run."""
     plan = chaos.current_plan()

@@ -23,7 +23,6 @@ from repro.fading.bounds import (
     success_probability_lower,
     success_probability_upper,
 )
-from repro.fading.block import BlockFadingChannel
 from repro.fading.models import (
     FadingModel,
     NakagamiFading,
@@ -52,7 +51,6 @@ from repro.fading.success import (
 )
 
 __all__ = [
-    "BlockFadingChannel",
     "FadingModel",
     "NakagamiFading",
     "NoFading",

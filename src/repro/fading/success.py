@@ -157,6 +157,8 @@ class Theorem1Kernel:
             matrix = self.log_factors if which == "log_factors" else self.weights
             op = be.gain_operator(matrix, keep_diagonal=False)
             self._ops[key] = op
+        else:
+            _metrics.add("theorem1.cache_hits")
         return op
 
     def _guard(self, out: np.ndarray, site: str) -> np.ndarray:

@@ -11,9 +11,7 @@ under a deterministic channel each protocol step is one physical slot;
 under any stochastic channel (Rayleigh, Nakagami, Rician, block fading)
 each protocol step is executed ``repeats=4`` times per the Section-4
 transformation — for exact Rayleigh the transformed per-step success
-dominates the non-fading one whenever ``q ≤ 1/2`` (Lemma 3).  The
-legacy ``model="nonfading"/"rayleigh"`` strings are channel-spec
-aliases.
+dominates the non-fading one whenever ``q ≤ 1/2`` (Lemma 3).
 
 The transmission probability can be a number, ``"auto"`` (tuned from the
 peeling approximation of the maximum average affectance — documented
@@ -89,8 +87,7 @@ def aloha_latency(
     rng=None,
     *,
     q="auto",
-    model: str = "nonfading",
-    channel: "Channel | str | None" = None,
+    channel: "Channel | str" = "nonfading",
     repeats: int = 4,
     max_steps_factor: int = 200,
     slot_block: "int | None" = None,
@@ -106,13 +103,11 @@ def aloha_latency(
         (contention-tuned), or ``"adaptive"`` (halve-and-restart from
         1/2 whenever a phase fails to finish within its step budget —
         the guess-and-double pattern in its latency form).
-    model:
-        Channel spec string (``"nonfading"``, ``"rayleigh"``,
-        ``"nakagami:m=2"``, ...); ignored when ``channel`` is given.
     channel:
-        Explicit :class:`~repro.channel.base.Channel` built on
-        ``instance`` (takes precedence over ``model``).  Stochastic
-        channels get the ``repeats``-fold Section-4 transformation.
+        A :class:`~repro.channel.base.Channel` built on ``instance``, or
+        a spec string (``"nonfading"``, the default, ``"rayleigh"``,
+        ``"nakagami:m=2"``, ...).  Stochastic channels get the
+        ``repeats``-fold Section-4 transformation.
     repeats:
         Executions per protocol step under fading (paper constant 4).
     max_steps_factor:
@@ -129,7 +124,7 @@ def aloha_latency(
     :class:`AlohaResult`
     """
     check_positive(beta, "beta")
-    ch = make_channel(channel if channel is not None else model, instance, beta)
+    ch = make_channel(channel, instance, beta)
     if repeats <= 0:
         raise ValueError(f"repeats must be positive, got {repeats}")
     if np.any(instance.signal <= beta * instance.noise):

@@ -42,8 +42,7 @@ def decay_latency(
     beta: float,
     rng=None,
     *,
-    model: str = "nonfading",
-    channel: "Channel | str | None" = None,
+    channel: "Channel | str" = "nonfading",
     repeats: int = 4,
     max_sweeps: "int | None" = None,
     slot_block: "int | None" = None,
@@ -57,11 +56,9 @@ def decay_latency(
         viable.
     rng:
         Protocol (and, under fading, channel) randomness.
-    model:
-        Channel spec string; ignored when ``channel`` is given.
     channel:
-        Explicit :class:`~repro.channel.base.Channel` built on
-        ``instance`` (takes precedence over ``model``).
+        A :class:`~repro.channel.base.Channel` built on ``instance``, or
+        a spec string (default ``"nonfading"``).
     repeats:
         Physical executions per protocol slot under stochastic channels.
     max_sweeps:
@@ -76,7 +73,7 @@ def decay_latency(
     smallest probability of the sweep.
     """
     check_positive(beta, "beta")
-    ch = make_channel(channel if channel is not None else model, instance, beta)
+    ch = make_channel(channel, instance, beta)
     if repeats <= 0:
         raise ValueError(f"repeats must be positive, got {repeats}")
     if np.any(instance.signal <= beta * instance.noise):

@@ -123,8 +123,7 @@ def multihop_latency(
     alpha: float,
     noise: float = 0.0,
     power: "PowerAssignment | None" = None,
-    model: str = "nonfading",
-    channel: "str | None" = None,
+    channel: str = "nonfading",
     rng=None,
     max_slots: "int | None" = None,
     slot_block: "int | None" = None,
@@ -145,7 +144,7 @@ def multihop_latency(
         SINR threshold, path-loss exponent, ambient noise.
     power:
         Power assignment for relay transmissions (default uniform 1).
-    model, channel, rng:
+    channel, rng:
         Like the single-hop schedulers — except ``channel`` must be a
         *spec string*: the frontier instance changes when a hop is
         served, so a fresh channel is built per frontier epoch
@@ -164,8 +163,7 @@ def multihop_latency(
     """
     check_positive(beta, "beta")
     check_positive(alpha, "alpha")
-    spec = channel if channel is not None else model
-    if not isinstance(spec, str):
+    if not isinstance(channel, str):
         raise TypeError(
             "multihop_latency accepts channel *spec strings* only; the "
             "instance changes every slot so a bound Channel cannot be reused"
@@ -193,7 +191,7 @@ def multihop_latency(
             chosen = np.array([int(np.argmax(inst.signal))], dtype=np.intp)
         mask = np.zeros(inst.n, dtype=bool)
         mask[chosen] = True
-        ch = make_channel(spec, inst, beta)
+        ch = make_channel(channel, inst, beta)
         fields = SlotFieldBuffer(ch, gen)
         if ch.is_deterministic:
             ok = fields.apply(0, mask[None])[0] & mask

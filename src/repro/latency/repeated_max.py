@@ -67,8 +67,7 @@ def repeated_max_latency(
     instance: SINRInstance,
     beta: float,
     *,
-    model: str = "nonfading",
-    channel: "Channel | str | None" = None,
+    channel: "Channel | str" = "nonfading",
     algorithm: "Callable[[SINRInstance, float], np.ndarray] | None" = None,
     rng=None,
     max_slots: "int | None" = None,
@@ -82,12 +81,10 @@ def repeated_max_latency(
         The instance and SINR threshold.  Every link must be individually
         viable (``S̄(i,i) > βν``), otherwise no finite schedule exists and
         a ``ValueError`` is raised.
-    model:
-        Channel spec string (``"nonfading"``, ``"rayleigh"``,
-        ``"nakagami:m=2"``, ...); ignored when ``channel`` is given.
     channel:
-        Explicit :class:`~repro.channel.base.Channel` built on
-        ``instance`` (takes precedence over ``model``).
+        A :class:`~repro.channel.base.Channel` built on ``instance``, or
+        a spec string (``"nonfading"``, the default, ``"rayleigh"``,
+        ``"nakagami:m=2"``, ...).
     algorithm:
         Single-slot capacity algorithm ``(sub_instance, beta) -> indices``;
         defaults to the affectance greedy.
@@ -110,7 +107,7 @@ def repeated_max_latency(
     :class:`RepeatedMaxResult`
     """
     check_positive(beta, "beta")
-    ch = make_channel(channel if channel is not None else model, instance, beta)
+    ch = make_channel(channel, instance, beta)
     if np.any(instance.signal <= beta * instance.noise):
         raise ValueError(
             "some links cannot reach beta against noise alone; "

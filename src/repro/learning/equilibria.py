@@ -16,8 +16,8 @@ the two-action capacity game (send / idle, rewards +1 / −1 / 0):
   the exact Theorem-1 form; Monte-Carlo channels (Nakagami, Rician)
   estimate it, making the dynamics ε-better-response in expectation.
 
-All entry points accept either the legacy ``model`` string (a channel
-spec alias) or an explicit ``channel``; payoff evaluation is delegated
+All entry points take a ``channel`` (a spec string, default
+``"nonfading"``, or a built channel); payoff evaluation is delegated
 to :meth:`~repro.channel.base.Channel.counterfactual` /
 :meth:`~repro.channel.base.Channel.conditional_success_probability`.
 
@@ -72,8 +72,7 @@ def is_equilibrium(
     actions,
     beta: float,
     *,
-    model: str = "nonfading",
-    channel: "Channel | str | None" = None,
+    channel: "Channel | str" = "nonfading",
     tolerance: float = 0.0,
     rng=None,
 ) -> bool:
@@ -85,7 +84,7 @@ def is_equilibrium(
     when the channel estimates probabilities by Monte Carlo.
     """
     check_positive(beta, "beta")
-    ch = make_channel(channel if channel is not None else model, instance, beta)
+    ch = make_channel(channel, instance, beta)
     a = np.asarray(actions, dtype=bool)
     if a.shape != (instance.n,):
         raise ValueError(f"actions must have shape ({instance.n},)")
@@ -126,12 +125,11 @@ def equilibrium_welfare(
     actions,
     beta: float,
     *,
-    model: str = "nonfading",
-    channel: "Channel | str | None" = None,
+    channel: "Channel | str" = "nonfading",
     rng=None,
 ) -> float:
     """(Expected) successful transmissions of a pure profile."""
-    ch = make_channel(channel if channel is not None else model, instance, beta)
+    ch = make_channel(channel, instance, beta)
     a = np.asarray(actions, dtype=bool)
     if ch.is_deterministic:
         return float(ch.realize(a).sum())
@@ -144,8 +142,7 @@ def best_response_dynamics(
     beta: float,
     rng=None,
     *,
-    model: str = "nonfading",
-    channel: "Channel | str | None" = None,
+    channel: "Channel | str" = "nonfading",
     initial=None,
     max_rounds: int = 200,
 ) -> EquilibriumResult:
@@ -153,9 +150,8 @@ def best_response_dynamics(
 
     Parameters
     ----------
-    instance, beta, model, channel:
-        The game; ``channel`` (spec string or built channel) takes
-        precedence over the legacy ``model`` alias.
+    instance, beta, channel:
+        The game; ``channel`` is a spec string or a built channel.
     rng:
         Randomness for the initial profile (when ``initial`` is None),
         the player order, and any Monte-Carlo payoff estimates.
@@ -170,7 +166,7 @@ def best_response_dynamics(
     :class:`EquilibriumResult`
     """
     check_positive(beta, "beta")
-    ch = make_channel(channel if channel is not None else model, instance, beta)
+    ch = make_channel(channel, instance, beta)
     if max_rounds <= 0:
         raise ValueError(f"max_rounds must be positive, got {max_rounds}")
     gen = as_generator(rng)
@@ -209,8 +205,7 @@ def price_of_anarchy_sample(
     beta: float,
     rng=None,
     *,
-    model: str = "nonfading",
-    channel: "Channel | str | None" = None,
+    channel: "Channel | str" = "nonfading",
     num_starts: int = 8,
     opt_restarts: int = 6,
 ) -> dict:
@@ -226,7 +221,7 @@ def price_of_anarchy_sample(
     (opt/worst), ``pos`` (opt/best), ``num_converged``.
     """
     gen = as_generator(rng)
-    ch = make_channel(channel if channel is not None else model, instance, beta)
+    ch = make_channel(channel, instance, beta)
     opt = float(
         local_search_capacity(instance, beta, gen, restarts=opt_restarts).size
     )

@@ -8,8 +8,6 @@ entirely to a :class:`~repro.channel.base.Channel`
 (:meth:`~repro.channel.base.Channel.counterfactual`), so the game runs
 under *any* interference model: the deterministic SINR test, the exact
 Theorem-1 Rayleigh law, a Monte-Carlo fading family, or block fading.
-The legacy ``model="nonfading"/"rayleigh"`` strings are channel-spec
-aliases.
 
 The engine records everything the analysis of Section 6 refers to, so
 regret (Definition 2), the Lemma-4 comparison, and the Lemma-5 invariant
@@ -124,13 +122,11 @@ class CapacityGame:
         Mean signals and noise.
     beta:
         Global SINR threshold (binary utilities, as in Section 6).
-    model:
-        Channel spec string (``"nonfading"``, ``"rayleigh"``,
-        ``"nakagami:m=2"``, ...); ignored when ``channel`` is given.
     channel:
-        An explicit :class:`~repro.channel.base.Channel` built on
-        ``instance`` (takes precedence over ``model``).  The channel's
-        threshold must match ``beta``.
+        A :class:`~repro.channel.base.Channel` built on ``instance``
+        (its threshold must match ``beta``), or a spec string
+        (``"nonfading"``, the default, ``"rayleigh"``,
+        ``"nakagami:m=2"``, ...).
     rng:
         Seed or generator; child streams are spawned per learner and for
         the channel, so runs are reproducible.
@@ -148,15 +144,14 @@ class CapacityGame:
         instance: SINRInstance,
         beta: float,
         *,
-        model: str = "nonfading",
-        channel: "Channel | str | None" = None,
+        channel: "Channel | str" = "nonfading",
         rng=None,
         weights=None,
     ):
         check_positive(beta, "beta")
         self.instance = instance
         self.beta = float(beta)
-        self.channel = make_channel(channel if channel is not None else model, instance, beta)
+        self.channel = make_channel(channel, instance, beta)
         if self.channel.beta != self.beta:
             raise ValueError(
                 f"channel threshold {self.channel.beta:g} differs from game beta {beta:g}"

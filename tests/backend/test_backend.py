@@ -15,16 +15,13 @@ import pytest
 
 from repro import backend
 from repro.backend import (
-    BACKENDS,
     DTYPE_RTOL,
     DTYPES,
+    ArrayBackend,
     BackendConfig,
     DenseGains,
-    NumbaUnavailableError,
-    NumpyBackend,
     TopKGains,
     backend_scope,
-    numba_available,
     topk_indices,
 )
 from repro.engine.executor import make_tasks, map_tasks
@@ -57,7 +54,6 @@ class TestBackendConfig:
     def test_default_is_the_byte_identical_policy(self):
         cfg = BackendConfig()
         assert cfg.is_default()
-        assert cfg.backend == "numpy"
         assert cfg.dtype == "float64"
         assert cfg.topk is None
         assert cfg.np_dtype == np.float64
@@ -66,7 +62,7 @@ class TestBackendConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"backend": "torch"},
+            {"topk": "8"},
             {"dtype": "float16"},
             {"topk": 0},
             {"topk": -3},
@@ -83,9 +79,16 @@ class TestBackendConfig:
             BackendConfig(),
             BackendConfig(dtype="float32"),
             BackendConfig(topk=8),
-            BackendConfig(backend="numba", dtype="float32", topk=4),
+            BackendConfig(dtype="float32", topk=4),
         ):
             assert BackendConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_plain_data_keeps_the_numpy_backend_label(self):
+        """summary.json and run journals record the same document as when
+        the config had a backend field, so old runs resume and compare."""
+        doc = {"backend": "numpy", "dtype": "float32", "topk": 4}
+        assert BackendConfig(dtype="float32", topk=4).to_dict() == doc
+        assert BackendConfig.from_dict(doc).to_dict() == doc
 
     def test_describe(self):
         assert BackendConfig().describe() == "numpy/float64/dense"
@@ -98,7 +101,6 @@ class TestBackendConfig:
         assert BackendConfig(dtype="float32").rtol == DTYPE_RTOL["float32"] > 0.0
 
     def test_flag_choices_cover_every_config_value(self):
-        assert set(BACKENDS) == {"numpy", "numba"}
         assert set(DTYPES) == {"float64", "float32"}
 
 
@@ -123,7 +125,7 @@ class TestAmbientConfig:
 
     def test_active_backend_follows_the_config(self):
         default = backend.active()
-        assert isinstance(default, NumpyBackend)
+        assert isinstance(default, ArrayBackend)
         assert backend.active() is default  # cached
         with backend_scope(BackendConfig(dtype="float32")):
             assert backend.active().dtype == np.float32
@@ -132,7 +134,7 @@ class TestAmbientConfig:
 
 class TestDenseGains:
     def test_wraps_the_callers_float64_array_without_copy(self, matrix):
-        op = NumpyBackend(BackendConfig()).gain_operator(matrix)
+        op = ArrayBackend(BackendConfig()).gain_operator(matrix)
         assert isinstance(op, DenseGains)
         assert op.matrix is matrix
 
@@ -145,9 +147,9 @@ class TestDenseGains:
         assert op.gather_matmul(x, other).tobytes() == (x @ other).tobytes()
 
     def test_gain_operator_stays_dense_when_topk_covers_everything(self, matrix):
-        be = NumpyBackend(BackendConfig(topk=N - 1))
+        be = ArrayBackend(BackendConfig(topk=N - 1))
         assert isinstance(be.gain_operator(matrix), DenseGains)
-        be = NumpyBackend(BackendConfig(topk=N + 5))
+        be = ArrayBackend(BackendConfig(topk=N + 5))
         assert isinstance(be.gain_operator(matrix), DenseGains)
 
 
@@ -249,21 +251,6 @@ class TestWorkerShipping:
         assert out == ["numpy/float64/topk=7"] * 2
 
 
-class TestNumbaGate:
-    @pytest.mark.skipif(numba_available(), reason="numba is importable here")
-    def test_resolve_raises_a_one_line_error_without_numba(self):
-        with pytest.raises(NumbaUnavailableError, match="--backend numpy"):
-            backend.resolve(BackendConfig(backend="numba"))
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not importable")
-    def test_numba_topk_matches_numpy_topk(self, matrix):
-        x = np.random.default_rng(8).random((9, N))
-        ref = TopKGains.build(matrix, 6, keep_diagonal=True)
-        be = backend.resolve(BackendConfig(backend="numba", topk=6))
-        op = be.gain_operator(matrix, keep_diagonal=True)
-        np.testing.assert_allclose(op.matmul(x), ref.matmul(x), rtol=1e-12)
-
-
 class TestCLIFlags:
     def test_topk_must_be_positive(self):
         from repro.cli import main
@@ -271,13 +258,14 @@ class TestCLIFlags:
         with pytest.raises(SystemExit):
             main(["run", "E11", "--topk", "0"])
 
-    @pytest.mark.skipif(numba_available(), reason="numba is importable here")
-    def test_numba_backend_rejected_eagerly(self):
+    def test_backend_flag_is_gone(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "E11", "--backend", "numba"])
-        assert "numba" in str(excinfo.value.code)
+        for command in ("run", "report"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "E11", "--backend", "numpy"])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_run_records_backend_in_summary(self, tmp_path, capsys):
         import json

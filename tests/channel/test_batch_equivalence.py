@@ -29,6 +29,8 @@ from repro.fading.success import (
     success_probability_conditional_batch,
 )
 from repro.geometry.placement import paper_random_network
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
 
 N = 24
 BETA = 2.0
@@ -58,6 +60,19 @@ class TestTheorem1KernelCache:
         kern = Theorem1Kernel(instance, BETA)
         assert kern.log_factors is kern.log_factors
         assert kern.weights is kern.weights
+
+    def test_reuse_through_the_operator_cache_counts_as_a_hit(self, instance):
+        q = np.random.default_rng(0).random(N)
+        kern = Theorem1Kernel(instance, BETA)
+        reg = MetricsRegistry()
+        previous = obs_metrics.install(reg)
+        try:
+            kern.conditional(q)
+            kern.conditional(q)
+        finally:
+            obs_metrics.install(previous)
+        assert reg.counters["theorem1.cache_misses"] == 1
+        assert reg.counters["theorem1.cache_hits"] == 1
 
     def test_binary_path_matches_product_path(self, instance):
         mask = np.random.default_rng(1).random(N) < 0.5

@@ -136,13 +136,13 @@ class TestNakagami1IsRayleigh:
 
 
 class TestGameStringVsChannel:
-    """CapacityGame(model=str) and CapacityGame(channel=Channel) are the
+    """CapacityGame(channel=str) and CapacityGame(channel=Channel) are the
     same game, byte for byte, at a fixed seed."""
 
     @pytest.mark.parametrize("model", ["nonfading", "rayleigh"])
     def test_identical_game_result(self, paper_instance, model):
         kind = {"nonfading": NonFadingChannel, "rayleigh": RayleighChannel}[model]
-        res_str = CapacityGame(paper_instance, BETA, model=model, rng=42).play(60)
+        res_str = CapacityGame(paper_instance, BETA, channel=model, rng=42).play(60)
         res_ch = CapacityGame(
             paper_instance, BETA, channel=kind(paper_instance, BETA), rng=42
         ).play(60)
@@ -152,10 +152,12 @@ class TestGameStringVsChannel:
         assert res_str.model == res_ch.model
 
     def test_spec_string_channel_also_identical(self, paper_instance):
-        res_model = CapacityGame(paper_instance, BETA, model="rayleigh", rng=3).play(40)
-        res_spec = CapacityGame(paper_instance, BETA, channel="rayleigh", rng=3).play(40)
-        np.testing.assert_array_equal(res_model.actions, res_spec.actions)
-        np.testing.assert_array_equal(res_model.send_success, res_spec.send_success)
+        """The default channel is the non-fading spec string."""
+        res_default = CapacityGame(paper_instance, BETA, rng=3).play(40)
+        res_spec = CapacityGame(paper_instance, BETA, channel="nonfading", rng=3).play(40)
+        np.testing.assert_array_equal(res_default.actions, res_spec.actions)
+        np.testing.assert_array_equal(res_default.send_success, res_spec.send_success)
+        assert res_default.model == "nonfading"
 
     def test_beta_mismatch_rejected(self, paper_instance):
         ch = RayleighChannel(paper_instance, 2.0)

@@ -76,6 +76,19 @@ class TestMakeChannel:
         with pytest.raises(ValueError, match="coherence"):
             make_channel("block", two_link_instance, 1.0)
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("block:coherence=2.5", "coherence"),
+            ("block:coherence=inf", "coherence"),
+            ("block:coherence=nan", "coherence"),
+            ("nakagami:m=2,slots=inf", "slots"),
+        ],
+    )
+    def test_integer_parameters_must_be_finite_integers(self, two_link_instance, spec, key):
+        with pytest.raises(ValueError, match=f"channel parameter {key}=.* must be an integer"):
+            make_channel(spec, two_link_instance, 1.0)
+
     def test_nakagami_needs_m(self, two_link_instance):
         with pytest.raises(ValueError, match="m parameter"):
             make_channel("nakagami", two_link_instance, 1.0)

@@ -66,7 +66,7 @@ class TestNonFading:
         with pytest.raises(ValueError):
             aloha_latency(inst, BETA, q=0.9)
         with pytest.raises(ValueError):
-            aloha_latency(inst, BETA, model="psychic")
+            aloha_latency(inst, BETA, channel="psychic")
         with pytest.raises(ValueError):
             aloha_latency(inst, BETA, repeats=0)
 
@@ -80,14 +80,14 @@ class TestNonFading:
 class TestRayleigh:
     def test_physical_slots_are_protocol_steps_times_repeats(self):
         inst = random_instance(12, n=10)
-        result = aloha_latency(inst, BETA, rng=13, model="rayleigh", repeats=4)
+        result = aloha_latency(inst, BETA, rng=13, channel="rayleigh", repeats=4)
         assert result.latency == result.protocol_steps * 4
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_everyone_served_rayleigh(self, seed):
         inst = random_instance(seed, n=10)
-        result = aloha_latency(inst, BETA, rng=seed, model="rayleigh")
+        result = aloha_latency(inst, BETA, rng=seed, channel="rayleigh")
         assert np.all(result.served_at >= 0)
 
     def test_transformation_protocol_steps_comparable(self):
@@ -99,7 +99,7 @@ class TestRayleigh:
         )
         ray_steps = np.mean(
             [
-                aloha_latency(inst, BETA, rng=100 + t, model="rayleigh").protocol_steps
+                aloha_latency(inst, BETA, rng=100 + t, channel="rayleigh").protocol_steps
                 for t in range(8)
             ]
         )

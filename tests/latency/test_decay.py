@@ -62,7 +62,7 @@ class TestNonFading:
         with pytest.raises(ValueError):
             decay_latency(inst, 0.0)
         with pytest.raises(ValueError):
-            decay_latency(inst, BETA, model="warp")
+            decay_latency(inst, BETA, channel="warp")
         with pytest.raises(ValueError):
             decay_latency(inst, BETA, repeats=0)
         gains = np.array([[1.0, 0.0], [0.0, 100.0]])
@@ -79,11 +79,11 @@ class TestNonFading:
 class TestRayleigh:
     def test_everyone_served(self):
         inst = random_instance(11, n=10)
-        result = decay_latency(inst, BETA, rng=12, model="rayleigh")
+        result = decay_latency(inst, BETA, rng=12, channel="rayleigh")
         assert np.all(result.served_at >= 0)
 
     def test_physical_slots_multiple_of_repeats_per_step(self):
         inst = random_instance(13, n=10)
-        result = decay_latency(inst, BETA, rng=14, model="rayleigh", repeats=4)
+        result = decay_latency(inst, BETA, rng=14, channel="rayleigh", repeats=4)
         assert result.latency % 4 == 0
         assert result.latency == 4 * (result.latency // 4)

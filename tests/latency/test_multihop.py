@@ -72,7 +72,7 @@ class TestMultihopLatency:
             straight_path([500, 0], [530, 0], hops=2),
         ]
         result = multihop_latency(
-            reqs, beta=BETA, alpha=ALPHA, noise=0.0, model="rayleigh", rng=0
+            reqs, beta=BETA, alpha=ALPHA, noise=0.0, channel="rayleigh", rng=0
         )
         assert np.all(result.finish_times > 0)
         assert result.makespan >= 2
@@ -108,4 +108,4 @@ class TestMultihopLatency:
         with pytest.raises(ValueError):
             multihop_latency([req], beta=0.0, alpha=ALPHA)
         with pytest.raises(ValueError):
-            multihop_latency([req], beta=BETA, alpha=ALPHA, model="warp")
+            multihop_latency([req], beta=BETA, alpha=ALPHA, channel="warp")

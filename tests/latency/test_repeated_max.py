@@ -88,7 +88,7 @@ class TestRayleigh:
     @given(seed=st.integers(0, 10**6))
     def test_everyone_eventually_served(self, seed):
         inst = random_instance(seed, n=15)
-        result = repeated_max_latency(inst, BETA, model="rayleigh", rng=seed)
+        result = repeated_max_latency(inst, BETA, channel="rayleigh", rng=seed)
         assert np.all(result.served_at >= 0)
         assert result.latency >= 1
 
@@ -97,15 +97,15 @@ class TestRayleigh:
         inst = random_instance(8, n=15)
         nf = repeated_max_latency(inst, BETA).latency
         lat = [
-            repeated_max_latency(inst, BETA, model="rayleigh", rng=t).latency
+            repeated_max_latency(inst, BETA, channel="rayleigh", rng=t).latency
             for t in range(10)
         ]
         assert np.mean(lat) >= nf
 
     def test_reproducible(self):
         inst = random_instance(9, n=12)
-        a = repeated_max_latency(inst, BETA, model="rayleigh", rng=5)
-        b = repeated_max_latency(inst, BETA, model="rayleigh", rng=5)
+        a = repeated_max_latency(inst, BETA, channel="rayleigh", rng=5)
+        b = repeated_max_latency(inst, BETA, channel="rayleigh", rng=5)
         assert a.latency == b.latency
         assert np.array_equal(a.served_at, b.served_at)
 
@@ -113,11 +113,11 @@ class TestRayleigh:
         inst = random_instance(10, n=10)
         with pytest.raises(RuntimeError):
             repeated_max_latency(
-                inst, BETA, model="rayleigh", rng=0, max_slots=1,
+                inst, BETA, channel="rayleigh", rng=0, max_slots=1,
                 algorithm=lambda sub, b: np.array([], dtype=int),
             )
 
     def test_unknown_model(self):
         inst = random_instance(0, n=5)
         with pytest.raises(ValueError):
-            repeated_max_latency(inst, BETA, model="quantum")
+            repeated_max_latency(inst, BETA, channel="quantum")

@@ -45,19 +45,19 @@ class TestIsEquilibrium:
         exp(-βν/S̄) > 1/2."""
         # exp(-1 * 0.5 / 1) = 0.6065 > 0.5 → sending is the equilibrium.
         inst = SINRInstance(np.array([[1.0]]), noise=0.5)
-        assert is_equilibrium(inst, np.array([True]), 1.0, model="rayleigh")
-        assert not is_equilibrium(inst, np.array([False]), 1.0, model="rayleigh")
+        assert is_equilibrium(inst, np.array([True]), 1.0, channel="rayleigh")
+        assert not is_equilibrium(inst, np.array([False]), 1.0, channel="rayleigh")
         # exp(-1 * 1.0 / 1) = 0.3679 < 0.5 → idling is the equilibrium.
         inst2 = SINRInstance(np.array([[1.0]]), noise=1.0)
-        assert is_equilibrium(inst2, np.array([False]), 1.0, model="rayleigh")
-        assert not is_equilibrium(inst2, np.array([True]), 1.0, model="rayleigh")
+        assert is_equilibrium(inst2, np.array([False]), 1.0, channel="rayleigh")
+        assert not is_equilibrium(inst2, np.array([True]), 1.0, channel="rayleigh")
 
     def test_validation(self):
         inst = random_instance(0)
         with pytest.raises(ValueError):
             is_equilibrium(inst, np.ones(3, dtype=bool), BETA)
         with pytest.raises(ValueError):
-            is_equilibrium(inst, np.ones(inst.n, dtype=bool), BETA, model="warp")
+            is_equilibrium(inst, np.ones(inst.n, dtype=bool), BETA, channel="warp")
 
 
 class TestBestResponse:
@@ -78,12 +78,12 @@ class TestBestResponse:
 
     def test_rayleigh_convergence_and_welfare(self):
         inst = random_instance(8)
-        res = best_response_dynamics(inst, BETA, rng=2, model="rayleigh")
+        res = best_response_dynamics(inst, BETA, rng=2, channel="rayleigh")
         assert res.welfare == pytest.approx(
-            equilibrium_welfare(inst, res.actions, BETA, model="rayleigh")
+            equilibrium_welfare(inst, res.actions, BETA, channel="rayleigh")
         )
         if res.converged:
-            assert is_equilibrium(inst, res.actions, BETA, model="rayleigh", tolerance=1e-9)
+            assert is_equilibrium(inst, res.actions, BETA, channel="rayleigh", tolerance=1e-9)
 
     def test_initial_profile_respected(self):
         inst = random_instance(9)

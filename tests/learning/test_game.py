@@ -25,7 +25,7 @@ def instance():
 
 class TestGameMechanics:
     def test_result_shapes(self, instance):
-        game = CapacityGame(instance, BETA, model="nonfading", rng=0)
+        game = CapacityGame(instance, BETA, channel="nonfading", rng=0)
         res = game.play(25)
         n = instance.n
         assert res.actions.shape == (25, n)
@@ -36,7 +36,7 @@ class TestGameMechanics:
         assert res.model == "nonfading" and res.beta == BETA
 
     def test_success_counts_consistent(self, instance):
-        game = CapacityGame(instance, BETA, model="nonfading", rng=1)
+        game = CapacityGame(instance, BETA, channel="nonfading", rng=1)
         res = game.play(20)
         np.testing.assert_array_equal(
             res.success_counts, (res.actions & res.send_success).sum(axis=1)
@@ -45,7 +45,7 @@ class TestGameMechanics:
     def test_nonfading_counterfactual_correct(self, instance):
         """send_success[t, i] must equal the deterministic SINR test with
         i forced active and others as played."""
-        game = CapacityGame(instance, BETA, model="nonfading", rng=2)
+        game = CapacityGame(instance, BETA, channel="nonfading", rng=2)
         res = game.play(10)
         for t in range(10):
             for i in range(instance.n):
@@ -55,14 +55,14 @@ class TestGameMechanics:
                 assert bool(res.send_success[t, i]) == expected
 
     def test_reproducible(self, instance):
-        a = CapacityGame(instance, BETA, model="rayleigh", rng=3).play(15)
-        b = CapacityGame(instance, BETA, model="rayleigh", rng=3).play(15)
+        a = CapacityGame(instance, BETA, channel="rayleigh", rng=3).play(15)
+        b = CapacityGame(instance, BETA, channel="rayleigh", rng=3).play(15)
         np.testing.assert_array_equal(a.actions, b.actions)
         np.testing.assert_array_equal(a.send_success, b.send_success)
 
     def test_custom_learners(self, instance):
         learners = [Exp3Learner(rng=i) for i in range(instance.n)]
-        game = CapacityGame(instance, BETA, model="nonfading", rng=4)
+        game = CapacityGame(instance, BETA, channel="nonfading", rng=4)
         res = game.play(10, learners=learners)
         assert res.num_rounds == 10
         assert all(l.t == 10 for l in learners)
@@ -76,7 +76,7 @@ class TestGameMechanics:
         with pytest.raises(ValueError):
             CapacityGame(instance, 0.0)
         with pytest.raises(ValueError):
-            CapacityGame(instance, BETA, model="psychic")
+            CapacityGame(instance, BETA, channel="psychic")
         with pytest.raises(ValueError):
             CapacityGame(instance, BETA, rng=0).play(0)
 
@@ -84,16 +84,16 @@ class TestGameMechanics:
 class TestConvergence:
     def test_capacity_grows_then_stabilizes(self, instance):
         """The Figure-2 qualitative shape: later rounds beat early rounds."""
-        game = CapacityGame(instance, BETA, model="nonfading", rng=6)
+        game = CapacityGame(instance, BETA, channel="nonfading", rng=6)
         res = game.play(80)
         early = res.success_counts[:10].mean()
         late = res.success_counts[-20:].mean()
         assert late >= early
 
     def test_regret_per_round_shrinks(self, instance):
-        game = CapacityGame(instance, BETA, model="nonfading", rng=7)
+        game = CapacityGame(instance, BETA, channel="nonfading", rng=7)
         short = game.play(10)
-        game2 = CapacityGame(instance, BETA, model="nonfading", rng=7)
+        game2 = CapacityGame(instance, BETA, channel="nonfading", rng=7)
         long = game2.play(160)
         assert (
             long.realized_regret().mean() / 160
@@ -101,7 +101,7 @@ class TestConvergence:
         )
 
     def test_lemma5_invariant_on_low_regret_runs(self, instance):
-        game = CapacityGame(instance, BETA, model="rayleigh", rng=8)
+        game = CapacityGame(instance, BETA, channel="rayleigh", rng=8)
         res = game.play(120)
         X, F = res.lemma5(instance)
         eps = float(res.expected_regret(instance).max()) / 120
@@ -110,15 +110,15 @@ class TestConvergence:
 
     def test_expected_vs_realized_regret_close(self, instance):
         """Lemma 4's phenomenon, measured."""
-        game = CapacityGame(instance, BETA, model="rayleigh", rng=9)
+        game = CapacityGame(instance, BETA, channel="rayleigh", rng=9)
         T = 150
         res = game.play(T)
         gap = np.abs(res.expected_regret(instance) - res.realized_regret())
         assert float(gap.max()) <= 8.0 * np.sqrt(T * np.log(T))
 
     def test_rayleigh_and_nonfading_same_scale(self, instance):
-        nf = CapacityGame(instance, BETA, model="nonfading", rng=10).play(80)
-        ray = CapacityGame(instance, BETA, model="rayleigh", rng=10).play(80)
+        nf = CapacityGame(instance, BETA, channel="nonfading", rng=10).play(80)
+        ray = CapacityGame(instance, BETA, channel="rayleigh", rng=10).play(80)
         tail_nf = nf.average_successes(20)
         tail_ray = ray.average_successes(20)
         assert tail_ray >= 0.4 * tail_nf

@@ -142,7 +142,7 @@ class TestGameIntegration:
         return SINRInstance.from_network(Network(s, r), UniformPower(2.0), 2.1, 0.0)
 
     def test_bank_plays_full_game(self, instance):
-        game = CapacityGame(instance, 0.5, model="rayleigh", rng=0)
+        game = CapacityGame(instance, 0.5, channel="rayleigh", rng=0)
         bank = RWMLearnerBank(instance.n, rng=1)
         res = game.play(50, learners=bank)
         assert res.num_rounds == 50
@@ -153,8 +153,8 @@ class TestGameIntegration:
         """Tail capacity with the bank matches the scalar-learner game
         within noise — same dynamics, different RNG streams."""
         beta = 0.5
-        scalar_res = CapacityGame(instance, beta, model="nonfading", rng=2).play(80)
-        bank_game = CapacityGame(instance, beta, model="nonfading", rng=2)
+        scalar_res = CapacityGame(instance, beta, channel="nonfading", rng=2).play(80)
+        bank_game = CapacityGame(instance, beta, channel="nonfading", rng=2)
         bank_res = bank_game.play(80, learners=RWMLearnerBank(instance.n, rng=3))
         s_tail = scalar_res.average_successes(20)
         b_tail = bank_res.average_successes(20)
@@ -162,7 +162,7 @@ class TestGameIntegration:
 
     def test_bank_with_weighted_game(self, instance):
         w = np.linspace(0.5, 2.0, instance.n)
-        game = CapacityGame(instance, 0.5, model="nonfading", rng=4, weights=w)
+        game = CapacityGame(instance, 0.5, channel="nonfading", rng=4, weights=w)
         res = game.play(30, learners=RWMLearnerBank(instance.n, rng=5))
         assert res.weighted_values is not None
 

@@ -20,9 +20,9 @@ def instance():
 
 class TestWeightedGame:
     def test_unit_weights_match_binary_game(self, instance):
-        binary = CapacityGame(instance, BETA, model="nonfading", rng=1).play(30)
+        binary = CapacityGame(instance, BETA, channel="nonfading", rng=1).play(30)
         weighted = CapacityGame(
-            instance, BETA, model="nonfading", rng=1, weights=np.ones(instance.n)
+            instance, BETA, channel="nonfading", rng=1, weights=np.ones(instance.n)
         ).play(30)
         np.testing.assert_array_equal(binary.actions, weighted.actions)
         np.testing.assert_allclose(
@@ -32,7 +32,7 @@ class TestWeightedGame:
     def test_weighted_values_consistent(self, instance):
         w = np.linspace(0.5, 3.0, instance.n)
         res = CapacityGame(
-            instance, BETA, model="rayleigh", rng=2, weights=w
+            instance, BETA, channel="rayleigh", rng=2, weights=w
         ).play(40)
         manual = (res.actions & res.send_success) @ w
         np.testing.assert_allclose(res.weighted_values, manual)
@@ -48,7 +48,7 @@ class TestWeightedGame:
         heavy = np.arange(instance.n) < 5
         w[heavy] = 10.0
         res = CapacityGame(
-            instance, BETA, model="nonfading", rng=4, weights=w
+            instance, BETA, channel="nonfading", rng=4, weights=w
         ).play(150)
         tail = res.actions[-50:]
         assert tail[:, heavy].mean() >= tail[:, ~heavy].mean() - 0.05
@@ -56,9 +56,9 @@ class TestWeightedGame:
     def test_weighted_regret_scales(self, instance):
         w = np.full(instance.n, 2.0)
         res_w = CapacityGame(
-            instance, BETA, model="nonfading", rng=5, weights=w
+            instance, BETA, channel="nonfading", rng=5, weights=w
         ).play(30)
-        res_b = CapacityGame(instance, BETA, model="nonfading", rng=5).play(30)
+        res_b = CapacityGame(instance, BETA, channel="nonfading", rng=5).play(30)
         # Identical play (same loss ratios), doubled rewards → doubled regret.
         np.testing.assert_array_equal(res_w.actions, res_b.actions)
         np.testing.assert_allclose(

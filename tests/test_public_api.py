@@ -32,6 +32,19 @@ class TestExports:
         import repro.utility
         import repro.utils  # noqa: F401
 
+    def test_one_copy_of_each_piece(self):
+        """Block fading lives only in the channel layer, and the array
+        backend has no second engine to pick."""
+        import repro.backend
+        import repro.channel
+        import repro.fading
+
+        assert repro.BlockFadingChannel is repro.channel.BlockFadingChannel
+        assert not hasattr(repro.fading, "BlockFadingChannel")
+        for name in ("numba_available", "NumbaUnavailableError", "BACKENDS"):
+            assert not hasattr(repro.backend, name)
+            assert name not in repro.backend.__all__
+
 
 class TestDocstringExample:
     def test_quickstart_from_module_docstring(self):
