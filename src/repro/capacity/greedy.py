@@ -19,14 +19,22 @@ The power assignment enters only through ``instance`` — build the
 instance with :class:`~repro.core.power.UniformPower` for [8] or
 :class:`~repro.core.power.SquareRootPower` for [7].
 
-Complexity: ``O(n²)`` — each admission updates the incoming-affectance
-vector with one row of the affectance matrix.
+Complexity: ``O(n²)`` arithmetic.  Each admission adds one row of the
+affectance matrix to the incoming-affectance vector and caches the new
+member's column; each candidate is then tested against the admitted set
+only, with one add, one compare and one ``any`` over the cached columns
+(:class:`~repro.capacity.admission.Admission`), so the interpreter cost
+is a few array calls per candidate rather than two masked ``O(n)``
+gathers.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro.capacity.admission import Admission
 from repro.core.affectance import affectance_matrix
 from repro.core.sinr import SINRInstance
 from repro.utils.validation import check_positive
@@ -78,7 +86,7 @@ def greedy_capacity(
         short-links-first rule of [8]/[7]), ``"random"``, or an explicit
         permutation.
     weights:
-        Optional non-negative link weights; when given, links are
+        Optional finite, non-negative link weights; when given, links are
         processed by decreasing ``weight`` with the base order breaking
         ties, which turns the algorithm into its weighted variant.
     rng:
@@ -97,29 +105,24 @@ def greedy_capacity(
     base_order = _resolve_order(instance, order, rng)
     if weights is not None:
         w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,) or np.any(w < 0):
+        if w.shape != (n,) or not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ValueError("weights must be a non-negative vector of length n")
         rank = np.empty(n, dtype=np.float64)
         rank[base_order] = np.arange(n)
         base_order = np.lexsort((rank, -w))
 
-    admitted: list[int] = []
-    incoming = np.zeros(n, dtype=np.float64)  # Σ_{j admitted} a(j, i), all i
-    admitted_mask = np.zeros(n, dtype=bool)
-    eps = 1e-12
-    for i in base_order:
-        i = int(i)
-        # A link blocked by noise alone (S̄(i,i) <= βν) can never succeed;
-        # its incoming affectances are +inf, so reject it outright.
-        if instance.signal[i] <= beta * instance.noise:
-            continue
+    # A link blocked by noise alone (S̄(i,i) <= βν) can never succeed;
+    # its incoming affectances are +inf, so it is never a candidate.
+    viable = instance.signal > beta * instance.noise
+    threshold = margin + 1e-12
+    adm = Admission(a, threshold)
+    incoming = adm.incoming  # Σ_{j admitted} a(j, i), all i; updated in place
+    for i in base_order[viable[base_order]].tolist():
         # Candidate must fit under the budget itself...
-        if not np.isfinite(incoming[i]) or incoming[i] > margin + eps:
+        x = incoming[i]
+        if not math.isfinite(x) or x > threshold:
             continue
         # ... and must not push any admitted link over budget.
-        if admitted and np.any(incoming[admitted_mask] + a[i, admitted_mask] > margin + eps):
-            continue
-        admitted.append(i)
-        admitted_mask[i] = True
-        incoming += a[i, :]
-    return np.array(sorted(admitted), dtype=np.intp)
+        if adm.fits(i):
+            adm.admit(i)
+    return np.array(sorted(adm.members), dtype=np.intp)

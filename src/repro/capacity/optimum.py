@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.capacity.admission import Admission
 from repro.core.affectance import affectance_matrix
 from repro.core.sinr import SINRInstance
 from repro.utils.rng import as_generator
@@ -28,6 +29,7 @@ from repro.utils.validation import check_positive
 __all__ = ["optimal_capacity_bruteforce", "local_search_capacity"]
 
 _EPS = 1e-12
+_THRESHOLD = 1.0 + _EPS
 
 
 def _prepare(instance: SINRInstance, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -63,7 +65,7 @@ def optimal_capacity_bruteforce(
     instance, beta:
         The non-fading instance and threshold.
     weights:
-        Optional non-negative link weights; maximizes total weight instead
+        Optional finite, non-negative link weights; maximizes total weight instead
         of cardinality.
     max_n:
         Guard rail: refuse instances larger than this (the search is
@@ -82,7 +84,7 @@ def optimal_capacity_bruteforce(
         )
     a, viable = _prepare(instance, beta)
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,) or np.any(w < 0):
+    if w.shape != (n,) or not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError("weights must be a non-negative vector of length n")
 
     # Order candidates by decreasing weight (ties: lower total outgoing
@@ -150,16 +152,16 @@ def _best_response_refine(
     never observed on these instances).
     """
     n = a.shape[0]
-    mask = members.copy()
+    viable_l = viable.tolist()
+    mask = members.tolist()
     for _ in range(max_rounds):
         changed = False
-        incoming = mask.astype(np.float64) @ a  # Σ_{j in set} a(j, i)
-        for i in rng.permutation(n):
-            i = int(i)
-            if not viable[i]:
+        incoming = np.array(mask, dtype=np.float64) @ a  # Σ_{j in set} a(j, i)
+        for i in rng.permutation(n).tolist():
+            if not viable_l[i]:
                 continue
             # a's diagonal is zero, so incoming[i] never counts i itself.
-            want = incoming[i] <= 1.0 + _EPS
+            want = incoming.item(i) <= _THRESHOLD
             if want != mask[i]:
                 if want:
                     incoming += a[i, :]
@@ -168,27 +170,18 @@ def _best_response_refine(
                 mask[i] = want
                 changed = True
         if not changed:
-            return mask
+            return np.array(mask, dtype=bool)
     return members
 
 
-def _greedy_in_order(
-    a: np.ndarray, viable: np.ndarray, order: np.ndarray
-) -> tuple[list[int], np.ndarray]:
+def _greedy_in_order(a: np.ndarray, viable: np.ndarray, order: np.ndarray) -> Admission:
     """Maximal feasible set built in the given candidate order."""
-    n = a.shape[0]
-    incoming = np.zeros(n, dtype=np.float64)
-    members = np.zeros(n, dtype=bool)
-    chosen: list[int] = []
-    for k in order:
-        k = int(k)
-        if not viable[k]:
-            continue
-        if _feasible_with(incoming, members, a, k):
-            chosen.append(k)
-            members[k] = True
-            incoming += a[k, :]
-    return chosen, incoming
+    adm = Admission(a, _THRESHOLD)
+    incoming = adm.incoming  # updated in place by admit()
+    for k in order[viable[order]].tolist():
+        if not incoming[k] > _THRESHOLD and adm.fits(k):
+            adm.admit(k)
+    return adm
 
 
 def local_search_capacity(
@@ -226,63 +219,68 @@ def local_search_capacity(
     best: list[int] = []
     for restart in range(restarts):
         order = signal_order if restart == 0 else gen.permutation(n)
-        chosen, incoming = _greedy_in_order(a, viable, order)
+        cur = _greedy_in_order(a, viable, order)
         members = np.zeros(n, dtype=bool)
-        members[chosen] = True
+        members[cur.members] = True
         # Best-response refinement: lets links drop out and re-enter,
         # escaping the insertion-only local optimum of the greedy pass.
         refined = _best_response_refine(a, viable, members, gen)
         if refined.sum() >= members.sum():
             members = refined
-            chosen = np.flatnonzero(members).tolist()
-            incoming = members.astype(np.float64) @ a
+            cur = Admission(
+                a,
+                _THRESHOLD,
+                np.flatnonzero(members).tolist(),
+                members.astype(np.float64) @ a,
+            )
         for _ in range(improvement_rounds):
             improved = False
-            outside = [k for k in range(n) if viable[k] and not members[k]]
+            outside = np.flatnonzero(viable & ~members).tolist()
             gen.shuffle(outside)
             for k in outside:
                 if members[k]:  # re-inserted earlier in this same pass
                     continue
-                if _feasible_with(incoming, members, a, k):
+                over = cur.over(k)
+                if not cur.incoming[k] > _THRESHOLD and not over.any():
                     # Pure insertion (set was not maximal after an evict).
-                    chosen.append(k)
+                    cur.admit(k)
                     members[k] = True
-                    incoming += a[k, :]
                     improved = True
                     continue
                 # Try evicting one member to make room for k, then re-fill
-                # greedily; accept only strict growth.
-                blockers = [
-                    j
-                    for j in chosen
-                    if a[j, k] > _EPS or incoming[j] + a[k, j] > 1.0 + _EPS
-                ]
-                if not blockers or len(blockers) > 3:
+                # greedily; accept only strict growth.  Blockers are listed
+                # in admission order, which gen.choice depends on.
+                chosen = cur.admitted
+                blockers = chosen[(a[chosen, k] > _EPS) | over]
+                if blockers.size == 0 or blockers.size > 3:
                     continue
                 j = int(gen.choice(blockers))
+                trial_incoming = cur.incoming - a[j, :]
+                rest = chosen != j
+                if trial_incoming[k] > _THRESHOLD or np.any(
+                    (trial_incoming[chosen] + a[k, chosen])[rest] > _THRESHOLD
+                ):
+                    continue
                 trial_members = members.copy()
                 trial_members[j] = False
-                trial_incoming = incoming - a[j, :]
-                if not _feasible_with(trial_incoming, trial_members, a, k):
-                    continue
                 trial_members[k] = True
-                trial_incoming = trial_incoming + a[k, :]
-                trial = [x for x in chosen if x != j] + [k]
-                # Greedy completion.
-                for m in range(n):
-                    if viable[m] and not trial_members[m] and _feasible_with(
-                        trial_incoming, trial_members, a, m
-                    ):
-                        trial.append(m)
+                trial = Admission(
+                    a,
+                    _THRESHOLD,
+                    [x for x in cur.members if x != j] + [k],
+                    trial_incoming + a[k, :],
+                )
+                # Greedy completion, in index order.
+                for m in np.flatnonzero(viable & ~trial_members).tolist():
+                    if not trial.incoming[m] > _THRESHOLD and trial.fits(m):
+                        trial.admit(m)
                         trial_members[m] = True
-                        trial_incoming += a[m, :]
-                if len(trial) > len(chosen):
-                    chosen = trial
+                if len(trial.members) > len(cur.members):
+                    cur = trial
                     members = trial_members
-                    incoming = trial_incoming
                     improved = True
             if not improved:
                 break
-        if len(chosen) > len(best):
-            best = chosen
+        if len(cur.members) > len(best):
+            best = cur.members
     return np.array(sorted(best), dtype=np.intp)

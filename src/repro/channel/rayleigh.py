@@ -104,7 +104,15 @@ class RayleighChannel(Channel):
             return out
         u_e = u[rows, cols]
         counts = np.bincount(rows, minlength=pats.shape[0])
-        screened = counts[rows] > kern.screen_cutoff
+        cutoff = kern.screen_cutoff
+        if counts.max() <= cutoff:
+            # No dense slot: every entry goes straight to the exact gather.
+            p = kern.conditional_at(pats, rows, cols, actives=(rows, cols, counts))
+            live = u_e < p
+            kern.note_hit_rate(rows.size, int(live.sum()))
+            out[rows[live], cols[live]] = True
+            return out
+        screened = counts[rows] > cutoff
         survive = np.ones(rows.size, dtype=bool)
         if screened.any():
             bound = kern.screen_bound(pats, rows[screened], cols[screened])

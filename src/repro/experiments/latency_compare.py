@@ -65,13 +65,8 @@ def run_latency_compare(
         lat["repeated-max nonfading"].append(
             float(repeated_max_latency(inst, beta).latency)
         )
-        lat["aloha nonfading"].append(
-            float(
-                aloha_latency(
-                    inst, beta, factory.stream("lat-aloha-nf", net_idx)
-                ).latency
-            )
-        )
+        al_nf = aloha_latency(inst, beta, factory.stream("lat-aloha-nf", net_idx))
+        lat["aloha nonfading"].append(float(al_nf.latency))
         lat["decay nonfading"].append(
             float(
                 decay_latency(
@@ -89,11 +84,14 @@ def run_latency_compare(
                     rng=factory.stream("lat-rm-ray", net_idx, t),
                 ).latency
             )
+            # The auto probability depends only on (instance, β): reuse the
+            # non-fading run's instead of re-peeling it every trial.
             al_r.append(
                 aloha_latency(
                     inst,
                     beta,
                     factory.stream("lat-aloha-ray", net_idx, t),
+                    q=al_nf.q_used,
                     channel=fad,
                 ).latency
             )

@@ -163,7 +163,8 @@ def repeated_max_latency(
             slots.append(np.array([strongest], dtype=np.intp))
             served_at[strongest] = len(slots) - 1
             served = np.array([strongest])
-        keep = ~np.isin(remaining, served)
-        remaining = remaining[keep]
+        served_mask = np.zeros(n, dtype=bool)
+        served_mask[served] = True
+        remaining = remaining[~served_mask[remaining]]
     schedule = Schedule(slots=tuple(slots), n=n)
     return RepeatedMaxResult(schedule=schedule, latency=schedule.length, served_at=served_at)

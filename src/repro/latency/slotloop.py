@@ -209,17 +209,6 @@ class _TransmitBuffer:
             self._start = below
 
 
-def _index_runs(idx: np.ndarray):
-    """Yield ``(start, stop)`` bounds of consecutive runs in a sorted
-    index array — lets the settle loop re-apply scattered changed rows
-    through the contiguous-span :meth:`SlotFieldBuffer.apply` API."""
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-    for s, e in zip(starts, ends):
-        yield int(idx[s]), int(idx[e]) + 1
-
-
 @dataclass(frozen=True)
 class ContentionResult:
     """Outcome of :func:`run_contention`.
@@ -239,21 +228,18 @@ class ContentionResult:
 def _q_rows(q_of_step, start, m, executions, n):
     """Per-row probability matrix for slots ``start .. start+m-1``.
 
-    ``q_of_step(step)`` may return a scalar or an ``(n,)`` vector; rows
-    sharing a protocol step share one evaluation.
+    ``q_of_step(step)`` may return a scalar or an ``(n,)`` vector; it is
+    called once per protocol step the rows span, in step order, and rows
+    sharing a step share that evaluation.
     """
-    probe = np.asarray(q_of_step(start // executions), dtype=np.float64)
+    first = start // executions
+    probe = np.asarray(q_of_step(first), dtype=np.float64)
     width = n if probe.ndim == 1 else 1
-    out = np.empty((m, width), dtype=np.float64)
-    cur_step = start // executions
-    cur_q = probe
-    for r in range(m):
-        step = (start + r) // executions
-        if step != cur_step:
-            cur_step = step
-            cur_q = np.asarray(q_of_step(step), dtype=np.float64)
-        out[r] = cur_q
-    return out
+    per_step = np.empty(((start + m - 1) // executions - first + 1, width), dtype=np.float64)
+    per_step[0] = probe
+    for k in range(1, per_step.shape[0]):
+        per_step[k] = np.asarray(q_of_step(first + k), dtype=np.float64)
+    return per_step[(start + np.arange(m)) // executions - first]
 
 
 def run_contention(
@@ -352,7 +338,7 @@ def run_contention(
         # unique fixed point where every link transmits per protocol up
         # to and including its first-service row and is silent after —
         # so iterate: derive the desired patterns from the current
-        # first-service beliefs, re-evaluate only the rows whose
+        # first-service beliefs, re-evaluate the span of rows whose
         # patterns changed (against the same cached fields — common
         # random numbers), repeat until stable.  For every channel whose
         # field evaluation is monotone in the transmit set (removing an
@@ -384,9 +370,13 @@ def run_contention(
             passes += 1
             strict = strict or passes > m
             reapplied += diff_rows.size
-            for a, b in _index_runs(diff_rows):
-                pats[a:b] = desired[a:b]
-                ok[a:b] = fields.apply(t + a, pats[a:b]) & pats[a:b]
+            # One span from the first to the last changed row.  Rows are
+            # evaluated independently against their own fixed fields, so
+            # the unchanged rows in between re-derive the masks they
+            # already hold; one call costs less than one per run.
+            lo, hi = int(diff_rows[0]), int(diff_rows[-1]) + 1
+            pats[lo:hi] = desired[lo:hi]
+            ok[lo:hi] = fields.apply(t + lo, pats[lo:hi]) & pats[lo:hi]
         _metrics.add("slotloop.settle_passes", passes)
         _metrics.add("slotloop.settle_rows", reapplied)
 
@@ -400,9 +390,8 @@ def run_contention(
             commit = m
 
         commit_rows, commit_cols = np.nonzero(pats[:commit])
-        slots.extend(
-            np.split(commit_cols, np.searchsorted(commit_rows, np.arange(1, commit)))
-        )
+        bounds = np.searchsorted(commit_rows, np.arange(commit + 1)).tolist()
+        slots.extend([commit_cols[a:b] for a, b in zip(bounds, bounds[1:])])
         served_at[newly] = t + first_hit[newly]
         unserved &= ~newly
         t += commit

@@ -130,3 +130,15 @@ class TestValidation:
             greedy_capacity(inst, BETA, weights=np.full(inst.n, -1.0))
         with pytest.raises(ValueError):
             greedy_capacity(inst, BETA, weights=np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        # NaN < 0 is False, so a sign test alone let these through.
+        s, r = paper_random_network(12, area=100.0, rng=3)
+        inst = SINRInstance.from_network(Network(s, r), UniformPower(2.0), 2.2, 4e-7)
+        with pytest.raises(ValueError, match="non-negative vector"):
+            greedy_capacity(inst, BETA, weights=np.full(inst.n, bad))
+        w = np.ones(inst.n)
+        w[5] = bad
+        with pytest.raises(ValueError, match="non-negative vector"):
+            greedy_capacity(inst, BETA, weights=w)

@@ -64,6 +64,18 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             optimal_capacity_bruteforce(inst, BETA, max_n=10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        # NaN < 0 is False, so a sign test alone let these through.
+        s, r = paper_random_network(12, area=100.0, rng=3)
+        inst = SINRInstance.from_network(Network(s, r), UniformPower(2.0), 2.2, 4e-7)
+        with pytest.raises(ValueError, match="non-negative vector"):
+            optimal_capacity_bruteforce(inst, BETA, weights=np.full(inst.n, bad))
+        w = np.ones(inst.n)
+        w[5] = bad
+        with pytest.raises(ValueError, match="non-negative vector"):
+            optimal_capacity_bruteforce(inst, BETA, weights=w)
+
     def test_noise_blocked_excluded(self):
         gains = np.array([[1.0, 0.0], [0.0, 100.0]])
         inst = SINRInstance(gains, noise=1.0)
