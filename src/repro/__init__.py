@@ -28,7 +28,6 @@ True
 """
 
 from repro.analysis import (
-    affectance_digraph,
     conflict_graph,
     expected_capacity,
     expected_capacity_gradient,
@@ -175,7 +174,6 @@ __all__ = [
     "UniformPower",
     "UtilityProfile",
     "WeightedUtility",
-    "affectance_digraph",
     "affectance_matrix",
     "aloha_latency",
     "best_response_dynamics",

@@ -11,11 +11,7 @@
   ratios for the schedulers.
 """
 
-from repro.analysis.graphs import (
-    affectance_digraph,
-    conflict_graph,
-    graph_model_gap,
-)
+from repro.analysis.graphs import conflict_graph, graph_model_gap
 from repro.analysis.lower_bounds import (
     capacity_latency_lower_bound,
     conflict_clique_lower_bound,
@@ -29,7 +25,6 @@ from repro.analysis.rayleigh_optimum import (
 )
 
 __all__ = [
-    "affectance_digraph",
     "capacity_latency_lower_bound",
     "conflict_graph",
     "graph_model_gap",

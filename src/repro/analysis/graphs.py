@@ -1,17 +1,14 @@
-"""Graph views of SINR instances (networkx interop).
+"""Graph views of SINR instances.
 
 Graph-based interference models predate SINR models (the paper's
-introduction contrasts the two); these exports let users inspect the
-graph shadow of an SINR instance with standard graph tooling:
+introduction contrasts the two); these views expose the graph shadow of
+an SINR instance as plain arrays:
 
-* :func:`conflict_graph` — undirected graph with an edge wherever two
-  links cannot share a slot (either one fails next to the other); its
-  cliques lower-bound latency, its independent sets are *candidate*
-  (not sufficient!) schedules — quantifying exactly what graph models
-  miss.
-* :func:`affectance_digraph` — weighted digraph of the affectance
-  matrix above a threshold; the standard object for contention
-  analysis.
+* :func:`conflict_graph` — symmetric boolean adjacency matrix with an
+  edge wherever two links cannot share a slot (either one fails next to
+  the other); its cliques lower-bound latency, its independent sets are
+  *candidate* (not sufficient!) schedules — quantifying exactly what
+  graph models miss.
 * :func:`graph_model_gap` — how wrong the graph abstraction is on an
   instance: the fraction of conflict-graph-independent sets (sampled)
   that are *not* SINR-feasible, i.e. interference that only the additive
@@ -20,54 +17,24 @@ graph shadow of an SINR instance with standard graph tooling:
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
-from repro.core.affectance import affectance_matrix
 from repro.core.sinr import SINRInstance
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive
 
-__all__ = ["conflict_graph", "affectance_digraph", "graph_model_gap"]
+__all__ = ["conflict_graph", "graph_model_gap"]
 
 
-def conflict_graph(instance: SINRInstance, beta: float) -> "nx.Graph":
-    """Pairwise-conflict graph: edge (i, j) iff i and j cannot both
+def conflict_graph(instance: SINRInstance, beta: float) -> np.ndarray:
+    """Pairwise-conflict adjacency: ``(n, n)`` boolean, symmetric, zero
+    diagonal; entry ``[i, j]`` is ``True`` iff links i and j cannot both
     succeed when only the two of them transmit."""
     check_positive(beta, "beta")
-    n = instance.n
-    gains = instance.gains
-    signal = instance.signal
-    nu = instance.noise
-    fail = signal[None, :] < beta * (gains + nu)  # [j, i]: i fails next to j
+    # i fails next to j iff S̄ii < β (S̄ji + ν); vectorized over all pairs.
+    fail = instance.signal[None, :] < beta * (instance.gains + instance.noise)
     np.fill_diagonal(fail, False)
-    conflict = fail | fail.T
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(zip(*np.nonzero(np.triu(conflict, k=1))))
-    return g
-
-
-def affectance_digraph(
-    instance: SINRInstance, beta: float, *, threshold: float = 0.0
-) -> "nx.DiGraph":
-    """Weighted digraph of affectances ``a(j, i) > threshold``.
-
-    Edge ``j -> i`` carries weight ``a(j, i)`` (clamped form); useful for
-    contention analysis with standard graph algorithms (strongly
-    connected interference clusters, weighted degrees, ...).
-    """
-    check_positive(beta, "beta")
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be non-negative, got {threshold}")
-    a = affectance_matrix(instance, beta, clamped=True)
-    g = nx.DiGraph()
-    g.add_nodes_from(range(instance.n))
-    js, is_ = np.nonzero(a > threshold)
-    g.add_weighted_edges_from(
-        (int(j), int(i), float(a[j, i])) for j, i in zip(js, is_)
-    )
-    return g
+    return fail | fail.T
 
 
 def graph_model_gap(
@@ -93,22 +60,21 @@ def graph_model_gap(
     if num_samples <= 0:
         raise ValueError(f"num_samples must be positive, got {num_samples}")
     gen = as_generator(rng)
-    g = conflict_graph(instance, beta)
+    conflict = conflict_graph(instance, beta)
     n = instance.n
-    adjacency = {v: set(g.neighbors(v)) for v in range(n)}
     viable = instance.signal > beta * instance.noise
     violations = 0
     effective = 0
     for _ in range(num_samples):
         order = gen.permutation(n)
         chosen: list[int] = []
-        blocked: set[int] = set()
+        blocked = np.zeros(n, dtype=bool)
         for v in order:
             v = int(v)
-            if not viable[v] or v in blocked:
+            if not viable[v] or blocked[v]:
                 continue
             chosen.append(v)
-            blocked |= adjacency[v]
+            blocked |= conflict[v]
         if len(chosen) <= 1:
             continue
         effective += 1

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.graphs import conflict_graph
 from repro.capacity.optimum import local_search_capacity, optimal_capacity_bruteforce
 from repro.core.sinr import SINRInstance
 from repro.utils.rng import as_generator
@@ -60,19 +61,6 @@ def capacity_latency_lower_bound(
     return int(np.ceil(instance.n / cap))
 
 
-def _pairwise_conflict(instance: SINRInstance, beta: float) -> np.ndarray:
-    """Boolean matrix: ``True`` where links i and j cannot share a slot."""
-    n = instance.n
-    gains = instance.gains
-    signal = instance.signal
-    nu = instance.noise
-    # i fails next to j iff S̄ii < β (S̄ji + ν); vectorized over all pairs.
-    fail_i = signal[None, :] < beta * (gains + nu)  # [j, i]: i fails with j on
-    np.fill_diagonal(fail_i, False)
-    conflict = fail_i | fail_i.T
-    return conflict
-
-
 def conflict_clique_lower_bound(instance: SINRInstance, beta: float) -> int:
     """Size of a greedily-built clique of pairwise-conflicting links.
 
@@ -85,7 +73,7 @@ def conflict_clique_lower_bound(instance: SINRInstance, beta: float) -> int:
     """
     check_positive(beta, "beta")
     viable = instance.signal > beta * instance.noise
-    conflict = _pairwise_conflict(instance, beta)
+    conflict = conflict_graph(instance, beta)
     degree = conflict.sum(axis=1)
     clique: list[int] = []
     for k in np.argsort(-degree):

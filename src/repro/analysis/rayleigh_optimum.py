@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.sinr import SINRInstance
-from repro.fading.success import success_probability, success_probability_conditional
+from repro.fading.success import Theorem1Kernel, success_probability
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive, check_probability_vector
 
@@ -57,14 +57,6 @@ def expected_capacity(instance: SINRInstance, q, beta: float) -> float:
     return float(success_probability(instance, q, beta).sum())
 
 
-def _weights(instance: SINRInstance, beta: float) -> np.ndarray:
-    """``w[j, i] = β S̄(j,i) / (β S̄(j,i) + S̄(i,i))`` with zero diagonal."""
-    t = beta * instance.gains
-    w = t / (t + instance.signal[None, :])
-    np.fill_diagonal(w, 0.0)
-    return w
-
-
 def expected_capacity_gradient(instance: SINRInstance, q, beta: float) -> np.ndarray:
     """Closed-form gradient ``∇F(q)`` (see module docstring).
 
@@ -73,8 +65,9 @@ def expected_capacity_gradient(instance: SINRInstance, q, beta: float) -> np.nda
     """
     check_positive(beta, "beta")
     qv = check_probability_vector(q, instance.n)
-    w = _weights(instance, beta)
-    cond = success_probability_conditional(instance, qv, beta)  # C_i(q)
+    kernel = Theorem1Kernel(instance, beta)
+    w = kernel.weights
+    cond = kernel.conditional(qv)  # C_i(q)
     # ratio[k, i] = w[k, i] / (1 - q_k w[k, i]); the diagonal is zero.
     ratio = w / (1.0 - qv[:, None] * w)
     penalty = ratio @ (qv * cond)  # Σ_i q_i C_i w_ki/(1 - q_k w_ki)

@@ -17,7 +17,8 @@ costs ``B·k·n`` instead of ``B·n²``.
 Two product engines are provided:
 
 * a ``scipy.sparse`` CSR product when SciPy is importable (the fast
-  path: one C-loop sparse matmul);
+  path: one C-loop sparse matmul; SciPy loads on the first build, so
+  dense runs never import it);
 * a chunked gather-``einsum`` fallback in pure NumPy.
 
 Both are deterministic (fixed summation order for a fixed matrix), so
@@ -32,11 +33,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs import metrics as _metrics
-
-try:  # SciPy is an optional accelerator, never a requirement.
-    from scipy import sparse as _sp
-except ImportError:  # pragma: no cover - exercised via the forced fallback test
-    _sp = None
 
 __all__ = ["TopKGains", "topk_indices"]
 
@@ -119,7 +115,7 @@ class TopKGains:
         )
         self._csr = None
         self._csr_perm: "np.ndarray | None" = None
-        if use_scipy and _sp is not None:
+        if use_scipy:
             self._build_csr()
 
     @classmethod
@@ -164,9 +160,17 @@ class TopKGains:
         """CSR form of the sparse matrix, plus the permutation that maps
         a row-major ``(rows, n)`` value table onto the CSR data slots —
         so per-block value swaps (:meth:`gather_matmul`) never re-sort.
+
+        SciPy is imported here, on the first build, rather than with the
+        package: it is an optional accelerator that only top-k runs use.
+        Without it the operator keeps the einsum fallback.
         """
+        try:
+            from scipy import sparse
+        except ImportError:
+            return
         nnz = self.indices.size
-        order = _sp.coo_array(
+        order = sparse.coo_array(
             (
                 np.arange(nnz, dtype=np.float64),
                 (self.indices.ravel(), self._cols.ravel()),

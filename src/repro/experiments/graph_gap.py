@@ -17,6 +17,8 @@ is needed.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.analysis.graphs import conflict_graph, graph_model_gap
 from repro.core.network import Network
 from repro.core.power import UniformPower
@@ -72,7 +74,7 @@ def run_graph_gap(
                     num_samples=num_samples,
                 )
             )
-            edge_counts.append(conflict_graph(inst, pp.beta).number_of_edges())
+            edge_counts.append(int(np.triu(conflict_graph(inst, pp.beta), 1).sum()))
         density = num_links / area**2 * 1e6
         mean_gap = sum(gap_vals) / len(gap_vals)
         gaps.append(mean_gap)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.channel.spec import make_channel
 from repro.engine.registry import register, scaled_config
 from repro.experiments.config import Figure1Config
 from repro.experiments.runner import ExperimentResult
@@ -74,16 +75,22 @@ def run_latency_compare(
                 ).latency
             )
         )
+        # One faded channel (and Theorem-1 kernel) per network, shared by
+        # all its runs; reset() restarts a block channel's coherence clock
+        # as a freshly built channel would.
+        ch = make_channel(fad, inst, beta)
         rm_r, al_r, dc_r = [], [], []
         for t in range(rayleigh_trials):
+            ch.reset()
             rm_r.append(
                 repeated_max_latency(
                     inst,
                     beta,
-                    channel=fad,
+                    channel=ch,
                     rng=factory.stream("lat-rm-ray", net_idx, t),
                 ).latency
             )
+            ch.reset()
             # The auto probability depends only on (instance, β): reuse the
             # non-fading run's instead of re-peeling it every trial.
             al_r.append(
@@ -92,15 +99,16 @@ def run_latency_compare(
                     beta,
                     factory.stream("lat-aloha-ray", net_idx, t),
                     q=al_nf.q_used,
-                    channel=fad,
+                    channel=ch,
                 ).latency
             )
+            ch.reset()
             dc_r.append(
                 decay_latency(
                     inst,
                     beta,
                     factory.stream("lat-decay-ray", net_idx, t),
-                    channel=fad,
+                    channel=ch,
                 ).latency
             )
         lat[key_rm].append(float(np.mean(rm_r)))

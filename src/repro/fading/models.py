@@ -85,7 +85,7 @@ class RayleighFading(FadingModel):
 
     def sample(self, means, rng, size=None):
         shape = means.shape if size is None else (int(size), *means.shape)
-        return rng.exponential(1.0, size=shape) * means
+        return rng.standard_exponential(shape) * means
 
     @property
     def name(self) -> str:

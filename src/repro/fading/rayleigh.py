@@ -66,7 +66,7 @@ def sample_fading_gains(instance: SINRInstance, rng=None, size: "int | None" = N
     shape = instance.gains.shape if size is None else (int(size), *instance.gains.shape)
     # Exponential with per-entry scale: scale · Exp(1).  A zero scale gives
     # a zero draw, which is the correct degenerate channel.
-    return gen.exponential(1.0, size=shape) * instance.gains
+    return gen.standard_exponential(shape) * instance.gains
 
 
 def _sinr_from_draws(draws: np.ndarray, active: np.ndarray, noise: float) -> np.ndarray:

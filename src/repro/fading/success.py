@@ -17,7 +17,10 @@ The per-factor form we evaluate is the algebraically identical
     1 - q_j \\frac{\\beta \\bar S(j,i)}{\\beta \\bar S(j,i) + \\bar S(i,i)},
 
 which stays well-defined when ``S̄(j, i) = 0`` (the factor is then 1 —
-a silent channel never hurts).
+a silent channel never hurts).  Where ``β S̄(j,i) + S̄(i,i)`` overflows
+(finite gains at an extreme ``β``), the weight is evaluated as
+``1 / (1 + (S̄(i,i)/β) / S̄(j,i))`` instead, which never forms the
+overflowing product.
 
 ``β`` may be a per-link vector: Lemma 2 evaluates each link at its own
 achieved non-fading SINR ``γ_i^nf``.
@@ -113,13 +116,31 @@ class Theorem1Kernel:
         """``exp(−β_i ν / S̄(i,i))`` — the Theorem-1 noise factor."""
         return self._noise_term
 
+    def _overflowed(self, den: np.ndarray):
+        """Entries where ``den = β_i S̄(j,i) + S̄(i,i)`` overflowed (finite
+        gains reach that at an extreme ``β``) as ``(j, i, r)``, with
+        ``r = S̄(i,i) / (β_i S̄(j,i))`` formed without the overflowing
+        product; ``None`` when every entry is finite, the common case.
+        Only these entries leave the direct form, so no other byte moves.
+        """
+        if np.isfinite(den).all():
+            return None
+        j, i = np.nonzero(~np.isfinite(den))
+        return j, i, self._signal[i] / self.beta[i] / self.instance.gains[j, i]
+
     @property
     def weights(self) -> np.ndarray:
         """``w[j, i] = t / (t + S̄(i,i))`` with ``t = β_i S̄(j,i)``; diag 0."""
         if self._weights is None:
             _metrics.add("theorem1.cache_misses")
-            t = self.beta[None, :] * self.instance.gains
-            w = t / (t + self._signal[None, :])
+            with np.errstate(over="ignore", invalid="ignore"):
+                t = self.beta[None, :] * self.instance.gains
+                den = t + self._signal[None, :]
+                w = t / den
+            big = self._overflowed(den)
+            if big is not None:
+                j, i, ratio = big
+                w[j, i] = 1.0 / (1.0 + ratio)
             np.fill_diagonal(w, 0.0)
             w.setflags(write=False)
             self._weights = w
@@ -132,8 +153,18 @@ class Theorem1Kernel:
         """``log(S̄(i,i)) − log(β_i S̄(j,i) + S̄(i,i))`` per (j, i); diag 0."""
         if self._log_factors is None:
             _metrics.add("theorem1.cache_misses")
-            t = self.beta[None, :] * self.instance.gains
-            lf = np.log(self._signal[None, :]) - np.log(t + self._signal[None, :])
+            with np.errstate(over="ignore"):
+                den = self.beta[None, :] * self.instance.gains + self._signal[None, :]
+            lf = np.log(self._signal[None, :]) - np.log(den)
+            big = self._overflowed(den)
+            if big is not None:
+                j, i, ratio = big
+                lf[j, i] = (
+                    np.log(self._signal[i])
+                    - np.log(self.beta[i])
+                    - np.log(self.instance.gains[j, i])
+                    - np.log1p(ratio)
+                )
             np.fill_diagonal(lf, 0.0)
             lf.setflags(write=False)
             self._log_factors = lf

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from repro.core.network import Network
+from repro.core.power import UniformPower
 from repro.core.sinr import SINRInstance
+from repro.fading.models import RayleighFading
 from repro.fading.rayleigh import (
     sample_fading_gains,
     simulate_sinr,
@@ -14,6 +17,7 @@ from repro.fading.rayleigh import (
     simulate_slots_bernoulli,
 )
 from repro.fading.success import success_probability
+from repro.geometry.placement import paper_random_network
 
 
 class TestSampling:
@@ -38,6 +42,20 @@ class TestSampling:
         inst = SINRInstance(np.array([[1.0, 0.0], [0.0, 1.0]]), noise=0.0)
         draws = sample_fading_gains(inst, rng=3, size=100)
         assert np.all(draws[:, 0, 1] == 0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2012])
+    @pytest.mark.parametrize("size", [None, 1, 4, 64])
+    def test_same_bytes_as_scaled_exponential(self, seed, size):
+        """The draws are ``Exp(1)`` scaled by the means, byte for byte
+        what ``exponential(1.0, size=shape) * means`` gives."""
+        s, r = paper_random_network(60, rng=seed)
+        inst = SINRInstance.from_network(Network(s, r), UniformPower(2.0), 2.2, 4e-7)
+        shape = inst.gains.shape if size is None else (size, *inst.gains.shape)
+        old = np.random.default_rng(seed).exponential(1.0, size=shape) * inst.gains
+        new = sample_fading_gains(inst, rng=np.random.default_rng(seed), size=size)
+        assert new.tobytes() == old.tobytes()
+        model = RayleighFading().sample(inst.gains, np.random.default_rng(seed), size)
+        assert model.tobytes() == old.tobytes()
 
     def test_independent_across_slots(self):
         inst = SINRInstance(np.array([[1.0]]), noise=0.0)

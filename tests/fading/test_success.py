@@ -155,3 +155,66 @@ class TestBatch:
     def test_q_validation(self, two_link_instance):
         with pytest.raises(ValueError):
             success_probability(two_link_instance, [0.5, 1.5], 1.0)
+
+
+class TestOverflowSafeFactor:
+    """``β·S̄ji`` can overflow on finite gains; the factor must not turn
+    into ``inf/inf = NaN`` there (link 1 below hears sender 0 at 1e300)."""
+
+    BETA = 1e12
+
+    @pytest.fixture
+    def inst(self):
+        return SINRInstance(np.array([[1.0, 1e300], [0.1, 1.0]]), noise=0.0)
+
+    def test_success_probability(self, inst):
+        both = success_probability(inst, np.array([1.0, 1.0]), self.BETA)
+        assert both[0] == pytest.approx(1.0 / (1e11 + 1.0), rel=1e-12)
+        assert both[1] == 0.0
+        # Sender 0 silent: link 1 has no interferer and no noise.
+        np.testing.assert_array_equal(
+            success_probability(inst, np.array([0.0, 1.0]), self.BETA), [0.0, 1.0]
+        )
+
+    def test_rayleigh_channel(self, inst):
+        from repro.channel.rayleigh import RayleighChannel
+
+        ch = RayleighChannel(inst, self.BETA)
+        both = ch.success_probability(np.array([1.0, 1.0]))
+        assert both[0] == pytest.approx(1.0 / (1e11 + 1.0), rel=1e-12)
+        assert both[1] == 0.0
+        np.testing.assert_array_equal(
+            ch.success_probability(np.array([0.0, 1.0])), [0.0, 1.0]
+        )
+
+    def test_conditional_batch(self, inst):
+        from repro.fading.success import Theorem1Kernel
+
+        kernel = Theorem1Kernel(inst, self.BETA)
+        out = kernel.conditional_batch(np.array([[0, 1], [0, 0], [1, 1]]))
+        assert np.all(np.isfinite(out))
+        np.testing.assert_array_equal(out[:2, 1], [1.0, 1.0])
+        assert out[2, 1] < 1e-300
+        assert np.all(np.isfinite(kernel.log_factors))
+
+    def test_expected_capacity_gradient(self, inst):
+        from repro.analysis.rayleigh_optimum import expected_capacity_gradient
+
+        grad = expected_capacity_gradient(inst, np.array([0.5, 0.5]), self.BETA)
+        # F = q0 (1 - q1 a) + q1 (1 - q0) with a = w[1, 0]; w[0, 1] = 1.
+        a = 1e11 / (1e11 + 1.0)
+        np.testing.assert_allclose(grad, [0.5 * (1 - a)] * 2, rtol=1e-6)
+
+    def test_finite_entries_keep_direct_form(self):
+        """Only overflowing entries take the rewritten form."""
+        from repro.fading.success import Theorem1Kernel
+
+        inst = random_instance(7)
+        kernel = Theorem1Kernel(inst, 2.5)
+        t = 2.5 * inst.gains
+        w = t / (t + inst.signal[None, :])
+        np.fill_diagonal(w, 0.0)
+        lf = np.log(inst.signal[None, :]) - np.log(t + inst.signal[None, :])
+        np.fill_diagonal(lf, 0.0)
+        assert kernel.weights.tobytes() == w.tobytes()
+        assert kernel.log_factors.tobytes() == lf.tobytes()

@@ -4,9 +4,13 @@ The bench harness is a script, not a package module, so it is loaded by
 file path.  These tests pin the ``--check`` floor semantics: a measured
 speedup below its per-kernel floor (default 1.0 — a fast path must not
 lose to its reference) is a failure, and only kernels explicitly
-annotated ``floor: None`` in ``KERNEL_EXPECTATIONS`` are exempt.
+annotated ``floor: None`` in ``KERNEL_EXPECTATIONS`` are exempt.  The
+telemetry gate (``benchmarks/bench_obs.py``) is pinned on a fake clock:
+interleaved off/on pairs cancel host drift, yet still catch a 6%
+overhead against the 5% budget.
 """
 
+import contextlib
 import importlib.util
 from pathlib import Path
 
@@ -61,3 +65,84 @@ def test_enforced_latency_floors_present(run_all):
     assert run_all.KERNEL_EXPECTATIONS["latency_decay_n1000"]["floor"] >= 5.0
     assert run_all.KERNEL_EXPECTATIONS["latency_aloha_n300"]["floor"] >= 3.0
     assert run_all.KERNEL_EXPECTATIONS["latency_decay_n300"]["floor"] >= 3.0
+
+
+# -- telemetry-overhead gate (benchmarks/bench_obs.py) -------------------
+
+_BENCH_OBS = _RUN_ALL.parent / "bench_obs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_obs():
+    spec = importlib.util.spec_from_file_location("bench_obs_gate", _BENCH_OBS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+class _Host:
+    """Fake clock whose work gets ``drift`` slower on every call; work
+    done inside the telemetry scope costs ``overhead`` more."""
+
+    def __init__(self, drift: float, overhead: float = 0.0):
+        self.now, self.cost = 0.0, 0.01
+        self.drift, self.overhead = drift, overhead
+        self.scoped = False
+
+    def clock(self) -> float:
+        return self.now
+
+    def work(self) -> None:
+        self.now += self.cost * (1.0 + self.overhead if self.scoped else 1.0)
+        self.cost *= 1.0 + self.drift
+
+    @contextlib.contextmanager
+    def scope(self):
+        self.scoped = True
+        try:
+            yield
+        finally:
+            self.scoped = False
+
+
+def _gate(bench_obs, entry) -> "list[str]":
+    return bench_obs.check_overhead({"kernel": entry})
+
+
+def test_synthetic_six_percent_overhead_fails(bench_obs):
+    pairs = [(t, t * 1.06) for t in (0.010, 0.011, 0.0105, 0.0098, 0.0102)]
+    entry = bench_obs.overhead_entry(pairs)
+    assert entry["overhead"] == pytest.approx(0.06)
+    assert len(_gate(bench_obs, entry)) == 1
+    assert bench_obs.OVERHEAD_BUDGET == 0.05
+
+
+def test_interleaved_pairs_cancel_host_drift(bench_obs):
+    """No overhead on a host slowing 1.5% per call: the interleaved
+    reading passes, while timing all "off" runs and then all "on" runs
+    on the same host reads about +11% and would have failed."""
+    repeats = 7
+    host = _Host(drift=0.015)
+    pairs = bench_obs.paired_times(host.work, host.scope, repeats, clock=host.clock)
+    assert _gate(bench_obs, bench_obs.overhead_entry(pairs)) == []
+
+    host = _Host(drift=0.015)
+    blocks = []
+    for scoped in (False, True):
+        host.scoped = scoped
+        times = []
+        for _ in range(repeats):
+            start = host.clock()
+            host.work()
+            times.append(host.clock() - start)
+        blocks.append(min(times))
+    off, on = blocks
+    block_entry = {"off_s": off, "on_s": on, "overhead": on / off - 1.0}
+    assert block_entry["overhead"] > 0.05
+    assert len(_gate(bench_obs, block_entry)) == 1
+
+
+def test_interleaved_pairs_still_catch_six_percent_under_drift(bench_obs):
+    host = _Host(drift=0.015, overhead=0.06)
+    pairs = bench_obs.paired_times(host.work, host.scope, 7, clock=host.clock)
+    assert len(_gate(bench_obs, bench_obs.overhead_entry(pairs))) == 1

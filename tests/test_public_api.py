@@ -45,6 +45,17 @@ class TestExports:
             assert not hasattr(repro.backend, name)
             assert name not in repro.backend.__all__
 
+    def test_graph_views_are_arrays(self):
+        """The conflict graph is a boolean matrix, and the networkx-only
+        affectance digraph is gone from every namespace."""
+        import repro.analysis
+
+        for ns in (repro, repro.analysis):
+            assert not hasattr(ns, "affectance_digraph")
+            assert "affectance_digraph" not in ns.__all__
+        inst = repro.SINRInstance(np.full((3, 3), 5.0), noise=0.0)
+        assert repro.conflict_graph(inst, 2.0).dtype == bool
+
 
 class TestDocstringExample:
     def test_quickstart_from_module_docstring(self):
