@@ -75,7 +75,7 @@ for ``--jobs 1``, a local process pool otherwise), ``serial``, ``pool``,
 or ``dispatch``, a multi-host work-stealing file queue under
 ``--runs-root`` served by ``repro worker <runs-root>`` processes (on
 this host or on any host mounting the same directory).
-``--dispatch-workers N`` spawns N local workers for single-host use;
+``--dispatch-workers N`` forks N local workers for single-host use;
 ``--lease-timeout`` bounds how long a silent worker holds a task before
 it is re-issued.  Result bytes are identical on every backend at every
 worker count.
@@ -662,9 +662,9 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--dispatch-workers", type=int, default=0, metavar="N",
-        help="with --executor dispatch: also spawn N local worker "
-        "processes for the duration of the run (default 0 = rely on "
-        "externally started 'repro worker' processes)",
+        help="with --executor dispatch: also fork N local worker "
+        "processes from this one for the duration of the run (default 0 "
+        "= rely on externally started 'repro worker' processes)",
     )
     parser.add_argument(
         "--dispatch-chunk", type=int, default=None, metavar="K",

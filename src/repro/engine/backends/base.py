@@ -19,7 +19,10 @@ lives here:
   state a worker process must install before running tasks (context,
   guard mode, chaos plan, metrics switch, array-backend config), used
   by both the process pool's initializer and the multi-host dispatch
-  workers.
+  workers;
+* :func:`shed_parent_state` — what a *forked* worker (pool or local
+  dispatch) drops first: the telemetry sinks and profiler hook it
+  inherited from the dispatching process.
 
 The determinism contract is enforced by this split: task randomness
 rides on the tasks (spawned seeds), shared state ships via the bundle,
@@ -39,6 +42,7 @@ from repro.engine import chaos, guards
 from repro.engine.faults import RetryPolicy, RunReport, TaskFailure
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
+from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,6 +60,7 @@ __all__ = [
     "set_worker_name",
     "settle_failure",
     "settle_success",
+    "shed_parent_state",
     "worker_bundle",
 ]
 
@@ -137,14 +142,33 @@ def install_worker_bundle(bundle: tuple) -> None:
     chaos.install(None if chaos_doc is None else chaos.ChaosPlan.from_dict(chaos_doc))
     obs_metrics.set_collection(metrics_on)
     array_backend.set_config(array_backend.BackendConfig.from_dict(backend_doc))
-    # A forked pool worker inherits the parent's TraceWriter (and its
-    # file descriptor) — drop it: workers must *buffer* spans for the
-    # dispatcher to stitch, never write the trace file themselves, or
-    # their forked id counters would collide with the parent's.
-    obs_trace.install_tracer(None)
     obs_trace.set_span_collection(trace_on)
     if events_dir is not None:
         obs_events.ensure_bus(events_dir, role="worker")
+
+
+def shed_parent_state() -> None:
+    """Drop what a forked worker inherited from the dispatching process,
+    so it starts in the state a freshly started ``repro worker`` has.
+
+    * the event bus: its writes would land in the parent's file under
+      the parent's identity;
+    * the trace writer: workers *buffer* spans for the dispatcher to
+      stitch, and a forked id counter writing the trace file itself
+      would collide with the parent's span ids;
+    * the metrics sink: worker metrics travel on task envelopes;
+    * the profiler hook of the stage the fork happened in (``--profile``),
+      which would otherwise time every task under cProfile and never be
+      dumped.
+
+    Called first thing by the pool initializer and by every forked local
+    dispatch worker; :func:`install_worker_bundle` then installs what
+    the worker should share with the dispatcher.
+    """
+    obs_events.install(None)
+    obs_trace.install_tracer(None)
+    obs_metrics.install(None)
+    obs_profile.shed()
 
 
 @dataclass

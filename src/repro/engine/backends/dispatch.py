@@ -44,6 +44,16 @@ stopped moving — into lifecycle events, and publishes whatever the
 lifecycle makes ready (a retry, a re-issue after a lost worker) as a
 singleton unit.  Retry, quarantine and ``on_error`` are decided there.
 
+Single-host runs get their workers from the backend itself
+(``local_workers``, the CLI's ``--dispatch-workers``): processes forked
+from the dispatcher, so they start without a fresh interpreter's
+imports, that serve the runs root exactly as ``repro worker`` does.
+Each writes one byte to a pipe after posting a result envelope, and
+the dispatcher waits on that pipe (at most ``poll`` seconds) instead of
+sleeping, so it settles a result as soon as it lands.  A local worker
+that dies while a stage is open is forked again.  External workers
+still find results by polling; the file protocol is the same for both.
+
 Determinism is inherited, not re-proven: tasks carry their spawned
 seeds, workers install the dispatcher's exact bundle before executing,
 result envelopes are settled strictly in task order, and retry /
@@ -55,12 +65,13 @@ worker deaths) produces result bytes identical to ``--executor serial``.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
 import re
+import select
 import shutil
 import socket
-import subprocess
 import sys
 import threading
 import time
@@ -76,6 +87,7 @@ from repro.engine.backends.base import (
     install_worker_bundle,
     record_event,
     set_worker_name,
+    shed_parent_state,
     worker_bundle,
 )
 from repro.engine.backends.lifecycle import StageRun
@@ -110,6 +122,11 @@ _MANIFEST_VERSION = 1
 #: Seconds without any claim before the dispatcher reminds the user
 #: that dispatch needs ``repro worker`` processes.
 _NO_WORKER_HINT_AFTER = 10.0
+
+#: Restart bound of a local worker slot: once this many workers in a
+#: row on one slot have exited without claiming a work unit, the slot
+#: stays empty, so a worker that dies on start-up cannot fork in a loop.
+_BARREN_EXITS = 3
 
 _TASK_FILE = re.compile(r"^task-(\d{6})-a(\d+)\.pkl$")
 _SAFE = re.compile(r"[^-._A-Za-z0-9]")
@@ -162,15 +179,18 @@ class DispatchBackend(ExecutionBackend):
         The shared runs root (workers join with ``repro worker ROOT``).
         Defaults to ``$REPRO_DISPATCH_ROOT`` or ``.repro-runs``.
     local_workers:
-        Convenience: spawn this many local ``repro worker`` processes
-        the first time a queue opens (killed again by :meth:`close`).
-        Zero (the default) relies on externally started workers.
+        Convenience: fork this many local workers the first time a queue
+        opens (stopped again by :meth:`close`, and never outliving this
+        process).  A local worker that dies while a stage is open is
+        forked again, up to the ``_BARREN_EXITS`` bound.  Zero (the
+        default) relies on externally started workers.
     lease_timeout:
         Seconds a claimed unit's lease may go without a heartbeat before
         its worker is declared lost and the unit's unfinished tasks are
         re-issued.
     poll:
-        Dispatcher poll interval in seconds.
+        Dispatcher poll interval in seconds (local workers wake the
+        dispatcher before it runs out).
     chunk:
         Tasks per claimed work unit.  ``None`` (the default) auto-sizes
         to ``num_tasks // (4 · workers)`` clamped into ``[1, 16]`` — a
@@ -204,8 +224,7 @@ class DispatchBackend(ExecutionBackend):
         self.poll = float(poll)
         self.chunk = None if chunk is None else int(chunk)
         self._seq = 0
-        self._procs: "list[subprocess.Popen]" = []
-        self._spawned = False
+        self._fleet: "_LocalFleet | None" = None
 
     def _resolve_chunk(self, num_tasks: int) -> int:
         """Tasks per work unit: the explicit setting, or auto-sized so
@@ -285,43 +304,11 @@ class DispatchBackend(ExecutionBackend):
         shutil.rmtree(qdir, ignore_errors=True)
         obs_events.emit("queue-closed", queue=qdir.name)
 
-    # -- local convenience workers ----------------------------------------
-
-    def _ensure_workers(self) -> None:
-        if self.local_workers <= 0 or self._spawned:
-            return
-        self._spawned = True
-        pkg_root = str(Path(__file__).resolve().parents[3])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (pkg_root, env.get("PYTHONPATH")) if p
-        )
-        for i in range(self.local_workers):
-            self._procs.append(
-                subprocess.Popen(
-                    [
-                        sys.executable, "-m", "repro", "worker", str(self.root),
-                        "--poll", "0.02", "--max-idle", "600",
-                        "--name", f"local-{os.getpid()}-{i}",
-                    ],
-                    env=env,
-                    stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL,
-                )
-            )
-
     def close(self) -> None:
-        """Terminate any locally spawned workers."""
-        for proc in self._procs:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in self._procs:
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-        self._procs.clear()
-        self._spawned = False
+        """Stop any local workers."""
+        if self._fleet is not None:
+            self._fleet.close()
+            self._fleet = None
 
     # -- the dispatch loop -------------------------------------------------
 
@@ -354,7 +341,9 @@ class DispatchBackend(ExecutionBackend):
             for idx in members:
                 run.issue(idx)
             queue.add_unit(members, 1)
-        self._ensure_workers()
+        if self.local_workers > 0 and self._fleet is None:
+            self._fleet = _LocalFleet(self.root, self.local_workers)
+        fleet = self._fleet
         pulse = obs_events.Heartbeat(
             "dispatcher", period=min(2.0, max(0.5, self.lease_timeout / 4.0))
         )
@@ -369,23 +358,27 @@ class DispatchBackend(ExecutionBackend):
                     inflight=sum(u.claimed_at is not None for u in queue.units.values()),
                 )
                 queue.harvest()
+                if fleet is not None:
+                    fleet.revive(queue)
                 queue.watch(now)
                 degraded = queue.issue_due()
-                if degraded is not None:
+                if degraded is not None or run.done:
                     break
-                if (
-                    not hinted
-                    and not queue.claimed_any
-                    and not run.done
-                    and now - started > _NO_WORKER_HINT_AFTER
-                ):
+                why = None
+                if fleet is not None and fleet.exhausted():
+                    why = "every local worker exited at its restart bound"
+                elif not queue.claimed_any and now - started > _NO_WORKER_HINT_AFTER:
+                    why = "no worker has claimed a task yet"
+                if why is not None and not hinted:
                     hinted = True
                     print(
-                        f"dispatch: no worker has claimed a task yet; start "
-                        f"workers with: repro worker {self.root}",
+                        f"dispatch: {why}; start workers with: "
+                        f"repro worker {self.root}",
                         file=sys.stderr,
                     )
-                if not run.done:
+                if fleet is not None:
+                    fleet.wait(self.poll)
+                else:
                     time.sleep(self.poll)
         finally:
             self._close_queue(qdir)
@@ -438,6 +431,8 @@ class _QueueRun:
         self.units: "dict[int, _Unit]" = {}
         self.head_of: "dict[int, int]" = {}
         self.claimed_any = False
+        #: Workers that posted a result envelope to this queue.
+        self.posted_by: "set[str]" = set()
 
     def add_unit(self, members: "list[int]", attempt: int) -> None:
         self.units[members[0]] = _Unit(list(members), attempt, len(members))
@@ -491,6 +486,7 @@ class _QueueRun:
                 pass
             if doc is None:
                 continue
+            self.posted_by.add(doc.get("worker"))
             if doc.get("ok"):
                 accepted = self.run.succeeded(idx, attempt, doc["outcome"])
             else:
@@ -531,6 +527,13 @@ class _QueueRun:
                 self._timed_out(head, timeout * unit.size)
             elif now - last_sign > self.backend.lease_timeout:
                 self._lost(head)
+
+    def leased_to(self, worker: str) -> bool:
+        """Whether ``worker`` holds the lease of a unit still in flight."""
+        return any(
+            (self.ledger.load(head) or {}).get("worker") == worker
+            for head in self.units
+        )
 
     def _timed_out(self, head: int, budget: float) -> None:
         unit = self._clear(head)
@@ -591,9 +594,130 @@ class _QueueRun:
         return None
 
 
+class _LocalFleet:
+    """A backend's ``local_workers``: processes forked from the
+    dispatcher (``daemon=True``, so none outlives it) that serve its
+    runs root, each in a numbered *slot*, and the pipe through which
+    they wake it after posting a result envelope.
+
+    Forking skips a fresh interpreter's imports.  It is safe here
+    although a monitored dispatcher runs a metrics-snapshot thread: a
+    forked worker drops the registry that thread renders and never
+    writes the snapshot file, so it takes no lock that thread may hold.
+    """
+
+    def __init__(self, root: Path, size: int):
+        self.root = root
+        self._fork = multiprocessing.get_context("fork")
+        self.wake_r, self.wake_w = os.pipe()
+        os.set_blocking(self.wake_r, False)
+        os.set_blocking(self.wake_w, False)
+        #: Workers started per slot, and exits in a row without a claim.
+        self.starts = [0] * size
+        self.barren = [0] * size
+        self.procs = [self._start(slot) for slot in range(size)]
+
+    def _start(self, slot: int) -> "multiprocessing.process.BaseProcess":
+        nth = self.starts[slot]
+        self.starts[slot] += 1
+        name = f"local-{os.getpid()}-{slot}" + (f".{nth}" if nth else "")
+        proc = self._fork.Process(
+            target=_local_worker,
+            args=(str(self.root), name, self.wake_r, self.wake_w),
+            name=name,
+            daemon=True,
+        )
+        proc.start()
+        return proc
+
+    def revive(self, queue: "_QueueRun") -> None:
+        """Fork a new worker into every slot whose worker has exited,
+        unless the slot reached its :data:`_BARREN_EXITS` bound.
+
+        A worker that exits 0 has idled for its ``max_idle`` (600 s)
+        between stages, and one that posted to this queue or holds a
+        lease in it had claimed work; neither counts towards the bound.
+        """
+        for slot, proc in enumerate(self.procs):
+            if self.barren[slot] >= _BARREN_EXITS or proc.is_alive():
+                continue
+            if (
+                proc.exitcode == 0
+                or proc.name in queue.posted_by
+                or queue.leased_to(proc.name)
+            ):
+                self.barren[slot] = 0
+            else:
+                self.barren[slot] += 1
+                if self.barren[slot] >= _BARREN_EXITS:
+                    continue
+            self.procs[slot] = self._start(slot)
+            obs_metrics.add("executor.dispatch.worker_restarts")
+            obs_events.emit(
+                "worker-restart",
+                stage=queue.state.stage,
+                worker=self.procs[slot].name,
+                replaces=proc.name,
+                exitcode=proc.exitcode,
+            )
+            proc.close()
+
+    def exhausted(self) -> bool:
+        """Whether every slot is empty for good."""
+        return all(b >= _BARREN_EXITS for b in self.barren)
+
+    def wait(self, timeout: float) -> None:
+        """Block until a worker posts a result or exits, or ``timeout``
+        seconds pass; then drain the pipe."""
+        watched = [self.wake_r] + [
+            proc.sentinel
+            for slot, proc in enumerate(self.procs)
+            if self.barren[slot] < _BARREN_EXITS
+        ]
+        if select.select(watched, [], [], timeout)[0]:
+            try:
+                while os.read(self.wake_r, 4096):
+                    pass
+            except BlockingIOError:
+                pass
+
+    def close(self) -> None:
+        for proc in self.procs:
+            if proc.is_alive():
+                proc.terminate()
+        for proc in self.procs:
+            proc.join(timeout=5)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+            proc.close()
+        os.close(self.wake_r)
+        os.close(self.wake_w)
+
+
 # ---------------------------------------------------------------------------
-# Worker side (``repro worker <runs-root>``).
+# Worker side (``repro worker <runs-root>``, or forked local workers).
 # ---------------------------------------------------------------------------
+
+#: Write end of the dispatcher's wake pipe in a forked local worker;
+#: ``None`` in a ``repro worker`` process, whose dispatcher polls.
+_WAKE_FD: "int | None" = None
+
+
+def _local_worker(root: str, name: str, wake_r: int, wake_w: int) -> None:
+    """Body of a forked local worker: shed the dispatcher's state, send
+    output to /dev/null, and serve ``root`` as ``repro worker ROOT
+    --name NAME --poll 0.02 --max-idle 600`` does, waking the
+    dispatcher after each result envelope it posts."""
+    global _WAKE_FD
+    shed_parent_state()
+    os.close(wake_r)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.dup2(devnull, 2)
+    sys.stdout = sys.stderr = open(devnull, "w", encoding="utf-8")
+    _WAKE_FD = wake_w
+    worker_loop(root, name=name, poll=0.02, max_idle=600)
 
 
 def _scan_queues(root: Path) -> "list[Path]":
@@ -656,12 +780,18 @@ def _envelope(worker: str, attempt: int, outcome: Any = None,
 
 
 def _post(qdir: Path, stage: str, index: int, attempt: int, payload: bytes) -> None:
-    """Stream one result envelope back to the dispatcher."""
+    """Stream one result envelope back to the dispatcher (and wake it,
+    when it forked this worker)."""
     try:
         chaos.on_write("dispatch.result", stage, index)
         atomic_write_bytes(qdir / "results" / _task_name(index, attempt), payload)
     except OSError:
-        pass  # queue closed under us; the attempt was re-issued
+        return  # queue closed under us; the attempt was re-issued
+    if _WAKE_FD is not None:
+        try:
+            os.write(_WAKE_FD, b"\0")
+        except OSError:
+            pass  # the pipe is full (a wake is pending) or the dispatcher is gone
 
 
 def _run_claimed(qdir: Path, fn, stage: str, worker: str, heartbeat: float,
@@ -755,11 +885,12 @@ def worker_loop(
 ) -> int:
     """Serve dispatch queues under ``root`` until told to stop.
 
-    The body of ``repro worker``: scan for open queues, steal tasks,
-    execute them under the dispatcher's shipped bundle, and stream
-    envelopes back.  Exits 0 after ``max_idle`` seconds with nothing to
-    do (``None`` = serve forever).  Chaos ``worker-lost`` faults may
-    kill this process hard — that is the point of them.
+    The body of ``repro worker`` and of the backend's forked local
+    workers: scan for open queues, steal tasks, execute them under the
+    dispatcher's shipped bundle, and stream envelopes back.  Exits 0
+    after ``max_idle`` seconds with nothing to do (``None`` = serve
+    forever).  Chaos ``worker-lost`` faults may kill this process hard —
+    that is the point of them.
 
     When the runs root has an ``events/`` directory (a monitored run is
     or was live), the worker joins the event bus: a ``worker-start``

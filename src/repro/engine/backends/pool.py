@@ -42,6 +42,7 @@ from repro.engine.backends.base import (
     install_worker_bundle,
     record_event,
     set_worker_name,
+    shed_parent_state,
     worker_bundle,
 )
 from repro.engine.backends.lifecycle import StageRun
@@ -55,8 +56,10 @@ __all__ = ["ProcessPoolBackend"]
 
 
 def _init_worker(bundle: tuple) -> None:
-    """Pool initializer: install the shared worker bundle and declare
-    this process's identity for task spans."""
+    """Pool initializer: shed the state a forked worker inherits,
+    install the shared worker bundle, and declare this process's
+    identity for task spans."""
+    shed_parent_state()
     install_worker_bundle(bundle)
     set_worker_name(f"pool-{os.getpid()}")
 

@@ -7,7 +7,9 @@ every recovery path of the engine exercisable on demand.  A
 * ``kind="raise"`` — the task function raises :class:`ChaosError`;
 * ``kind="exit"`` — the worker process dies hard (``os._exit``),
   breaking the process pool (in the main process this downgrades to a
-  :class:`ChaosError` so a serial fallback never kills the run itself);
+  :class:`ChaosError` so a serial fallback never kills the run itself,
+  and so it does in a declared dispatch worker, however it was started:
+  there the fault is a task error that a retry absorbs);
 * ``kind="hang"`` — the task sleeps past any reasonable wall-clock
   budget, exercising the executor's timeout path;
 * ``kind="worker-lost"`` — the process dies hard *while holding a task
@@ -436,12 +438,16 @@ def _fire_task_fault(kind: str, stage: str, index: int,
         time.sleep(hang_seconds)
         return
     if kind == "exit":
-        if multiprocessing.parent_process() is None:
+        if _WORKER_PROCESS or multiprocessing.parent_process() is None:
             # Hard-killing the main process would take the harness
-            # down with the fault; degrade to an ordinary crash.
+            # down with the fault; degrade to an ordinary crash.  A
+            # dispatch worker gets the same treatment whether it runs
+            # as its own process or was forked by the dispatcher:
+            # ``worker-lost`` is the fault that kills it.
+            where = "a dispatch worker" if _WORKER_PROCESS else "the main process"
             raise ChaosError(
                 f"injected worker death in task {index} (stage {stage!r}) "
-                "downgraded to an exception in the main process"
+                f"downgraded to an exception in {where}"
             )
         os._exit(43)
     if kind == "worker-lost":

@@ -207,10 +207,11 @@ def ensure_bus(directory, role: str = "proc") -> EventBus:
     ``worker_loop``) keeps it; a pool worker gets a fresh one keyed by
     its pid.  Re-installing for the same directory is a no-op, so one
     worker serving many queues of one run keeps appending to one file.
-    The pid check unmasks *fork inheritance*: a forked pool worker
-    arrives with the parent's bus installed, and writing through it
-    would interleave two processes into one file under one identity —
-    such a bus is replaced, never reused.
+    The pid check unmasks *fork inheritance*: a bus installed by
+    another process (a forked worker that did not shed it) would
+    interleave two processes into one file under one identity — such
+    a bus is replaced, never reused.  Pool and local dispatch workers
+    drop theirs first (:func:`~repro.engine.backends.base.shed_parent_state`).
     """
     global _BUS
     directory = Path(directory)

@@ -8,9 +8,13 @@ with :mod:`pstats` or any flamegraph tool that reads pstats files.
 
 With ``--jobs >= 2`` the dump shows the main process's share of the
 stage (task dispatch, unpickling, aggregation); the worker-side cost is
-what the metrics counters and task spans account for.  cProfile cannot
-nest, so an inner stage opened while an outer one is being profiled is
-timed (its span is unaffected) but not separately profiled.
+what the metrics counters and task spans account for.  Workers forked
+inside a profiled stage (pool workers, local dispatch workers) inherit
+the hook, so they drop it with :func:`shed` before running any task:
+their task spans then time the tasks, not the tasks plus cProfile.
+cProfile cannot nest, so an inner stage opened while an outer one is
+being profiled is timed (its span is unaffected) but not separately
+profiled.
 
 Profiling observes the interpreter only — it draws no randomness and
 never touches results, so ``--profile`` preserves result bytes like the
@@ -24,10 +28,11 @@ import re
 from contextlib import contextmanager
 from pathlib import Path
 
-__all__ = ["install_profile_dir", "maybe_profile", "profile_dumps"]
+__all__ = ["install_profile_dir", "maybe_profile", "profile_dumps", "shed"]
 
 _PROFILE_DIR: "Path | None" = None
-_ACTIVE = False
+#: The profiler of the stage being profiled (``None`` between stages).
+_ACTIVE: "cProfile.Profile | None" = None
 _DUMPED: "list[str]" = []
 
 _UNSAFE = re.compile(r"[^-._A-Za-z0-9]")
@@ -37,7 +42,7 @@ def install_profile_dir(path) -> None:
     """Enable per-stage profiling, dumping into ``path`` (``None`` off)."""
     global _PROFILE_DIR, _ACTIVE
     _PROFILE_DIR = None if path is None else Path(path)
-    _ACTIVE = False
+    _ACTIVE = None
     _DUMPED.clear()
 
 
@@ -52,7 +57,7 @@ def maybe_profile(stage: str):
     is already being profiled; otherwise a no-op."""
     global _ACTIVE
     directory = _PROFILE_DIR
-    if directory is None or _ACTIVE:
+    if directory is None or _ACTIVE is not None:
         yield
         return
     from repro.obs.trace import current_experiment
@@ -60,12 +65,21 @@ def maybe_profile(stage: str):
     scope = current_experiment() or "run"
     name = _UNSAFE.sub("_", f"profile-{scope}-{stage}") + ".pstats"
     profiler = cProfile.Profile()
-    _ACTIVE = True
+    _ACTIVE = profiler
     profiler.enable()
     try:
         yield
     finally:
         profiler.disable()
-        _ACTIVE = False
+        _ACTIVE = None
         profiler.dump_stats(directory / name)
         _DUMPED.append(name)
+
+
+def shed() -> None:
+    """Drop a profile this process inherited through ``fork``: stop the
+    parent stage's profiler (its copy here is never dumped) and forget
+    the profile directory, as a freshly started process has it."""
+    if _ACTIVE is not None:
+        _ACTIVE.disable()
+    install_profile_dir(None)

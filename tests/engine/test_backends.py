@@ -8,6 +8,7 @@ attempt 2 succeeds.
 """
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.engine.faults import (
     execution_scope,
 )
 from repro.obs import metrics as obs_metrics
+from repro.obs import profile as obs_profile
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.01)
 
@@ -46,6 +48,11 @@ def _draw(task: Task) -> float:
 
 def _pid(task: Task) -> int:
     return os.getpid()
+
+
+def _profiled(task: Task) -> bool:
+    """Whether the executing process runs under a profiler hook."""
+    return sys.getprofile() is not None
 
 
 class TestResolveExecutor:
@@ -204,3 +211,24 @@ class TestCrossBackendParity:
             assert counters["executor.retries"] == 1
             assert counters["executor.events.timeout"] == 1
             assert "executor.task_failures" not in counters
+
+
+class TestForkedWorkersShedParentState:
+    def test_profiler_hook_not_inherited_by_workers(self, tmp_path):
+        """Workers forked inside a ``--profile`` stage must not run their
+        tasks under the stage's cProfile hook, and the stage's own dump
+        is still written."""
+        tasks = make_tasks(range(6))
+        backend = _dispatch_backend(tmp_path)
+        obs_profile.install_profile_dir(tmp_path)
+        try:
+            with obs_profile.maybe_profile("probe"):
+                assert sys.getprofile() is not None
+                pooled = map_tasks(_profiled, tasks, jobs=2, executor="pool")
+                dispatched = map_tasks(_profiled, tasks, executor=backend)
+        finally:
+            backend.close()
+            obs_profile.install_profile_dir(None)
+        assert pooled == [False] * 6
+        assert dispatched == [False] * 6
+        assert (tmp_path / "profile-run-probe.pstats").is_file()

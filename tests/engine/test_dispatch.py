@@ -1,9 +1,11 @@
 """Dispatch-backend tests: the file-queue protocol, external ``repro
 worker`` processes, lease heartbeats, and worker-loss recovery.
 
-Workers here are real subprocesses (``python -m repro worker``) or the
-backend's own ``local_workers`` — the same path a multi-host deployment
-uses, minus the network filesystem.
+Workers here are real subprocesses (``python -m repro worker``, the
+entry a second host runs — minus the network filesystem) or the
+backend's own ``local_workers``, which are forked from the dispatcher
+and call ``worker_loop`` directly, so they do not exercise the
+``python -m repro worker`` entry; the external-worker tests do.
 """
 
 import json
@@ -14,12 +16,14 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.engine import chaos
-from repro.engine.backends import DispatchBackend, resolve_executor
+from repro.engine.backends import DispatchBackend, dispatch, resolve_executor
 from repro.engine.backends.dispatch import (
     _parse_task_name,
     _task_name,
@@ -28,6 +32,7 @@ from repro.engine.backends.dispatch import (
 from repro.engine.chaos import ChaosPlan, Fault
 from repro.engine.executor import Task, make_tasks, map_tasks
 from repro.engine.faults import RetryPolicy, is_failure
+from repro.obs import metrics as obs_metrics
 
 @pytest.fixture(autouse=True)
 def _clean_chaos():
@@ -302,3 +307,242 @@ class TestDispatchFaults:
                 rescuer.terminate()
                 rescuer.wait(timeout=10)
         assert out == payloads
+
+
+def _run_with_deadline(seconds: float, call):
+    """Run ``call()`` on a daemon thread and return its outcome, or
+    fail the test when it has not returned within ``seconds`` (a hung
+    dispatcher must fail the suite, never stall it)."""
+    box = {}
+
+    def target():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                box["value"] = call()
+        except BaseException as exc:  # re-raised on the test's thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"dispatch stage still running after {seconds}s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` names a running (not zombie) process."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return True
+    return "\nState:\tZ" not in status
+
+
+class TestLocalWorkers:
+    """The backend's forked local workers: restarted when they die,
+    waking the dispatcher on each result, keeping a dispatch worker's
+    chaos semantics, and never outliving the dispatcher."""
+
+    def test_dead_local_worker_is_restarted(self, tmp_path):
+        # The only local worker dies holding task 0; without a restart
+        # the re-issued task is never claimed and the stage hangs.
+        chaos.install(
+            ChaosPlan(
+                state_dir=str(tmp_path / "chaos"),
+                faults=(Fault(kind="worker-lost", stage="respawn", index=0),),
+            )
+        )
+        registry = obs_metrics.MetricsRegistry()
+        obs_metrics.install(registry)
+        backend = DispatchBackend(
+            tmp_path / "runs", local_workers=1, lease_timeout=0.6, poll=0.02
+        )
+        try:
+            out = _run_with_deadline(30.0, lambda: map_tasks(
+                _double, make_tasks(range(3)), executor=backend,
+                stage="respawn", on_error="retry",
+            ))
+        finally:
+            backend.close()
+            obs_metrics.install(None)
+        assert out == [0, 2, 4]
+        assert registry.counters["executor.dispatch.worker_restarts"] >= 1
+        assert registry.counters["executor.worker_losses"] == 1
+
+    def test_restart_bound_stops_workers_that_die_before_claiming(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(dispatch, "_local_worker", _die_at_once)
+        queue = SimpleNamespace(
+            posted_by=set(), leased_to=lambda worker: False,
+            state=SimpleNamespace(stage="barren"),
+        )
+        fleet = dispatch._LocalFleet(tmp_path / "runs", 2)
+        try:
+            for _ in range(2 * dispatch._BARREN_EXITS):
+                for proc in fleet.procs:
+                    proc.join(timeout=10)
+                fleet.revive(queue)
+            assert fleet.exhausted()
+            assert fleet.starts == [dispatch._BARREN_EXITS] * 2
+        finally:
+            fleet.close()
+
+    def test_idle_exit_does_not_count_towards_the_restart_bound(
+        self, tmp_path, monkeypatch
+    ):
+        # A worker past its max_idle between stages exits 0; the next
+        # stage must get a new one however often that happens.
+        monkeypatch.setattr(dispatch, "_local_worker", _idle_out)
+        queue = SimpleNamespace(
+            posted_by=set(), leased_to=lambda worker: False,
+            state=SimpleNamespace(stage="idle"),
+        )
+        fleet = dispatch._LocalFleet(tmp_path / "runs", 1)
+        try:
+            for _ in range(2 * dispatch._BARREN_EXITS):
+                fleet.procs[0].join(timeout=10)
+                fleet.revive(queue)
+            assert fleet.starts == [2 * dispatch._BARREN_EXITS + 1]
+            assert not fleet.exhausted()
+        finally:
+            fleet.close()
+
+    def test_exit_fault_is_a_task_error_that_a_retry_absorbs(self, tmp_path):
+        # A declared dispatch worker downgrades ``exit`` to an exception
+        # however it was started; only ``worker-lost`` kills it.
+        tasks = make_tasks(range(4), root_seed=3)
+        expected = map_tasks(_double, tasks, executor="serial", stage="clean")
+        chaos.install(
+            ChaosPlan(
+                state_dir=str(tmp_path / "chaos"),
+                faults=(Fault(kind="exit", stage="exit-fault", index=1),),
+            )
+        )
+        registry = obs_metrics.MetricsRegistry()
+        obs_metrics.install(registry)
+        backend = DispatchBackend(tmp_path / "runs", local_workers=2, poll=0.02)
+        try:
+            out = _run_with_deadline(30.0, lambda: map_tasks(
+                _double, tasks, executor=backend, stage="exit-fault",
+                on_error="retry",
+                retry=RetryPolicy(max_attempts=2, base_delay=0.001),
+            ))
+        finally:
+            backend.close()
+            obs_metrics.install(None)
+        assert pickle.dumps(out) == pickle.dumps(expected)
+        assert registry.counters["executor.retries"] == 1
+        assert "executor.worker_losses" not in registry.counters
+        assert "executor.dispatch.worker_restarts" not in registry.counters
+
+    def test_results_wake_the_dispatcher(self, tmp_path):
+        # With a 30-s poll, only the workers' wake-ups can finish the
+        # stage in time.
+        backend = DispatchBackend(tmp_path / "runs", local_workers=2, poll=30.0)
+        try:
+            out = _run_with_deadline(10.0, lambda: map_tasks(
+                _double, make_tasks(range(8)), executor=backend, stage="wake",
+            ))
+        finally:
+            backend.close()
+        assert out == [2 * i for i in range(8)]
+
+    def test_monitored_traced_run_keeps_worker_telemetry_apart(
+        self, tmp_path, capsys
+    ):
+        # The sweeps_campaign flag set: forked workers must not write
+        # through the bus, trace writer or metrics sink they inherit.
+        from repro.cli import main
+
+        plain, out, root = tmp_path / "plain", tmp_path / "out", tmp_path / "root"
+        assert main(["run", "E1", "--out", str(plain)]) == 0
+        assert main([
+            "run", "E1", "--jobs", "2", "--executor", "dispatch",
+            "--dispatch-workers", "2", "--run-id", "iso", "--monitor",
+            "--trace", "--metrics", "--runs-root", str(root), "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        assert (out / "E1.json").read_bytes() == (plain / "E1.json").read_bytes()
+
+        def events(path):
+            return [json.loads(line) for line in path.read_text().splitlines()]
+
+        events_dir = root / "events"
+        run_events = [e for p in events_dir.glob("run-*.jsonl") for e in events(p)]
+        assert run_events
+        assert {e["pid"] for e in run_events} == {os.getpid()}
+        assert not [e for e in run_events if e["kind"] in ("worker-start", "task-start")]
+        worker_files = sorted(events_dir.glob("worker-local-*.jsonl"))
+        assert len(worker_files) == 2
+        worker_pids = set()
+        for path in worker_files:
+            pids = {e["pid"] for e in events(path)}
+            assert len(pids) == 1 and os.getpid() not in pids
+            worker_pids |= pids
+        assert len(worker_pids) == 2
+        spans = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        ids = [sp["id"] for sp in spans]
+        assert len(ids) == len(set(ids))
+        assert any(
+            sp["kind"] == "task" and sp.get("meta", {}).get("worker", "").startswith("local-")
+            for sp in spans
+        )
+
+    def test_no_local_worker_alive_after_close(self, tmp_path):
+        backend = DispatchBackend(tmp_path / "runs", local_workers=2, poll=0.02)
+        try:
+            with pytest.raises(ValueError, match="rejected payload 4"):
+                map_tasks(_boom, make_tasks([4]), executor=backend)
+            pids = [proc.pid for proc in backend._fleet.procs]
+            assert all(_alive(pid) for pid in pids)
+        finally:
+            backend.close()
+        assert not any(_alive(pid) for pid in pids)
+
+    def test_local_workers_do_not_outlive_a_dispatcher_that_raises(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from repro.engine.backends import DispatchBackend\n"
+            "from repro.engine.executor import make_tasks, map_tasks\n"
+            "from tests.engine.test_dispatch import _boom\n"
+            "backend = DispatchBackend(sys.argv[1], local_workers=2, poll=0.02)\n"
+            "try:\n"
+            "    map_tasks(_boom, make_tasks([4]), executor=backend)\n"
+            "finally:\n"
+            "    print(*[p.pid for p in backend._fleet.procs], flush=True)\n"
+        )
+        env = dict(os.environ)
+        repo = Path(__file__).resolve().parents[2]
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "runs")],
+            env=env, cwd=str(repo), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode != 0 and "rejected payload 4" in proc.stderr
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10.0
+        while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(_alive(pid) for pid in pids)
+
+
+def _die_at_once(root, name, wake_r, wake_w) -> None:
+    """A local worker body that exits before claiming anything."""
+    os._exit(3)
+
+
+def _idle_out(root, name, wake_r, wake_w) -> None:
+    """A local worker body that exits as ``worker_loop`` does after
+    ``max_idle`` seconds without work."""
+    os._exit(0)
