@@ -50,7 +50,10 @@ and ``capacity_local_search_n100`` time the capacity admission loops at
 the paper's ``n = 100`` (greedy as repeated maximization calls it,
 local search as E18's lower bound runs it) against the masked loops
 they replaced, which return the same sets.  All four take the default
-floor.
+floor, and so does ``algorithm1_trials_e6_sizes``: 200 Algorithm-1
+trials at each of E6's sizes (n = 20, 50, 100), a product per stage
+against ``simulate_rayleigh_optimum``'s one stacked product per trial,
+with the same patterns and outcomes.
 
 The **executor throughput** entry times one identical sweep end-to-end
 on the process-pool backend (``before_s``) and on the dispatch backend
@@ -109,6 +112,9 @@ from repro.geometry.placement import paper_random_network
 from repro.learning.game import CapacityGame
 from repro.learning.regret import expected_send_rewards, lemma5_quantities
 from repro.learning.rwm import RWMLearner
+from repro.latency.slotloop import iter_slot_blocks, resolve_replay_block
+from repro.transform.simulation import simulate_rayleigh_optimum
+from repro.utils.logstar import b_sequence
 
 BENCH_DIR = Path(__file__).resolve().parent
 SUMMARY_PATH = BENCH_DIR / "BENCH_summary.json"
@@ -126,6 +132,9 @@ BLOCK_SLOTS = 512
 #: q=0.3, 4 repeats) under block fading with coherence 2.
 GAME_N, GAME_ROUNDS, GAME_BETA = 200, 100, 0.5
 STEPS_N, STEPS_NUM, STEPS_L = 60, 500, 2
+
+#: Algorithm-1 trials at E6's network sizes and transmission probability.
+ALG1_NS, ALG1_TRIALS, ALG1_Q = (20, 50, 100), 200, 0.5
 
 #: n-scaling sweep sizes: 10² → 10⁴ (full) and the CI subset (quick).
 SCALING_NS = (100, 300, 1000, 3000, 10000)
@@ -182,6 +191,13 @@ KERNEL_EXPECTATIONS: "dict[str, dict]" = {
         "multi-host scale, not single-host speed (0.8x-1.0x over ten "
         "--quick runs since local workers fork and wake the dispatcher, "
         "0.4x-1.2x and mostly 0.6x-0.8x before)",
+    },
+    "algorithm1_trials_e6_sizes": {
+        "floor": 1.0,
+        "note": "this harness does not apply the CLI's heap policy "
+        "(repro.utils.heap), which every repro run does; at n=100 alone "
+        "the stacked trial read 1.7x-1.9x of the per-stage loop here "
+        "without it and 1.8x-2.0x with it (three runs each)",
     },
     "latency_aloha_n1000": {"floor": 5.0},
     "latency_decay_n1000": {"floor": 5.0},
@@ -316,6 +332,28 @@ def _naive_greedy_capacity(instance: SINRInstance, beta: float) -> np.ndarray:
         admitted_mask[i] = True
         incoming += a[i, :]
     return np.array(sorted(admitted), dtype=np.intp)
+
+
+def _naive_algorithm1_trial(instance: SINRInstance, q: np.ndarray, beta: float, gen) -> tuple:
+    """One Algorithm-1 trial stage by stage: a pattern draw and a
+    ``(19, n)`` SINR product per stage (the pre-stacking form; same
+    outcome and generator state as ``simulate_rayleigh_optimum``)."""
+    n = instance.n
+    success = np.zeros(n, dtype=bool)
+    best_sinr = np.zeros(n, dtype=np.float64)
+    slot_counts: list[int] = []
+    block = resolve_replay_block(None)
+    for b_k in b_sequence(n):
+        stage_q = np.clip(q / (4.0 * b_k), 0.0, 1.0)
+        for lo, hi in iter_slot_blocks(19, block):
+            patterns = gen.random((hi - lo, n)) < stage_q
+            sinr = instance.sinr_batch(patterns)
+            finite_best = np.where(np.isinf(sinr), np.finfo(np.float64).max, sinr)
+            best_sinr = np.maximum(best_sinr, finite_best.max(axis=0))
+            hits = sinr >= beta
+            success |= hits.any(axis=0)
+            slot_counts.extend(hits.sum(axis=1).tolist())
+    return success, best_sinr, np.asarray(slot_counts, dtype=np.int64)
 
 
 def _naive_feasible_with(incoming, members, a, k) -> bool:
@@ -590,7 +628,30 @@ def measure_kernels(
         lambda: _naive_local_search_capacity(inst, BETA, np.random.default_rng(6), 8),
         lambda: local_search_capacity(inst, BETA, np.random.default_rng(6), restarts=8),
     )
+
+    # E6's Algorithm-1 trials, 200 at each size: one stacked product per
+    # trial against a product per stage.  Both draw the same patterns.
+    alg1 = [(_alg1_instance(n), np.full(n, ALG1_Q)) for n in ALG1_NS]
+
+    def alg1_trials(trial):
+        for alg1_inst, alg1_q in alg1:
+            g = np.random.default_rng(8)
+            for _ in range(ALG1_TRIALS):
+                trial(alg1_inst, alg1_q, BETA, g)
+
+    record(
+        "algorithm1_trials_e6_sizes",
+        lambda: alg1_trials(_naive_algorithm1_trial),
+        lambda: alg1_trials(simulate_rayleigh_optimum),
+        calls=ALG1_TRIALS * len(ALG1_NS),
+    )
     return kernels
+
+
+def _alg1_instance(n: int) -> SINRInstance:
+    """E6's geometry: ``n`` links on the paper's 1000 x 1000 square."""
+    s, r = paper_random_network(n, rng=n)
+    return SINRInstance.from_network(Network(s, r), UniformPower(2.0), 2.2, 4e-7)
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,12 @@ class TopKGains:
     # -- products -----------------------------------------------------------
 
     def matmul(self, x: np.ndarray) -> np.ndarray:
-        """``x @ M_topk`` for a ``(B, n)`` batch (the pattern product)."""
+        """``x @ M_topk`` for a ``(B, n)`` batch (the pattern product), or
+        a ``(..., B, n)`` stack of them evaluated as one ``(rows, n)``
+        batch: each output row is its own sum over stored entries, in an
+        order that does not depend on the other rows."""
+        if x.ndim > 2:
+            return self.matmul(x.reshape(-1, self.n)).reshape(x.shape)
         _metrics.add("backend.sparse_matmuls")
         if self._csr is not None:
             return np.asarray(x @ self._csr)

@@ -100,6 +100,7 @@ from repro.obs import events as obs_events
 from repro.obs import profile as obs_profile
 from repro.obs.stats import RunDirError, render_run_dir, stats_doc
 from repro.utils.atomic import atomic_write_text
+from repro.utils.heap import apply_heap_policy
 
 __all__ = ["main", "build_parser"]
 
@@ -859,6 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "list[str] | None" = None) -> int:
     """Entry point; returns the process exit code."""
+    apply_heap_policy()
     args = build_parser().parse_args(argv)
     try:
         chaos.install_from_env()

@@ -127,15 +127,20 @@ def sinr_nonfading_batch(
 ) -> np.ndarray:
     """Non-fading SINR for a batch of transmit patterns.
 
-    ``active`` has shape ``(B, n)`` (boolean); the result has the same
-    shape.  One matrix product evaluates all ``B`` patterns — routed
-    through the ambient array backend (or the caller's ``gains_op``), so
-    ``--topk`` swaps in the sparse representation transparently.
+    ``active`` has shape ``(B, n)`` (boolean), or ``(..., B, n)`` for a
+    stack of batches; the result has the same shape.  One matrix product
+    evaluates all patterns — routed through the ambient array backend
+    (or the caller's ``gains_op``), so ``--topk`` swaps in the sparse
+    representation transparently.  Under the dense backends a stack is
+    one ``np.matmul``, which multiplies each ``(B, n)`` slice exactly as
+    a separate 2-D call would, so stacking never changes the bytes.
     """
     gains = np.asarray(gains, dtype=np.float64)
     act = np.asarray(active, dtype=bool)
-    if act.ndim != 2 or act.shape[1] != gains.shape[0]:
-        raise ValueError(f"active batch must be (B, {gains.shape[0]}), got {act.shape}")
+    if act.ndim < 2 or act.shape[-1] != gains.shape[0]:
+        raise ValueError(
+            f"active batch must be (..., B, {gains.shape[0]}), got {act.shape}"
+        )
     diag = np.diagonal(gains)
     if gains_op is None:
         gains_op = _backend.active().gain_operator(gains, keep_diagonal=True)
@@ -267,7 +272,7 @@ class SINRInstance:
         )
 
     def sinr_batch(self, active: np.ndarray) -> np.ndarray:
-        """Batched non-fading SINR over patterns of shape ``(B, n)``."""
+        """Batched non-fading SINR over patterns of shape ``(..., B, n)``."""
         return sinr_nonfading_batch(
             self._gains, active, self._noise, gains_op=self.gains_operator()
         )

@@ -52,6 +52,9 @@ def _lemma2_task(task: Task) -> "list[tuple[str, str, float, bool]]":
     entries: list[tuple[str, str, float, bool]] = []
     for pw_name, inst in (("uniform", uniform), ("sqrt", sqrt_inst)):
         n = inst.n
+        # Greedy is deterministic: one set per power assignment serves
+        # every utility.
+        greedy_set = greedy_capacity(inst, beta)
         weights_rng = factory.stream("lemma2-weights", net_idx, pw_name)
         profiles = {
             "binary": BinaryUtility(n, beta),
@@ -62,7 +65,7 @@ def _lemma2_task(task: Task) -> "list[tuple[str, str, float, bool]]":
             report = transfer_capacity_algorithm(
                 inst,
                 profile,
-                lambda i_: greedy_capacity(i_, beta),
+                lambda _inst: greedy_set,
                 rng=factory.stream("lemma2-mc", net_idx, pw_name, u_name),
                 num_samples=mc_samples,
                 beta=beta,

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.channel.nonfading import NonFadingChannel
 from repro.channel.spec import make_channel
 from repro.core.sinr import SINRInstance
 from repro.latency.slotloop import iter_slot_blocks, resolve_replay_block
@@ -43,6 +44,10 @@ PAPER_REPEATS_PER_STAGE = 19
 
 #: Probability damping denominator (the ``4`` in ``q_i / (4 b_k)``).
 PAPER_DAMPING = 4.0
+
+#: Stand-in for an infinite SINR (a link with neither interference nor
+#: noise) in ``best_sinr``.
+_FINITE_MAX = np.finfo(np.float64).max
 
 
 def simulation_schedule(
@@ -74,17 +79,23 @@ def simulation_schedule(
     """
     qv = check_probability_vector(q, name="q")
     count = qv.shape[0] if n is None else int(n)
+    b, stage_q = _stage_probabilities(qv, count, repeats, damping)
+    return [(b_k, row, repeats) for b_k, row in zip(b, stage_q)]
+
+
+def _stage_probabilities(
+    qv: np.ndarray, count: int, repeats: int, damping: float
+) -> "tuple[list[float], np.ndarray]":
+    """The stages ``b_k < count`` and an ``(S, len(q))`` array whose row
+    ``k`` is ``q / (damping · b_k)`` clipped into ``[0, 1]``."""
     if count <= 0:
         raise ValueError(f"n must be positive, got {count}")
     if repeats <= 0:
         raise ValueError(f"repeats must be positive, got {repeats}")
     if damping <= 0:
         raise ValueError(f"damping must be positive, got {damping}")
-    plan: list[tuple[float, np.ndarray, int]] = []
-    for b_k in b_sequence(count):
-        stage_q = np.clip(qv / (damping * b_k), 0.0, 1.0)
-        plan.append((b_k, stage_q, repeats))
-    return plan
+    b = b_sequence(count)
+    return b, np.clip(qv / (damping * np.asarray(b)[:, None]), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -131,21 +142,31 @@ def simulate_rayleigh_optimum(
     damped probabilities and evaluates SINRs; a link "succeeds" when it
     clears ``β`` in at least one slot (the coupling Lemma 3 analyses).
 
-    All slots of a stage are evaluated as one batched SINR product.
-    ``repeats`` and ``damping`` default to the paper's constants (19, 4)
-    and exist for the E12 ablation.  ``channel`` (a spec string) replays
-    the same staged schedule under another interference model — e.g.
-    ``"nakagami:m=2"`` asks how Algorithm 1's coupling fares when the
-    real channel is not the one Lemma 3 assumes; the default ``None``
-    is the paper's deterministic engine.
+    All slots of a trial are evaluated as one stacked product per trial:
+    one ``gen.random((S·r, n))`` call draws every stage's patterns (the
+    same variates, and the same generator state afterwards, as ``S``
+    per-stage draws) and one ``(S, r, n) @ S̄`` product evaluates them,
+    which multiplies each stage's ``(r, n)`` slice exactly as a separate
+    per-stage product would.  ``repeats`` and ``damping`` default to the
+    paper's constants (19, 4) and exist for the E12 ablation.
+    ``channel`` (a spec string) replays the same staged schedule under
+    another interference model — e.g. ``"nakagami:m=2"`` asks how
+    Algorithm 1's coupling fares when the real channel is not the one
+    Lemma 3 assumes; the default ``None`` is the paper's deterministic
+    engine, and ``"nonfading"`` takes the same stacked path.  A channel
+    that draws randomness while it evaluates a batch runs stage by
+    stage, so its draws interleave with the patterns' as they always
+    have.
 
-    ``slot_block`` bounds the rows evaluated per vectorized pass (the
-    engine's replay block, default floored at 512).  Patterns are drawn
-    element-sequentially, so every chunking draws the same patterns, but
-    the batched SINR product rounds each row in a way that depends on
-    the block height: ``best_sinr`` can differ in its last bits between
-    chunkings (``slot_block=1`` moved its bytes in 168 of 300 trials on
-    E6's n = 20, 50, 100 instances, seeds 0–99).  ``success`` and
+    ``slot_block`` bounds the rows per stage evaluated in one product
+    (the engine's replay block, default floored at 512, so a stage of
+    the paper's 19 slots is one slice).  Patterns are drawn
+    element-sequentially, so every chunking draws the same patterns,
+    and ``num_slots`` and ``num_stages`` never depend on it.  The SINR
+    product rounds each row in a way that depends on the slice height,
+    so ``best_sinr`` can differ in its last bits between chunkings
+    (``slot_block=1`` moved its bytes in 168 of 300 trials on E6's
+    n = 20, 50, 100 instances, seeds 0–99).  ``success`` and
     ``per_slot_success_counts`` compare SINRs against ``β``, so they
     move only when a SINR lies within rounding of ``β``; they agreed in
     all 300 trials.  Results are byte-stable for a fixed ``slot_block``.
@@ -154,18 +175,43 @@ def simulate_rayleigh_optimum(
     qv = check_probability_vector(q, instance.n)
     gen = as_generator(rng)
     ch = None if channel is None else make_channel(channel, instance, beta)
-    plan = simulation_schedule(qv, instance.n, repeats=repeats, damping=damping)
+    n = instance.n
+    _b, stage_q = _stage_probabilities(qv, n, repeats, damping)
+    block = resolve_replay_block(slot_block)
+    if ch is not None and not isinstance(ch, NonFadingChannel):
+        return _simulate_stage_by_stage(instance, stage_q, repeats, beta, gen, ch, block)
+    stages = stage_q.shape[0]
+    patterns = gen.random((stages * repeats, n)).reshape(stages, repeats, n) < stage_q[:, None]
+    slices = [
+        instance.sinr_batch(patterns[:, lo:hi]) for lo, hi in iter_slot_blocks(repeats, block)
+    ]
+    sinr = slices[0] if len(slices) == 1 else np.concatenate(slices, axis=1)
+    hits = sinr >= beta
+    return SimulationOutcome(
+        success=hits.any(axis=(0, 1)),
+        best_sinr=np.where(np.isinf(sinr), _FINITE_MAX, sinr).max(axis=(0, 1)),
+        num_slots=stages * repeats,
+        num_stages=stages,
+        per_slot_success_counts=hits.sum(axis=2, dtype=np.int64).ravel(),
+    )
+
+
+def _simulate_stage_by_stage(
+    instance, stage_q, repeats, beta, gen, ch, block
+) -> SimulationOutcome:
+    """Algorithm 1 under a channel that draws randomness as it evaluates
+    a batch: each stage (in chunks of ``block`` slots) draws its patterns
+    and then the channel's randomness, in the order the trial runs."""
     n = instance.n
     success = np.zeros(n, dtype=bool)
     best_sinr = np.zeros(n, dtype=np.float64)
     slot_counts: list[int] = []
-    block = resolve_replay_block(slot_block)
-    for _b_k, stage_q, reps in plan:
-        for lo, hi in iter_slot_blocks(reps, block):
-            patterns = gen.random((hi - lo, n)) < stage_q
-            sinr = instance.sinr_batch(patterns) if ch is None else ch.sinr_batch(patterns, gen)
+    for row in stage_q:
+        for lo, hi in iter_slot_blocks(repeats, block):
+            patterns = gen.random((hi - lo, n)) < row
+            sinr = ch.sinr_batch(patterns, gen)
             if sinr is not None:
-                finite_best = np.where(np.isinf(sinr), np.finfo(np.float64).max, sinr)
+                finite_best = np.where(np.isinf(sinr), _FINITE_MAX, sinr)
                 best_sinr = np.maximum(best_sinr, finite_best.max(axis=0))
                 hits = sinr >= beta
             else:
@@ -176,6 +222,6 @@ def simulate_rayleigh_optimum(
         success=success,
         best_sinr=best_sinr,
         num_slots=len(slot_counts),
-        num_stages=len(plan),
+        num_stages=stage_q.shape[0],
         per_slot_success_counts=np.asarray(slot_counts, dtype=np.int64),
     )

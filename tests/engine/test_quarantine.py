@@ -182,13 +182,13 @@ class TestDispatchQuarantine:
             backend.close()
 
 
-def _poison_run(tmp_path, executor: str, on_error: str, stage: str):
-    """Five tasks, the last kills its worker on every attempt, K = 2.
+def _poison_run(tmp_path, executor: str, on_error: str, stage: str, poison: int = 4):
+    """Five tasks, task ``poison`` kills its worker on every attempt, K = 2.
 
-    The poison task is the last in claim order, so a dispatch worker
-    finishes every other task before a re-issue can kill it: the run
-    never loses its whole fleet with work still unclaimed."""
-    _install_persistent_kill(tmp_path, stage, 4)
+    When the poison task comes first in claim order, both dispatch
+    workers can die before any other task is claimed; the dispatcher
+    restarts lost local workers, so the run still completes."""
+    _install_persistent_kill(tmp_path, stage, poison)
     backend = (
         DispatchBackend(tmp_path / "runs", local_workers=2, lease_timeout=0.6, poll=0.02)
         if executor == "dispatch" else executor
@@ -207,24 +207,34 @@ def _poison_run(tmp_path, executor: str, on_error: str, stage: str):
     return out, registry.counters
 
 
+def _assert_parity(tmp_path, executor: str, on_error: str, poison: int) -> None:
+    with pytest.warns(UserWarning, match="quarantine"):
+        out, counters = _poison_run(tmp_path, executor, on_error, "par", poison)
+    assert [is_failure(r) for r in out] == [i == poison for i in range(5)]
+    assert (out[poison].kind, out[poison].error_type, out[poison].attempts) == (
+        "quarantined", "WorkerLost", 2,
+    )
+    assert completed(out) == [2 * i for i in range(5) if i != poison]
+    assert counters["executor.worker_losses"] == 2
+    assert counters["quarantine.tasks"] == 1
+    assert counters["executor.task_failures"] == 1
+    assert "executor.retries" not in counters
+
+
 class TestQuarantineParity:
     """One rule on every backend: a worker loss never uses up a retry
-    attempt; the K-th loss quarantines under skip and retry alike."""
+    attempt; the K-th loss quarantines under skip and retry alike,
+    wherever the poison task sits in claim order."""
 
     @pytest.mark.parametrize("on_error", ["skip", "retry"])
     @pytest.mark.parametrize("executor", ["pool", "dispatch"])
     def test_same_record_and_counters(self, tmp_path, executor, on_error):
-        with pytest.warns(UserWarning, match="quarantine"):
-            out, counters = _poison_run(tmp_path, executor, on_error, "par")
-        assert [is_failure(r) for r in out] == [False, False, False, False, True]
-        assert (out[4].kind, out[4].error_type, out[4].attempts) == (
-            "quarantined", "WorkerLost", 2,
-        )
-        assert completed(out) == [0, 2, 4, 6]
-        assert counters["executor.worker_losses"] == 2
-        assert counters["quarantine.tasks"] == 1
-        assert counters["executor.task_failures"] == 1
-        assert "executor.retries" not in counters
+        _assert_parity(tmp_path, executor, on_error, poison=4)
+
+    @pytest.mark.parametrize("on_error", ["skip", "retry"])
+    @pytest.mark.parametrize("executor", ["pool", "dispatch"])
+    def test_same_record_and_counters_poison_first(self, tmp_path, executor, on_error):
+        _assert_parity(tmp_path, executor, on_error, poison=0)
 
     def test_pool_raise_mode_refuses_after_k_losses(self, tmp_path):
         with pytest.warns(UserWarning, match="pool-broken"):
