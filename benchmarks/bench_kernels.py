@@ -12,16 +12,12 @@ import pytest
 
 from repro.capacity.greedy import greedy_capacity
 from repro.capacity.optimum import local_search_capacity
+from repro.channel.rayleigh import RayleighChannel
 from repro.core.affectance import affectance_matrix
 from repro.core.network import Network
 from repro.core.power import UniformPower
 from repro.core.sinr import SINRInstance, mean_signal_matrix
-from repro.fading.rayleigh import (
-    sample_fading_gains,
-    simulate_sinr_patterns,
-    simulate_slots,
-    simulate_slots_bernoulli,
-)
+from repro.fading.models import RayleighFading, simulate_sinr_patterns, simulate_slots
 from repro.fading.success import (
     success_probability,
     success_probability_conditional_batch,
@@ -69,14 +65,16 @@ def test_affectance_matrix(benchmark, inst100):
 
 def test_fading_sample_100_slots(benchmark, inst100):
     gen = np.random.default_rng(3)
-    benchmark(sample_fading_gains, inst100, gen, 100)
+    benchmark(RayleighFading().sample, inst100.gains, gen, 100)
 
 
 def test_bernoulli_slots_1000(benchmark, inst100):
-    active = np.zeros(100, dtype=bool)
-    active[:40] = True
+    """The Bernoulli fast path: 1000 slots of one 40-link pattern."""
+    patterns = np.zeros((1000, 100), dtype=bool)
+    patterns[:, :40] = True
+    channel = RayleighChannel(inst100, BETA)
     gen = np.random.default_rng(4)
-    benchmark(simulate_slots_bernoulli, inst100, active, BETA, gen, num_slots=1000)
+    benchmark(channel.realize_batch, patterns, gen)
 
 
 def _loop_success_counts(inst, qv, beta, gen, num_samples):
@@ -103,9 +101,10 @@ def _batched_success_counts(inst, qv, beta, gen, num_samples):
 
 
 def test_batched_mc_kernel_speedup(inst100):
-    """The batched ``(T, n, n)`` Monte-Carlo kernel must beat the seed's
-    per-pattern Python loop by >= 3x at n=100, T=1000 (it measures ~10x+
-    in practice; the margin absorbs machine noise)."""
+    """The batched per-sender Monte-Carlo kernel (one ``(T, n)`` draw and
+    one ``(T, n) @ (n, n)`` product) must beat the seed's per-pattern
+    Python loop by >= 3x at n=100, T=1000 (it measures ~10x+ in
+    practice; the margin absorbs machine noise)."""
     qv = np.full(100, 0.5)
     num_samples = 1000
     # Warm-up both paths once so allocator/first-call costs don't skew.

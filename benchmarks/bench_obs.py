@@ -44,7 +44,7 @@ import numpy as np
 from repro.core.network import Network
 from repro.core.power import UniformPower
 from repro.core.sinr import SINRInstance
-from repro.fading.rayleigh import simulate_sinr_patterns
+from repro.fading.models import simulate_sinr_patterns
 from repro.fading.success import Theorem1Kernel
 from repro.geometry.placement import paper_random_network
 from repro.obs import MetricsRegistry, Telemetry, obs_scope

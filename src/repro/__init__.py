@@ -75,13 +75,9 @@ from repro.fading import (
     estimate_expected_utility,
     estimate_success_probability,
     expected_successes_exact,
-    sample_fading_gains,
-    simulate_sinr,
     expected_successes_with_model,
-    simulate_slot,
+    simulate_sinr,
     simulate_slots,
-    simulate_slots_bernoulli,
-    simulate_slots_with_model,
     success_probability,
     success_probability_conditional,
     success_probability_lower,
@@ -214,15 +210,11 @@ __all__ = [
     "price_of_anarchy_sample",
     "rayleigh_expected_binary",
     "repeated_max_latency",
-    "sample_fading_gains",
     "save_instance",
     "save_network",
     "simulate_rayleigh_optimum",
     "simulate_sinr",
-    "simulate_slot",
     "simulate_slots",
-    "simulate_slots_bernoulli",
-    "simulate_slots_with_model",
     "simulation_schedule",
     "success_probability",
     "success_probability_conditional",

@@ -22,8 +22,7 @@ import numpy as np
 
 from repro.channel.base import Channel
 from repro.core.sinr import SINRInstance
-from repro.fading.models import FadingModel, RayleighFading
-from repro.fading.rayleigh import _sinr_from_draws
+from repro.fading.models import FadingModel, RayleighFading, _sinr_from_draws
 from repro.obs import metrics as _metrics
 from repro.utils.rng import as_generator
 

@@ -9,9 +9,10 @@ for these families, so:
 
 * per-slot realisation draws instantaneous gains explicitly
   (physics-faithful, exact joint law across links);
-* batched pattern evaluation uses the common-random-numbers kernel of
-  :func:`repro.fading.models.simulate_sinr_patterns_with_model`
-  (exact per-link marginals, one ``(B, n) @ (n, n)`` product per chunk);
+* batched pattern evaluation uses the per-sender sampler
+  :func:`repro.fading.models.simulate_sinr_patterns` (common random
+  numbers: exact per-link marginals, one ``(B, n) @ (n, n)`` product
+  per chunk);
 * probability queries are Monte-Carlo estimates (``rng`` required,
   sample count set by ``mc_slots``).
 """
@@ -26,8 +27,8 @@ from repro.engine import guards
 from repro.fading.models import (
     FadingModel,
     draw_unit_multipliers,
-    simulate_sinr_patterns_with_model,
-    simulate_slots_with_model,
+    simulate_sinr_patterns,
+    simulate_slots,
     sinr_from_unit_multipliers,
 )
 from repro.obs import metrics as _metrics
@@ -73,15 +74,15 @@ class MonteCarloChannel(Channel):
         return self.model.name
 
     def realize(self, active, rng=None) -> np.ndarray:
-        return simulate_slots_with_model(
-            self.instance, self._mask(active), self.beta, self.model, rng, num_slots=1
+        return simulate_slots(
+            self.instance, self._mask(active), self.beta, rng, model=self.model
         )[0]
 
     def realize_batch(self, patterns: np.ndarray, rng=None) -> np.ndarray:
         pats = self._patterns(patterns)
         _metrics.add("channel.realize_slots", pats.shape[0])
         _metrics.add("channel.sinr_evaluations", pats.size)
-        sinr = simulate_sinr_patterns_with_model(self.instance, pats, self.model, rng)
+        sinr = simulate_sinr_patterns(self.instance, pats, rng, model=self.model)
         return (sinr >= self.beta) & pats
 
     def slot_fields(self, num_slots: int, rng=None) -> np.ndarray:
@@ -123,21 +124,21 @@ class MonteCarloChannel(Channel):
 
         Per-(slot, link) marginals are exactly the family's
         counterfactual law (see
-        :func:`repro.fading.models.simulate_sinr_patterns_with_model`);
+        :func:`repro.fading.models.simulate_sinr_patterns`);
         only the within-slot dependence across links differs from the
         explicit per-slot gain-matrix draw of :meth:`counterfactual`,
         which leaves every per-link frequency estimator unbiased.
         """
         pats = self._patterns(patterns)
         _metrics.add("channel.counterfactual_slots", pats.shape[0])
-        sinr = simulate_sinr_patterns_with_model(
-            self.instance, pats, self.model, rng, counterfactual=True
+        sinr = simulate_sinr_patterns(
+            self.instance, pats, rng, model=self.model, counterfactual=True
         )
         return sinr >= self.beta
 
     def sinr_batch(self, patterns: np.ndarray, rng=None) -> np.ndarray:
-        return simulate_sinr_patterns_with_model(
-            self.instance, self._patterns(patterns), self.model, rng
+        return simulate_sinr_patterns(
+            self.instance, self._patterns(patterns), rng, model=self.model
         )
 
     def success_probability(self, q, rng=None) -> np.ndarray:
@@ -160,8 +161,8 @@ class MonteCarloChannel(Channel):
         _metrics.add("mc.samples", self.mc_slots)
         gen = as_generator(rng)
         patterns = gen.random((self.mc_slots, self.n)) < qv
-        sinr = simulate_sinr_patterns_with_model(
-            self.instance, patterns, self.model, gen, counterfactual=True
+        sinr = simulate_sinr_patterns(
+            self.instance, patterns, gen, model=self.model, counterfactual=True
         )
         est = (sinr >= self.beta).sum(axis=0) / self.mc_slots
         return guards.check_probabilities(

@@ -1,13 +1,16 @@
 """The Rayleigh channel — Theorem-1 closed form + distribution-exact sampling.
 
-The fast path throughout: conditioned on the transmit pattern, distinct
-receivers' success events depend on disjoint columns of the independent
-exponential draw matrix, so they are mutually independent Bernoullis
-with exactly the Theorem-1 probabilities (see
-:mod:`repro.fading.rayleigh` for the argument and the statistical test
-pinning it).  Sampling those Bernoullis is therefore
-*distribution-identical* to explicit exponential sampling at a fraction
-of the cost, and the closed form makes every probability query exact.
+The fast path throughout.  Fix the transmit pattern and draw the
+Section-2 gain matrix ``S(j, i) ~ Exp(S̄(j, i))``, independent over
+ordered pairs.  Receiver ``i``'s success, ``S(i,i) ≥ β(Σ_{j≠i} S(j,i) +
+ν)``, reads only column ``i`` of that matrix.  Distinct receivers read
+disjoint columns, so their success events are mutually independent,
+and each has exactly the Theorem-1 probability.  Sampling independent
+Bernoullis with those probabilities is therefore
+*distribution-identical* to explicit exponential sampling
+(:func:`repro.fading.models.simulate_slots`) at a fraction of the cost;
+``tests/fading/test_rayleigh.py`` compares the two statistically.  The
+closed form also makes every probability query exact.
 
 Since PR 3 the channel owns one lazily built
 :class:`~repro.fading.success.Theorem1Kernel`: instances are frozen and

@@ -188,11 +188,11 @@ class TaskEnvelope:
     seconds: float
     worker: "str | None" = None
     #: Spans collected where the task executed, for cross-process trace
-    #: stitching: ``None`` = this process did not collect (the settler
-    #: falls back to a synthesized task span), ``[]`` = the task span
-    #: was already emitted in place (a real tracer was installed), a
-    #: non-empty list = a :class:`~repro.obs.trace.SpanCollector` buffer
-    #: for :func:`~repro.obs.trace.emit_subtree`.
+    #: stitching: ``None`` = nothing traced the task (the run is
+    #: untraced), ``[]`` = the task span was already emitted in place (a
+    #: real tracer was installed), a non-empty list = a
+    #: :class:`~repro.obs.trace.SpanCollector` buffer for
+    #: :func:`~repro.obs.trace.emit_subtree`.
     spans: "list[dict[str, Any]] | None" = None
 
 
@@ -274,16 +274,9 @@ def settle_success(state: RunState, task: "Task", outcome: Any) -> Any:
             # A worker collected the task's span subtree: stitch it into
             # the local trace with fresh ids under the open stage span.
             obs_trace.emit_subtree(outcome.spans)
-        elif outcome.spans is None:
-            # Legacy envelope (no collection where it ran): synthesize
-            # the task span from the shipped duration.
-            meta: "dict[str, Any]" = {"index": task.index, "stage": state.stage}
-            if outcome.worker is not None:
-                meta["worker"] = outcome.worker
-            obs_trace.record_complete(
-                "task-" + str(task.index), "task", outcome.seconds, **meta
-            )
-        # spans == [] means the span already emitted where it executed.
+        # spans == [] means the span already emitted where it executed,
+        # and None that nothing traced it: a traced dispatcher turns
+        # span collection on in every worker it ships a bundle to.
         obs_events.emit(
             "task-done",
             stage=state.stage,

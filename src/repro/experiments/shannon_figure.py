@@ -27,7 +27,7 @@ from repro.engine.registry import register, scaled_config
 from repro.experiments.config import Figure1Config
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.workloads import figure1_networks, instance_pair
-from repro.fading.rayleigh import simulate_sinr
+from repro.fading.models import simulate_sinr
 from repro.utility.shannon import ShannonUtility
 from repro.utils.rng import RngFactory
 from repro.utils.tables import format_series

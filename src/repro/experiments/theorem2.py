@@ -86,7 +86,7 @@ def _theorem2_sim_task(task: Task):
 
 def _theorem2_util_task(task: Task) -> np.ndarray:
     """Per-link ``E[u(γ^R)]`` estimate for one network size, batched."""
-    from repro.fading.rayleigh import simulate_sinr_patterns
+    from repro.fading.models import simulate_sinr_patterns
     from repro.utility.shannon import ShannonUtility
 
     seed, q_level, pp = get_worker_context()

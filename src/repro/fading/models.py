@@ -1,10 +1,9 @@
-"""A family of stochastic fading models beyond Rayleigh.
+"""Fading families and the Monte-Carlo samplers that draw from them.
 
-Section 8 of the paper hopes its techniques "can also be applied
-accordingly to interference models capturing further realistic
-properties".  This module makes that executable: a small fading-model
-abstraction with the three classic generalisations, all normalised so
-the *mean* received power equals the non-fading value ``S̄(j, i)``:
+Section 2 draws every received power as ``S(j, i) ~ Exp(mean = S̄(j, i))``;
+Section 8 hopes the techniques carry to "interference models capturing
+further realistic properties".  Every family here is normalised so the
+*mean* received power equals the non-fading value ``S̄(j, i)``:
 
 * :class:`RayleighFading` — power ``~ Exp(mean)`` (the paper's model;
   rich scattering, no line of sight).
@@ -17,10 +16,13 @@ the *mean* received power equals the non-fading value ``S̄(j, i)``:
   ``K = 0`` is Rayleigh; ``K → ∞`` approaches non-fading.
 * :class:`NoFading` — the deterministic model as a degenerate member.
 
-Only Rayleigh has the closed-form Theorem-1 success probability; the
-other families are evaluated by Monte Carlo
-(:func:`simulate_slots_with_model`, and
-:func:`expected_successes_with_model` for the replay experiments).
+One sampler per sampling scheme takes the family as ``model`` (Rayleigh
+by default): :func:`simulate_sinr` / :func:`simulate_slots` draw the
+full gain matrix of a fixed pattern every slot (the exact joint law
+across links), and :func:`simulate_sinr_patterns` draws one multiplier
+per sender per slot for a batch of patterns (exact per-link marginals;
+the Monte-Carlo hot path).  Only Rayleigh also has Theorem 1's closed
+form (:mod:`repro.fading.success`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import abc
 import numpy as np
 
 from repro.core.sinr import SINRInstance, _as_active_bool
-from repro.fading.rayleigh import _sinr_from_draws
+from repro.obs import metrics as _metrics
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive
 
@@ -41,19 +43,26 @@ __all__ = [
     "RicianFading",
     "NoFading",
     "draw_unit_multipliers",
-    "simulate_sinr_patterns_with_model",
-    "simulate_slots_with_model",
+    "simulate_sinr",
+    "simulate_sinr_patterns",
+    "simulate_slots",
     "sinr_from_unit_multipliers",
     "expected_successes_with_model",
 ]
+
+#: Float64 elements per sampling chunk (~100 MB): ``// n`` patterns per
+#: per-sender chunk, ``// k²`` slots per full-matrix chunk (k active
+#: links).  Chunk boundaries can move bytes (the product rounds by chunk
+#: height; Rician draws whole fields), so this depends on sizes only.
+_BLOCK_ELEMENTS = 12_000_000
 
 
 class FadingModel(abc.ABC):
     """Distribution of instantaneous power gains around their means."""
 
-    #: Whether :meth:`sample` consumes randomness element-sequentially —
-    #: i.e. drawing ``size=a`` then ``size=b`` rows yields the same rows
-    #: as one ``size=a+b`` draw.  True for the exponential/gamma/constant
+    #: Whether :meth:`unit_gains` consumes randomness element-sequentially
+    #: — i.e. drawing ``a`` then ``b`` rows yields the same rows as one
+    #: ``a+b``-row draw.  True for the exponential/gamma/constant
     #: families (numpy fills those element by element); False for models
     #: that draw whole auxiliary arrays per call (Rician draws the full
     #: real field before the imaginary one).  The slot-loop engine uses
@@ -61,6 +70,9 @@ class FadingModel(abc.ABC):
     elementwise_draws: bool = True
 
     @abc.abstractmethod
+    def unit_gains(self, rng: np.random.Generator, shape: "tuple[int, ...]") -> np.ndarray:
+        """Draw independent unit-mean power gains of the given shape."""
+
     def sample(
         self, means: np.ndarray, rng: np.random.Generator, size: "int | None" = None
     ) -> np.ndarray:
@@ -68,8 +80,10 @@ class FadingModel(abc.ABC):
 
         ``means`` is any non-negative array; the result has shape
         ``means.shape`` (``size=None``) or ``(size, *means.shape)``.
-        Zero means must yield zero draws.  ``E[draw] = mean`` exactly.
+        Zero means yield zero draws, and ``E[draw] = mean`` exactly.
         """
+        shape = means.shape if size is None else (int(size), *means.shape)
+        return self.unit_gains(rng, shape) * means
 
     @property
     @abc.abstractmethod
@@ -83,9 +97,8 @@ class FadingModel(abc.ABC):
 class RayleighFading(FadingModel):
     """Exponentially distributed power — the paper's model."""
 
-    def sample(self, means, rng, size=None):
-        shape = means.shape if size is None else (int(size), *means.shape)
-        return rng.standard_exponential(shape) * means
+    def unit_gains(self, rng, shape):
+        return rng.standard_exponential(shape)
 
     @property
     def name(self) -> str:
@@ -104,9 +117,8 @@ class NakagamiFading(FadingModel):
         if self.m < 0.5:
             raise ValueError(f"Nakagami m must be >= 0.5, got {m}")
 
-    def sample(self, means, rng, size=None):
-        shape = means.shape if size is None else (int(size), *means.shape)
-        return rng.gamma(self.m, 1.0 / self.m, size=shape) * means
+    def unit_gains(self, rng, shape):
+        return rng.gamma(self.m, 1.0 / self.m, size=shape)
 
     @property
     def name(self) -> str:
@@ -121,8 +133,8 @@ class RicianFading(FadingModel):
     Rayleigh exactly.
     """
 
-    # sample() draws the whole real field, then the whole imaginary one,
-    # so splitting a multi-slot draw changes which variates land where.
+    # unit_gains() draws the whole real field, then the whole imaginary
+    # one, so splitting a multi-slot draw changes which variates land where.
     elementwise_draws = False
 
     def __init__(self, k_factor: float):
@@ -130,14 +142,13 @@ class RicianFading(FadingModel):
             raise ValueError(f"Rician K must be finite and >= 0, got {k_factor}")
         self.k_factor = float(k_factor)
 
-    def sample(self, means, rng, size=None):
-        shape = means.shape if size is None else (int(size), *means.shape)
+    def unit_gains(self, rng, shape):
         k = self.k_factor
         sigma = np.sqrt(1.0 / (2.0 * (k + 1.0)))
         los = np.sqrt(k / (k + 1.0))
         re = los + rng.normal(0.0, sigma, size=shape)
         im = rng.normal(0.0, sigma, size=shape)
-        return (re * re + im * im) * means
+        return re * re + im * im
 
     @property
     def name(self) -> str:
@@ -147,14 +158,15 @@ class RicianFading(FadingModel):
 class NoFading(FadingModel):
     """Degenerate model: gains equal their means (the non-fading world)."""
 
-    def sample(self, means, rng, size=None):
-        if size is None:
-            return means.copy()
-        return np.broadcast_to(means, (int(size), *means.shape)).copy()
+    def unit_gains(self, rng, shape):
+        return np.ones(shape, dtype=np.float64)
 
     @property
     def name(self) -> str:
         return "nonfading"
+
+
+_RAYLEIGH = RayleighFading()
 
 
 def draw_unit_multipliers(
@@ -163,21 +175,96 @@ def draw_unit_multipliers(
     """``(num_slots, n)`` unit-mean fading multipliers, drawn so the
     result is identical under any grouping of slots into calls.
 
-    Elementwise models draw the whole block in one ``sample`` call;
-    models whose multi-slot draws are not grouping-invariant
+    Elementwise models draw the whole block in one call; models whose
+    multi-slot draws are not grouping-invariant
     (``elementwise_draws = False``) draw one slot at a time — slower,
     but the positional RNG contract of the slot-loop engine holds for
     every fading family.
     """
     gen = as_generator(rng)
-    unit = np.ones(n, dtype=np.float64)
     if num_slots <= 0:
         return np.zeros((0, n), dtype=np.float64)
     if model.elementwise_draws:
-        return model.sample(unit, gen, size=num_slots)
+        return model.unit_gains(gen, (num_slots, n))
     return np.concatenate(
-        [model.sample(unit, gen, size=1) for _ in range(num_slots)], axis=0
+        [model.unit_gains(gen, (1, n)) for _ in range(num_slots)], axis=0
     )
+
+
+def _sinr_from_draws(draws: np.ndarray, active: np.ndarray, noise: float) -> np.ndarray:
+    """SINR per link from drawn gain matrices.
+
+    ``draws`` is ``(..., n, n)`` with ``draws[..., j, i]`` the strength of
+    sender ``j`` at receiver ``i``; ``active`` is a boolean mask, either a
+    single ``(n,)`` pattern shared by every draw or pattern-varying with
+    any shape broadcastable against the draws' leading axes (e.g.
+    ``(T, n)`` masks for ``(T, n, n)`` draws).
+    """
+    act = np.asarray(active, dtype=bool)
+    diag = np.diagonal(draws, axis1=-2, axis2=-1)  # own signals, (..., n)
+    total = np.einsum("...ji,...j->...i", draws, act.astype(np.float64))
+    denom = total - act * diag + noise
+    out = np.zeros(denom.shape, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(diag, denom, out=out, where=act & (denom > 0.0))
+    out[np.broadcast_to(act, denom.shape) & (denom <= 0.0)] = np.inf
+    return out
+
+
+def simulate_sinr(
+    instance: SINRInstance,
+    active,
+    rng=None,
+    *,
+    num_slots: int = 1,
+    model: FadingModel = _RAYLEIGH,
+) -> np.ndarray:
+    """Sample the fading SINR of every link over ``num_slots`` slots.
+
+    The pattern ``active`` (a boolean mask or an index list, read by
+    :func:`repro.core.sinr._as_active_bool`) is held fixed, and every
+    slot draws the full gain matrix of the active links from ``model``
+    — the exact joint law across links, independent across slots.
+    Returns shape ``(num_slots, n)``; silent links read 0.  Cost scales
+    with the active set, and long runs are chunked to bound memory.
+    """
+    if num_slots <= 0:
+        raise ValueError(f"num_slots must be positive, got {num_slots}")
+    mask = _as_active_bool(active, instance.n)
+    out = np.zeros((num_slots, instance.n), dtype=np.float64)
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return out
+    gen = as_generator(rng)
+    sub = instance.subinstance(idx)
+    all_active = np.ones(idx.size, dtype=bool)
+    block = max(1, _BLOCK_ELEMENTS // (idx.size * idx.size))
+    done = 0
+    while done < num_slots:
+        t = min(block, num_slots - done)
+        draws = model.sample(sub.gains, gen, size=t)
+        out[done : done + t, idx] = _sinr_from_draws(draws, all_active, instance.noise)
+        done += t
+    return out
+
+
+def simulate_slots(
+    instance: SINRInstance,
+    active,
+    beta: float,
+    rng=None,
+    *,
+    num_slots: int = 1,
+    model: FadingModel = _RAYLEIGH,
+) -> np.ndarray:
+    """Success masks ``(num_slots, n)`` of a fixed pattern: link ``i``
+    transmits and its SINR drawn by :func:`simulate_sinr` reaches ``β``.
+
+    For Rayleigh, :meth:`repro.channel.RayleighChannel.realize_batch`
+    samples the same law from Theorem 1's probabilities instead.
+    """
+    check_positive(beta, "beta")
+    return simulate_sinr(instance, active, rng, num_slots=num_slots, model=model) >= beta
 
 
 def sinr_from_unit_multipliers(
@@ -190,14 +277,16 @@ def sinr_from_unit_multipliers(
     """Deterministic SINR evaluation of a pattern chunk against given
     unit-mean multipliers ``F_j`` per (slot, sender).
 
-    The evaluation half of the common-random-numbers kernel: callers
-    that cache draws (the slot-loop engine's field buffers) re-evaluate
-    corrected patterns against the same multipliers through this
-    function, and :func:`simulate_sinr_patterns_with_model` is its
-    draw-then-evaluate composition.
+    The evaluation half of the per-sender sampler: callers that cache
+    draws (the slot-loop engine's field buffers) re-evaluate corrected
+    patterns against the same multipliers through this function, and
+    :func:`simulate_sinr_patterns` is its draw-then-evaluate composition.
     """
     chunk = np.asarray(patterns)
     t, n = chunk.shape
+    # The product includes the own-signal term and subtracts it back out,
+    # so the top-k form must carry the exact diagonal; the default config
+    # wraps `instance.gains` itself, byte-identical to `x @ gains`.
     gains_op = instance.gains_operator(keep_diagonal=True)
     own = instance.signal
     act = chunk.astype(np.float64)
@@ -213,30 +302,44 @@ def sinr_from_unit_multipliers(
     return sinr
 
 
-def simulate_sinr_patterns_with_model(
+def simulate_sinr_patterns(
     instance: SINRInstance,
     patterns: np.ndarray,
-    model: FadingModel,
     rng=None,
     *,
+    model: FadingModel = _RAYLEIGH,
     counterfactual: bool = False,
 ) -> np.ndarray:
-    """One fading SINR slot per transmit pattern, batched, for any model.
+    """Sample one fading SINR slot per transmit pattern, fully batched.
 
-    The generic analogue of
-    :func:`repro.fading.rayleigh.simulate_sinr_patterns`, with the same
-    common-random-numbers scheme: each slot draws one unit-mean fading
-    multiplier ``F_j`` per sender and sets ``S(j, i) = S̄(j, i) · F_j``.
-    At a fixed receiver the own-signal multiplier never enters its own
-    interference sum, so the per-(slot, link) marginal SINR law is
-    exactly the model's; only the within-slot dependence across links
-    changes, which leaves every per-link frequency estimator unbiased.
+    ``patterns`` is a boolean ``(T, n)`` array — one independent transmit
+    pattern per slot (unlike :func:`simulate_sinr`, which holds a single
+    pattern fixed across slots).  This is the Monte-Carlo hot path: there
+    is no per-pattern Python loop, and the whole batch reduces to one
+    ``(T, n)`` multiplier draw plus one ``(T, n) @ (n, n)`` product per
+    memory-bounded chunk.
 
-    With ``counterfactual=True`` the returned entry for *every* link
-    ``i`` (active or not) is the SINR it would see *had it sent* while
-    the pattern's other senders transmit — the quantity the capacity
-    game's counterfactual rewards are built on.  Otherwise silent links
-    read 0, as in the Rayleigh kernel.
+    Sampling scheme (common random numbers across receivers): each slot
+    draws **one** unit-mean multiplier ``F_j`` per sender from ``model``
+    and sets ``S(j, i) = S̄(j, i) · F_j`` for every receiver ``i``.  At
+    any fixed receiver, its own signal uses ``F_i`` — which never appears
+    in its own interference sum — and the interference terms use
+    ``{F_j, j ≠ i}``, mutually independent of it.  The per-(slot, link)
+    joint law of (signal, interference), and hence the marginal SINR
+    distribution of every link, is therefore *exactly* the model's; what
+    changes is only the within-slot dependence **across** links (they
+    share sender draws).  Per-link success frequencies and expected
+    utilities — the quantities every Monte-Carlo estimator built on this
+    kernel returns — are unbiased with exactly the per-link variance of
+    fully independent draws, by linearity of expectation.  Consumers that
+    need the joint within-slot law across links should use
+    :func:`simulate_sinr` instead.
+
+    With ``counterfactual=True`` the entry for *every* link ``i`` (active
+    or not) is the SINR it would see *had it sent* while the pattern's
+    other senders transmit — the quantity the capacity game's
+    counterfactual rewards are built on.  Otherwise links silent in a
+    pattern read 0 in its row.  Returns shape ``(T, n)``.
     """
     pats = np.asarray(patterns)
     if pats.dtype != np.bool_:
@@ -247,57 +350,16 @@ def simulate_sinr_patterns_with_model(
     out = np.zeros((num_slots, n), dtype=np.float64)
     if num_slots == 0:
         return out
+    _metrics.add("mc.draw_slots", num_slots)
     gen = as_generator(rng)
-    # Same CRN kernel as the Rayleigh fast path: the product includes the
-    # own-signal term, so the operator keeps the exact diagonal in top-k
-    # mode; the default config wraps `instance.gains` byte-identically.
-    unit = np.ones(n, dtype=np.float64)
-    block = max(1, 12_000_000 // max(1, n))
+    block = max(1, _BLOCK_ELEMENTS // max(1, n))
     done = 0
     while done < num_slots:
         t = min(block, num_slots - done)
-        draws = model.sample(unit, gen, size=t)  # F_j per (slot, sender)
+        draws = model.unit_gains(gen, (t, n))  # F_j per (slot, sender)
         out[done : done + t] = sinr_from_unit_multipliers(
             instance, pats[done : done + t], draws, counterfactual=counterfactual
         )
-        done += t
-    return out
-
-
-def simulate_slots_with_model(
-    instance: SINRInstance,
-    active,
-    beta: float,
-    model: FadingModel,
-    rng=None,
-    *,
-    num_slots: int = 1,
-) -> np.ndarray:
-    """Success masks over ``num_slots`` independent slots under ``model``.
-
-    The generic analogue of
-    :func:`repro.fading.rayleigh.simulate_slots` for arbitrary fading
-    families (no Bernoulli fast path — Theorem 1 is Rayleigh-specific).
-    """
-    check_positive(beta, "beta")
-    if num_slots <= 0:
-        raise ValueError(f"num_slots must be positive, got {num_slots}")
-    mask = _as_active_bool(active, instance.n)
-    out = np.zeros((num_slots, instance.n), dtype=bool)
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return out
-    gen = as_generator(rng)
-    sub = instance.subinstance(idx)
-    all_active = np.ones(idx.size, dtype=bool)
-    # Chunk long runs so the (T, k, k) draw tensor stays ~100 MB.
-    block = max(1, 12_000_000 // max(1, idx.size * idx.size))
-    done = 0
-    while done < num_slots:
-        t = min(block, num_slots - done)
-        draws = model.sample(sub.gains, gen, size=t)
-        sinr = _sinr_from_draws(draws, all_active, instance.noise)
-        out[done : done + t, idx] = sinr >= beta
         done += t
     return out
 
@@ -318,7 +380,5 @@ def expected_successes_with_model(
     :func:`repro.transform.blackbox.rayleigh_expected_binary`; used by
     the E14 fading-family study.
     """
-    hits = simulate_slots_with_model(
-        instance, subset, beta, model, rng, num_slots=num_slots
-    )
+    hits = simulate_slots(instance, subset, beta, rng, num_slots=num_slots, model=model)
     return float(hits.sum(axis=1).mean())

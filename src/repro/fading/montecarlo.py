@@ -5,16 +5,17 @@ Lemma 1) against brute-force sampling, and evaluating quantities that have
 no closed form — chiefly the expected *non-binary* utility
 ``E[Σ u_i(γ_i^R)]`` for Shannon-type utility functions.
 
-Sampling is fully batched: each chunk draws the ``(T, n)`` transmit
-patterns and the ``(T, n, n)`` exponential gain tensor at once and
-evaluates every slot's SINR against its own pattern in a single
-vectorized pass (:func:`repro.fading.rayleigh.simulate_sinr_patterns`).
-Chunk sizes are bounded so memory stays constant regardless of
+Sampling is fully batched: each chunk draws its ``(T, n)`` transmit
+patterns, then hands them to the per-sender sampler
+(:func:`repro.fading.models.simulate_sinr_patterns`), which draws one
+``Exp(1)`` multiplier per (slot, sender) and evaluates every slot's SINR
+against its own pattern in one ``(T, n) @ (n, n)`` product.  Chunk
+sizes are bounded so memory stays constant regardless of
 ``num_samples``.
 
 Backend routing: the matrix products inside each chunk go through the
-array-backend shim transitively (the Rayleigh kernel pulls the
-instance's cached gain operator), so ``--dtype float32`` and ``--topk``
+array-backend shim transitively (the sampler pulls the instance's
+cached gain operator), so ``--dtype float32`` and ``--topk``
 apply here without any code in this module touching the backend.  Chunk
 sizes deliberately do **not** scale with the compute dtype: each outer
 chunk interleaves pattern draws with fading draws, so changing the
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.sinr import SINRInstance
-from repro.fading.rayleigh import _BLOCK_ELEMENTS, simulate_sinr_patterns
+from repro.fading.models import simulate_sinr_patterns
 from repro.fading.success import success_probability
 from repro.obs import metrics as _metrics
 from repro.utils.rng import as_generator
@@ -52,9 +53,14 @@ def expected_successes_exact(instance: SINRInstance, q, beta) -> float:
 
 
 def _sample_chunk_size(n: int) -> int:
-    """Patterns per vectorized chunk: the gain tensor of one chunk stays
-    within the fading module's block budget."""
-    return max(1, _BLOCK_ELEMENTS // max(1, n * n))
+    """Patterns per outer chunk: ``16_000_000 // n²``.
+
+    The sampler draws only ``(T, n)`` multipliers per chunk, so memory
+    alone would allow far larger chunks.  The bound stays as it is: it
+    sets how each chunk's pattern draws interleave with its fading
+    draws: any other value reassigns variates and moves the estimates
+    (and E4's and E5's result bytes)."""
+    return max(1, 16_000_000 // max(1, n * n))
 
 
 def estimate_success_probability(

@@ -49,6 +49,7 @@ __all__ = [
     "EVENTS_DIRNAME",
     "EventBus",
     "Heartbeat",
+    "JsonLines",
     "current_bus",
     "current_events_dir",
     "emit",
@@ -91,6 +92,55 @@ def rss_bytes() -> "int | None":
         return None
 
 
+class JsonLines:
+    """An append-only JSON-lines file written best effort — the write
+    policy of the diagnostic sinks (the event bus and the trace writer).
+
+    Each line is flushed as it is written.  A failed open or write never
+    raises: the line is dropped and counted under ``counter``, the first
+    loss warns, and the next line reopens the file for appending (in
+    case space frees up), so nothing already written is truncated.
+    Diagnostics are never correctness, so a full or read-only filesystem
+    must not take a run, a worker or the dispatcher down; ``repro
+    stats`` sums the counters.
+    """
+
+    def __init__(self, path: Path, counter: str, consequence: str):
+        self.path = path
+        self.counter = counter
+        self.consequence = consequence
+        self._fh: "TextIO | None" = None
+        self._warned = False
+
+    def write(self, doc: "dict[str, Any]") -> bool:
+        """Append one line; whether it was written."""
+        try:
+            if self._fh is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh.write(json.dumps(doc) + "\n")
+            self._fh.flush()
+            return True
+        except OSError as exc:
+            self.close()  # drops the unwritten buffer
+            _metrics.add(self.counter)
+            if not self._warned:
+                self._warned = True
+                warnings.warn(
+                    f"cannot append to {self.path} ({exc}); {self.consequence}",
+                    stacklevel=4,  # the caller of the sink's emit
+                )
+            return False
+
+    def close(self) -> None:
+        fh, self._fh = self._fh, None
+        if fh is not None:
+            try:
+                fh.close()
+            except OSError:
+                pass  # only a failed line was left unflushed
+
+
 class EventBus:
     """Appends structured events to this process's JSONL file.
 
@@ -112,9 +162,12 @@ class EventBus:
         }
         if extra:
             self.extra.update(extra)
-        self._fh: "TextIO | None" = None
+        self._lines = JsonLines(
+            self.path,
+            "events.degraded_writes",
+            "continuing without live events — results are unaffected",
+        )
         self._seq = 0
-        self._degraded = False
         self.events_written = 0
 
     def emit(self, kind: str, **fields: Any) -> None:
@@ -130,41 +183,11 @@ class EventBus:
         for key, value in fields.items():
             if value is not None:
                 doc[key] = value
-        try:
-            if self._fh is None:
-                self.directory.mkdir(parents=True, exist_ok=True)
-                self._fh = open(self.path, "a", encoding="utf-8")
-            self._fh.write(json.dumps(doc) + "\n")
-            self._fh.flush()
-        except OSError as exc:
-            self._degrade(exc)
-            return
-        self.events_written += 1
-
-    def _degrade(self, exc: OSError) -> None:
-        """Absorb a failed event write: count it, warn once, carry on.
-
-        Same contract as the journal's degraded checkpoint writes — the
-        event feed is diagnostics, never correctness, so exhaustion
-        must not take the worker or the dispatcher down.
-        """
-        self._fh = None  # reopen on the next emit in case space frees up
-        _metrics.add("events.degraded_writes")
-        if not self._degraded:
-            self._degraded = True
-            warnings.warn(
-                f"cannot append to the event bus at {self.path} ({exc}); "
-                "continuing without live events — results are unaffected",
-                stacklevel=3,
-            )
+        if self._lines.write(doc):
+            self.events_written += 1
 
     def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            except OSError:
-                pass
-            self._fh = None
+        self._lines.close()
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,13 @@ from typing import Any
 
 __all__ = ["RunDirError", "render_run_dir", "stats_doc"]
 
+#: Failed best-effort writes, one counter per diagnostic sink.
+DEGRADED_COUNTERS = (
+    "journal.degraded_writes",
+    "events.degraded_writes",
+    "trace.degraded_writes",
+)
+
 #: Counter names summed across scopes into the fleet section.
 FLEET_COUNTERS = (
     "executor.dispatch.queues",
@@ -35,8 +42,7 @@ FLEET_COUNTERS = (
     "executor.worker_losses",
     "executor.events.worker-lost",
     "quarantine.tasks",
-    "journal.degraded_writes",
-    "events.degraded_writes",
+    *DEGRADED_COUNTERS,
 )
 
 
@@ -211,7 +217,7 @@ def stats_doc(run_dir) -> "dict[str, Any]":
             "counted": sum(
                 counters.get(name, 0)
                 for counters in grouped.values()
-                for name in ("journal.degraded_writes", "events.degraded_writes")
+                for name in DEGRADED_COUNTERS
             ),
         },
         "profiles": profiles,

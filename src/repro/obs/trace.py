@@ -24,11 +24,12 @@ invariant of ``--jobs`` extends to ``--trace`` on/off by construction.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
-from typing import Any, TextIO
+from typing import Any
+
+from repro.obs.events import JsonLines
 
 __all__ = [
     "Span",
@@ -38,7 +39,6 @@ __all__ = [
     "current_experiment",
     "emit_subtree",
     "install_tracer",
-    "record_complete",
     "set_span_collection",
     "span",
     "span_collection",
@@ -76,17 +76,25 @@ class TraceWriter:
 
     Each line is self-contained, so a killed run keeps every span that
     finished before the crash (the same append-only philosophy as the
-    checkpoint journal).
+    checkpoint journal).  Writes follow the event bus's best-effort
+    policy (:class:`~repro.obs.events.JsonLines`): a span that cannot be
+    written is dropped and counted as ``trace.degraded_writes``, and
+    neither :meth:`emit` nor :meth:`close` raises.
     """
 
     def __init__(self, path):
         self.path = Path(path)
-        self._fh: "TextIO | None" = open(self.path, "w", encoding="utf-8")
+        open(self.path, "w", encoding="utf-8").close()  # a fresh trace per run
+        self._lines: "JsonLines | None" = JsonLines(
+            self.path,
+            "trace.degraded_writes",
+            "continuing without those spans — results are unaffected",
+        )
         self.epoch = perf_counter()
         self.spans_written = 0
 
     def emit(self, sp: Span) -> None:
-        if self._fh is None:
+        if self._lines is None:
             return
         doc: "dict[str, Any]" = {
             "name": sp.name,
@@ -98,14 +106,13 @@ class TraceWriter:
         }
         if sp.meta:
             doc["meta"] = sp.meta
-        self._fh.write(json.dumps(doc) + "\n")
-        self._fh.flush()
-        self.spans_written += 1
+        if self._lines.write(doc):
+            self.spans_written += 1
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._lines is not None:
+            self._lines.close()
+            self._lines = None
 
 
 class SpanCollector:
@@ -186,8 +193,7 @@ def emit_subtree(records: "list[dict[str, Any]]") -> None:
     parentless spans are grafted under the currently open span (the
     stage span, since settling happens inside the driver's stage
     block), and relative times are placed so the subtree *ends* at the
-    moment of settling — the same convention :func:`record_complete`
-    uses for worker-timed durations.  No-op untraced.
+    moment of settling.  No-op untraced.
     """
     global _NEXT_ID
     tracer = _TRACER
@@ -249,18 +255,6 @@ def span(name: str, kind: str = "stage", **meta: Any):
         tracer = _TRACER
         if tracer is not None:
             tracer.emit(sp)
-
-
-def record_complete(name: str, kind: str, duration: float, **meta: Any) -> None:
-    """Emit an already-measured span (e.g. a task timed in a worker
-    process) parented under the currently open span.  No-op untraced."""
-    tracer = _TRACER
-    if tracer is None:
-        return
-    sp = _new_span(name, kind, meta or None)
-    sp.start = perf_counter() - duration
-    sp.duration = duration
-    tracer.emit(sp)
 
 
 class StageTimer:

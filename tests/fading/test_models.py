@@ -13,7 +13,7 @@ from repro.fading.models import (
     RayleighFading,
     RicianFading,
     expected_successes_with_model,
-    simulate_slots_with_model,
+    simulate_slots,
 )
 from repro.geometry.placement import paper_random_network
 from repro.transform.blackbox import rayleigh_expected_binary
@@ -141,27 +141,30 @@ class TestSlotSimulation:
         assert values[-1] >= 0.95 * chosen.size
 
     def test_silent_set(self, instance):
-        out = simulate_slots_with_model(
-            instance, np.zeros(instance.n, dtype=bool), 2.5, RayleighFading(), rng=10,
-            num_slots=5,
+        out = simulate_slots(
+            instance, np.zeros(instance.n, dtype=bool), 2.5, rng=10, num_slots=5,
+            model=RayleighFading(),
         )
         assert not out.any()
 
     def test_validation(self, instance):
         with pytest.raises(ValueError):
-            simulate_slots_with_model(
-                instance, np.ones(instance.n, dtype=bool), 2.5, RayleighFading(),
-                num_slots=0,
+            simulate_slots(
+                instance, np.ones(instance.n, dtype=bool), 2.5, num_slots=0,
+                model=RayleighFading(),
             )
 
-    def test_chunking(self, instance):
-        """Tiny chunk size must not change the marginal statistics."""
+    def test_chunking(self, instance, monkeypatch):
+        """A tiny chunk size must not change the full-matrix draws of an
+        elementwise family, and silent links never succeed."""
         import repro.fading.models as models_mod
 
         active = np.zeros(instance.n, dtype=bool)
         active[:5] = True
-        out = simulate_slots_with_model(
-            instance, active, 2.5, RayleighFading(), rng=11, num_slots=300
-        )
+        model = NakagamiFading(2.0)
+        whole = simulate_slots(instance, active, 2.5, rng=11, num_slots=300, model=model)
+        monkeypatch.setattr(models_mod, "_BLOCK_ELEMENTS", 8)  # 1 slot per chunk
+        out = simulate_slots(instance, active, 2.5, rng=11, num_slots=300, model=model)
         assert out.shape == (300, instance.n)
         assert out[:, ~active].sum() == 0
+        assert out.tobytes() == whole.tobytes()

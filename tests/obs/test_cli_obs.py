@@ -1,6 +1,8 @@
 """CLI-level telemetry tests: flags, byte-identity, and ``repro stats``."""
 
 import json
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +47,36 @@ class TestTelemetryFlags:
         kinds = {s["kind"] for s in spans}
         assert {"run", "experiment", "stage", "task"} <= kinds
         assert any(s["kind"] == "experiment" and s["name"] == "E7" for s in spans)
+
+    @pytest.mark.skipif(
+        not Path("/dev/full").exists(),
+        reason="needs /dev/full, a device every write fills",
+    )
+    @pytest.mark.parametrize("on_error", ["raise", "skip"])
+    def test_trace_on_a_full_disk_keeps_the_run(self, tmp_path, capsys, on_error):
+        """Every span write fails with ENOSPC; the run still passes, warns
+        once, writes the bytes of an untraced run, and ``repro stats``
+        counts the lost spans."""
+        from repro.obs.stats import stats_doc
+
+        plain, full = tmp_path / "plain", tmp_path / "full"
+        assert main(["run", "E13", "--scale", "quick", "--out", str(plain)]) == 0
+        full.mkdir()
+        (full / "trace.jsonl").symlink_to("/dev/full")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "run", "E13", "--scale", "quick", "--out", str(full),
+                "--trace", "--metrics", "--on-error", on_error,
+            ])
+        capsys.readouterr()
+        assert code == 0
+        messages = [str(w.message) for w in caught]
+        assert sum("continuing without those spans" in m for m in messages) == 1
+        assert (full / "E13.json").read_bytes() == (plain / "E13.json").read_bytes()
+        doc = stats_doc(full)
+        assert doc["fleet"]["trace.degraded_writes"] > 0
+        assert doc["degraded_writes"]["counted"] == doc["fleet"]["trace.degraded_writes"]
 
 
 class TestMonitorFlag:

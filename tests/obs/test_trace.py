@@ -1,11 +1,21 @@
 """Tests for hierarchical spans, the JSONL trace writer, and StageTimer."""
 
+import errno
 import json
+import warnings
+from pathlib import Path
 
 import pytest
 
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.trace import Span, StageTimer, TraceWriter, record_complete, span
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Span, StageTimer, TraceWriter, span
+
+DEV_FULL = Path("/dev/full")
+needs_dev_full = pytest.mark.skipif(
+    not DEV_FULL.exists(), reason="needs /dev/full, a device every write fills"
+)
 
 
 def _read_spans(path):
@@ -58,21 +68,55 @@ class TestSpan:
                 assert obs_trace.current_experiment() == "E5"
         assert obs_trace.current_experiment() is None
 
-    def test_record_complete_emits_pre_measured_task(self, tmp_path):
-        writer = TraceWriter(tmp_path / "trace.jsonl")
-        obs_trace.install_tracer(writer)
-        with span("sweep", kind="stage") as parent:
-            record_complete("task-3", "task", 0.25, index=3)
-        writer.close()
-        docs = {d["name"]: d for d in _read_spans(tmp_path / "trace.jsonl")}
-        task = docs["task-3"]
-        assert task["kind"] == "task"
-        assert task["dur"] == 0.25
-        assert task["parent"] == parent.span_id
-        assert task["meta"] == {"index": 3}
 
-    def test_record_complete_noop_untraced(self):
-        record_complete("task-0", "task", 0.1)  # must not raise
+class TestDegradedWrites:
+    """A trace that cannot be written never takes the run down: the
+    event bus's policy — count, warn once, carry on."""
+
+    @needs_dev_full
+    def test_full_disk_survives_emit_and_close(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.symlink_to(DEV_FULL)
+        reg = MetricsRegistry()
+        obs_metrics.install(reg)
+        writer = TraceWriter(path)
+        obs_trace.install_tracer(writer)
+        with pytest.warns(UserWarning, match="continuing without those spans"):
+            with span("run", kind="run"):
+                with span("sweep", kind="stage"):
+                    pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a second warning would raise
+            with span("again", kind="stage"):
+                pass
+            writer.close()
+            writer.close()
+        assert writer.spans_written == 0
+        assert reg.grouped_counters()["run"]["trace.degraded_writes"] == 3
+
+    def test_failed_write_keeps_what_was_written(self, tmp_path):
+        class FullFile:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def close(self):
+                pass
+
+        path = tmp_path / "trace.jsonl"
+        writer = TraceWriter(path)
+        obs_trace.install_tracer(writer)
+        with span("first", kind="stage"):
+            pass
+        writer._lines.close()
+        writer._lines._fh = FullFile()
+        with pytest.warns(UserWarning, match="continuing without those spans"):
+            with span("lost", kind="stage"):
+                pass
+        with span("third", kind="stage"):
+            pass
+        writer.close()
+        assert [d["name"] for d in _read_spans(path)] == ["first", "third"]
+        assert writer.spans_written == 2
 
 
 class TestStageTimer:

@@ -45,6 +45,30 @@ class TestExports:
             assert not hasattr(repro.backend, name)
             assert name not in repro.backend.__all__
 
+    def test_one_sampler_per_scheme(self):
+        """The fading samplers live only in ``repro.fading.models``: the
+        Rayleigh-only module and its duplicates are gone everywhere."""
+        import importlib
+
+        import repro.fading
+        import repro.fading.models
+
+        deleted = (
+            "sample_fading_gains",
+            "simulate_slot",
+            "simulate_slots_bernoulli",
+            "simulate_slots_with_model",
+            "simulate_sinr_patterns_with_model",
+        )
+        for ns in (repro, repro.fading, repro.fading.models):
+            for name in deleted:
+                assert not hasattr(ns, name), (ns.__name__, name)
+                assert name not in ns.__all__, (ns.__name__, name)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.fading.rayleigh")
+        assert repro.simulate_slots is repro.fading.models.simulate_slots
+        assert repro.fading.simulate_sinr_patterns is repro.fading.models.simulate_sinr_patterns
+
     def test_graph_views_are_arrays(self):
         """The conflict graph is a boolean matrix, and the networkx-only
         affectance digraph is gone from every namespace."""
