@@ -1,16 +1,18 @@
 """Benchmark harness configuration.
 
-Each experiment bench runs its DESIGN.md driver once (timed by
-pytest-benchmark), writes the rendered table to
-``benchmarks/results/<id>.txt``, prints it (visible with ``-s`` or in the
-captured output), and asserts the experiment's shape checks — so a
-benchmark run is also a reproduction verdict.
+``bench_experiments.py`` runs every registered experiment once (timed by
+pytest-benchmark), writes its rendered table to
+``benchmarks/results/<scale>/<id>.txt`` — the bytes ``python -m repro
+run <id> --scale <scale> --out benchmarks/results/<scale>`` writes —
+prints it (visible with ``-s`` or in the captured output), and asserts
+the experiment's shape checks, so a benchmark run is also a
+reproduction verdict.
 
-Scale control: benches default to the ``quick()`` configurations (the
-whole suite finishes in a few minutes).  Set ``REPRO_PAPER_SCALE=1`` to
-run the verbatim Section-7 parameters (40 networks, 25+10 seeds, ...).
-Results are written per scale — ``results/quick/`` and ``results/paper/``
-— so a quick run never clobbers archived paper-scale tables.
+Scale control: the registry's ``quick`` scale by default (the whole
+suite finishes in about ten seconds); ``REPRO_PAPER_SCALE=1`` selects
+its ``paper`` scale, the verbatim Section-7 parameters.  Results are
+written per scale, so a quick run never clobbers the archived
+paper-scale tables.
 """
 
 from __future__ import annotations
@@ -24,23 +26,24 @@ RESULTS_ROOT = Path(__file__).parent / "results"
 
 
 def paper_scale() -> bool:
-    """Whether to run full paper-scale configurations."""
+    """Whether to run the registry's paper-scale configurations."""
     return os.environ.get("REPRO_PAPER_SCALE", "0") == "1"
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    out = RESULTS_ROOT / ("paper" if paper_scale() else "quick")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def scale() -> str:
+    """The registry scale of this session: ``paper`` or ``quick``."""
+    return "paper" if paper_scale() else "quick"
 
 
 @pytest.fixture
-def record_result(results_dir):
+def record_result(scale):
     """Write an ExperimentResult to disk, echo it, and assert its checks."""
+    out = RESULTS_ROOT / scale
+    out.mkdir(parents=True, exist_ok=True)
 
     def _record(result):
-        path = results_dir / f"{result.experiment_id}.txt"
+        path = out / f"{result.experiment_id}.txt"
         rendered = result.render()
         path.write_text(rendered + "\n", encoding="utf-8")
         print("\n" + rendered)

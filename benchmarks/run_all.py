@@ -6,7 +6,7 @@ kernel-caching work — and records per-kernel before/after seconds and
 speedups in ``benchmarks/BENCH_summary.json``::
 
     PYTHONPATH=src python benchmarks/run_all.py            # full run: micro-kernels
-                                                           # + every bench_*.py, rewrite baseline
+                                                           # + pytest benchmarks/, rewrite baseline
     PYTHONPATH=src python benchmarks/run_all.py --quick    # micro-kernels only, fewer repeats
     PYTHONPATH=src python benchmarks/run_all.py --quick --check
                                                            # CI perf smoke: compare the fast-path
@@ -25,7 +25,8 @@ per backend mode (dense, top-k sparse, float32)
 from ``n = 10²`` to ``n = 10⁴`` and records throughput, the sparse
 speedup over dense, and the measured max deviation per point in
 ``benchmarks/BENCH_scaling.json``.  ``--check`` also enforces the
-sparse-speedup floor (top-k ≥ 3x dense at ``n ≥ 3000``).
+sparse-speedup floor (top-k ≥ 3x dense at ``n ≥ 3000``, the median
+ratio of alternating dense/top-k pairs).
 
 The **latency slot-loop** entries time each contention scheduler's
 pre-engine sequential loop (one ``channel.realize`` interpreter round
@@ -85,6 +86,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 # Run as a script, each BLAS library gets one thread before numpy loads,
@@ -115,6 +117,8 @@ from repro.learning.rwm import RWMLearner
 from repro.latency.slotloop import iter_slot_blocks, resolve_replay_block
 from repro.transform.simulation import simulate_rayleigh_optimum
 from repro.utils.logstar import b_sequence
+
+import bench_obs
 
 BENCH_DIR = Path(__file__).resolve().parent
 SUMMARY_PATH = BENCH_DIR / "BENCH_summary.json"
@@ -147,9 +151,14 @@ SCALING_TOPK = 32
 REGRESSION_FACTOR = 5.0
 
 #: ``--check`` fails when the top-k sparse path is not at least this
-#: much faster than dense on ``counterfactual_batch`` at large n.
+#: much faster than dense on ``counterfactual_batch`` at large n.  There
+#: the gate reads the median ratio of ``SPARSE_FLOOR_PAIRS`` alternating
+#: dense/top-k pairs (:func:`paired_speedup`): a single best-of timing
+#: per mode read 2.7x-4.4x at n = 3000 over four ``--quick`` runs of one
+#: build, and failed the floor about one run in five.
 SPARSE_SPEEDUP_FLOOR = 3.0
 SPARSE_FLOOR_MIN_N = 3000
+SPARSE_FLOOR_PAIRS = 7
 
 #: Latency slot-loop bench: Section-4 transformation repeats and the
 #: measured ``(scheduler, n, square side, reference, partial steps,
@@ -674,6 +683,21 @@ def _scaling_modes() -> "list[tuple[str, BackendConfig]]":
     ]
 
 
+def paired_speedup(call, topk_scope, clock=time.perf_counter) -> "tuple[float, float, float]":
+    """``(dense_s, topk_s, speedup)`` from ``SPARSE_FLOOR_PAIRS`` pairs.
+
+    ``call`` runs dense outside ``topk_scope()`` and top-k inside it.
+    The pairs alternate which side runs first
+    (``bench_obs.paired_times``), so host drift lands on both sides of a
+    pair instead of in its ratio; the speedup is the median per-pair
+    ``dense / top-k`` ratio, which one slow timing cannot drag under the
+    floor.  The seconds are each side's best time.
+    """
+    pairs = np.array(bench_obs.paired_times(call, topk_scope, SPARSE_FLOOR_PAIRS, clock=clock))
+    dense_s, topk_s = pairs.min(axis=0)
+    return float(dense_s), float(topk_s), float(np.median(pairs[:, 0] / pairs[:, 1]))
+
+
 def measure_scaling(
     repeats: int,
     ns: "tuple[int, ...]",
@@ -682,60 +706,68 @@ def measure_scaling(
 ) -> dict:
     """Throughput of ``counterfactual_batch`` per backend mode and size.
 
-    Every mode at one ``n`` shares the instance and the pattern batch;
-    deviations are measured on the *deterministic* Theorem-1 batch
-    probabilities (no sampling noise), dense float64 being the
-    reference.  Entries are named ``scaling_n{n}_{mode}`` so
-    ``--filter scaling`` selects the whole sweep.
+    Every mode at one ``n`` shares the instance, the pattern batch and
+    the channel, whose kernel keeps one operator per backend config; a
+    mode's calls run inside its ``backend_scope``.  Deviations are
+    measured on the *deterministic* Theorem-1 batch probabilities (no
+    sampling noise), dense float64 being the reference.  From
+    ``SPARSE_FLOOR_MIN_N`` on, the gated top-k speedup comes from
+    :func:`paired_speedup`; elsewhere each mode is timed best-of.
+    Entries are named ``scaling_n{n}_{mode}`` so ``--filter scaling``
+    selects the whole sweep.
     """
     entries: "dict[str, dict]" = {}
     modes = _scaling_modes()
+    topk = f"topk{SCALING_TOPK}"
     if known is not None:
         known.extend(f"scaling_n{n}_{m}" for n in ns for m, _ in modes)
     for n in ns:
         wanted = [m for m, _ in modes if name_filter is None or name_filter in f"scaling_n{n}_{m}"]
         if not wanted:
             continue
+        # The dense leg always runs when any mode at this n is wanted:
+        # it is the speedup/deviation reference for the others.
+        timed = {m: config for m, config in modes if m == "dense" or m in wanted}
         inst = _scaling_instance(n)
         gen = np.random.default_rng(n)
         pats = gen.random((SCALING_BATCH, n)) < 0.4
-        reps = max(1, repeats if n <= 1000 else repeats // 2)
-        dense_seconds = None
-        dense_probs = None
-        for mode, config in modes:
-            name = f"scaling_n{n}_{mode}"
-            # The dense leg always runs when any mode at this n is wanted:
-            # it is the speedup/deviation reference for the others.
-            need_reference = mode == "dense"
-            if name_filter is not None and name_filter not in name and not need_reference:
-                continue
+        channel = RayleighChannel(inst, BETA)
+        call = partial(channel.counterfactual_batch, pats, np.random.default_rng(1))
+        probs, seconds, speedups = {}, {}, {}
+        for mode, config in timed.items():
             with backend_scope(config):
-                channel = RayleighChannel(inst, BETA)
                 # Warm: builds the log-factor tensor + the mode's operator,
                 # and yields the deterministic output for the deviation column.
-                probs = channel.kernel.conditional_batch(pats)
-                rng = np.random.default_rng(1)
-                seconds = _best_of(lambda: channel.counterfactual_batch(pats, rng), reps)
+                probs[mode] = channel.kernel.conditional_batch(pats)
+        if n >= SPARSE_FLOOR_MIN_N and topk in timed:
+            seconds["dense"], seconds[topk], speedups[topk] = paired_speedup(
+                call, partial(backend_scope, timed[topk])
+            )
+        reps = max(1, repeats if n <= 1000 else repeats // 2)
+        for mode, config in timed.items():
+            if mode not in seconds:
+                with backend_scope(config):
+                    seconds[mode] = _best_of(call, reps)
+        for mode in wanted:
+            name = f"scaling_n{n}_{mode}"
             entry = {
                 "n": n,
                 "mode": mode,
-                "seconds": seconds,
-                "patterns_per_s": SCALING_BATCH / max(seconds, 1e-12),
+                "seconds": seconds[mode],
+                "patterns_per_s": SCALING_BATCH / max(seconds[mode], 1e-12),
             }
-            if mode == "dense":
-                dense_seconds, dense_probs = seconds, probs
-            elif dense_probs is not None:
-                entry["speedup_vs_dense"] = dense_seconds / max(seconds, 1e-12)
-                entry["max_abs_dev"] = float(np.max(np.abs(probs - dense_probs)))
-            if name_filter is None or name_filter in name:
-                entries[name] = entry
+            extra = ""
+            if mode != "dense":
+                entry["speedup_vs_dense"] = speedups.get(
+                    mode, seconds["dense"] / max(seconds[mode], 1e-12)
+                )
+                entry["max_abs_dev"] = float(np.max(np.abs(probs[mode] - probs["dense"])))
                 extra = (
                     f"  ({entry['speedup_vs_dense']:5.1f}x dense, "
                     f"dev {entry['max_abs_dev']:.2e})"
-                    if "speedup_vs_dense" in entry
-                    else ""
                 )
-                print(f"  {name:28s} {seconds:10.3e}s{extra}")
+            entries[name] = entry
+            print(f"  {name:28s} {seconds[mode]:10.3e}s{extra}")
     return entries
 
 
@@ -973,7 +1005,9 @@ def measure_executor(
 
 
 def run_pytest_benches() -> dict:
-    """Run every ``bench_*.py`` under pytest; record outcome and duration."""
+    """Run ``pytest benchmarks/`` — every registered experiment at quick
+    scale (``bench_experiments.py``), the kernel benchmarks and the e2e
+    harness's tests; record outcome and duration."""
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(BENCH_DIR)],
@@ -1023,8 +1057,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="fewer timing repeats, the short scaling sweep, and skip the "
-        "pytest experiment benches",
+        help="fewer timing repeats, the short scaling sweep, and skip "
+        "pytest benchmarks/",
     )
     parser.add_argument(
         "--check",
@@ -1071,8 +1105,6 @@ def main(argv=None) -> int:
     )
     kernels.update(measure_executor(repeats, args.filter, known))
 
-    import bench_obs
-
     known.append("bench_obs")
     run_obs = args.filter is None or args.filter in "bench_obs"
     obs_results = None
@@ -1096,7 +1128,7 @@ def main(argv=None) -> int:
     }
 
     if not args.quick and args.filter is None:
-        print("running pytest benches (bench_*.py) ...")
+        print("running pytest benchmarks/ ...")
         summary["pytest_benches"] = run_pytest_benches()
         if not summary["pytest_benches"]["passed"]:
             print("pytest benches FAILED", file=sys.stderr)

@@ -12,8 +12,8 @@ power assignments, reproducing the qualitative findings of Section 7:
 
 Uses the exact Theorem-1 expectation for the Rayleigh side (no fading
 seeds needed).  The full-scale version of this experiment is
-``benchmarks/bench_figure1.py`` (set REPRO_PAPER_SCALE=1 for the verbatim
-paper parameters).
+``python -m repro run E1 --scale paper`` (the verbatim paper
+parameters).
 
 Run:  python examples/model_comparison.py
 """

@@ -89,7 +89,7 @@ class LeaseLedger:
 
     def __init__(self, directory):
         self.directory = Path(directory)
-        self._degraded = False
+        self._degraded = _events.DegradedWrites("journal.degraded_writes")
 
     def _path(self, index: int) -> Path:
         return self.directory / f"lease-{int(index):06d}.json"
@@ -109,18 +109,14 @@ class LeaseLedger:
             self.directory.mkdir(parents=True, exist_ok=True)
             atomic_write_text(self._path(index), json.dumps(doc))
         except OSError as exc:
-            _metrics.add("journal.degraded_writes")
-            _events.emit(
-                "degraded-write", what="lease", cause=exhaustion_kind(exc)
+            self._degraded.absorb(
+                exc,
+                f"cannot write lease records under {self.directory} "
+                f"({exc}); continuing without leases — tasks will be "
+                "recovered via re-issue instead of heartbeats",
+                what="lease",
+                stacklevel=2,
             )
-            if not self._degraded:
-                self._degraded = True
-                warnings.warn(
-                    f"cannot write lease records under {self.directory} "
-                    f"({exc}); continuing without leases — tasks will be "
-                    "recovered via re-issue instead of heartbeats",
-                    stacklevel=2,
-                )
             return
         _metrics.add("journal.leases")
         _events.emit("lease-claim", index=int(index), attempt=int(attempt),
@@ -170,14 +166,11 @@ class RunJournal:
         self._loaded_stages: "set[str]" = set()
         #: Corrupt/torn records skipped (and re-run) by :meth:`load_stage`.
         self.corrupt_records = 0
-        #: Checkpoint/status writes dropped because the filesystem was
-        #: exhausted — the run continued, merely un-checkpointed.
-        self.degraded_writes = 0
         #: Task count of every stage this run opened (full stage name →
         #: expected count); recorded into ``status.json`` so offline
         #: auditors (``repro doctor``) can detect out-of-range records.
         self.stage_counts: "dict[str, int]" = {}
-        self._degraded_warned = False
+        self._degraded = _events.DegradedWrites("journal.degraded_writes")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -249,6 +242,12 @@ class RunJournal:
 
     # -- degradation -------------------------------------------------------
 
+    @property
+    def degraded_writes(self) -> int:
+        """Checkpoint/status writes dropped because the filesystem was
+        exhausted — the run continued, merely un-checkpointed."""
+        return self._degraded.count
+
     def _degrade(self, what: str, exc: OSError) -> None:
         """Absorb a failed best-effort write: count it, warn once.
 
@@ -259,20 +258,15 @@ class RunJournal:
         file is still writable) and in the ``journal.degraded_writes``
         counter, so the degradation is visible after the fact.
         """
-        self.degraded_writes += 1
-        _metrics.add("journal.degraded_writes")
-        _events.emit(
-            "degraded-write", what=what, cause=exhaustion_kind(exc) or "write-error"
+        kind = exhaustion_kind(exc) or "write-error"
+        self._degraded.absorb(
+            exc,
+            f"journal write failed ({kind}: {exc}) — continuing "
+            f"without checkpointing {what}; results stay correct but "
+            "the run is no longer resumable past this point",
+            what=what,
+            stacklevel=3,
         )
-        if not self._degraded_warned:
-            self._degraded_warned = True
-            kind = exhaustion_kind(exc) or "write-error"
-            warnings.warn(
-                f"journal write failed ({kind}: {exc}) — continuing "
-                f"without checkpointing {what}; results stay correct but "
-                "the run is no longer resumable past this point",
-                stacklevel=3,
-            )
 
     # -- records -----------------------------------------------------------
 

@@ -24,8 +24,8 @@ The layer inherits the obs invariants wholesale:
   installed (two module-global ``None`` checks, like metrics).
 * **Never takes the run down.**  A full or read-only filesystem
   degrades event writes to a once-warned counter
-  (``events.degraded_writes``), mirroring the journal's ``_degrade``
-  from the self-healing work.
+  (``events.degraded_writes``), the same :class:`DegradedWrites` policy
+  the journal and its leases follow.
 
 Wall-clock timestamps are deliberate: events are *not* trace spans, and
 operators correlating a fleet need "when" in human time.  Cross-host
@@ -44,9 +44,11 @@ from pathlib import Path
 from typing import Any, TextIO
 
 from repro.obs import metrics as _metrics
+from repro.utils.atomic import exhaustion_kind
 
 __all__ = [
     "EVENTS_DIRNAME",
+    "DegradedWrites",
     "EventBus",
     "Heartbeat",
     "JsonLines",
@@ -92,25 +94,59 @@ def rss_bytes() -> "int | None":
         return None
 
 
+class DegradedWrites:
+    """The degraded-write policy of every best-effort writer: a failed
+    write is counted under ``counter`` and the first one warns.
+
+    Diagnostics and checkpoints are never correctness, so a full or
+    read-only filesystem must not take a run, a worker or the dispatcher
+    down; ``repro stats`` sums the counters.  A write that names
+    ``what`` it lost also emits a ``degraded-write`` event — the journal
+    and its leases do; the event bus's own file never does, so a failing
+    bus does not write about itself.
+    """
+
+    def __init__(self, counter: str):
+        self.counter = counter
+        #: Failed writes absorbed so far.
+        self.count = 0
+        self._warned = False
+
+    def absorb(
+        self,
+        exc: OSError,
+        message: str,
+        *,
+        what: "str | None" = None,
+        stacklevel: int = 1,
+    ) -> None:
+        """Count one failed write, emit its event, and warn ``message``
+        if it is the first; ``stacklevel`` counts from the caller, as
+        for :func:`warnings.warn`."""
+        self.count += 1
+        _metrics.add(self.counter)
+        if what is not None:
+            emit("degraded-write", what=what, cause=exhaustion_kind(exc) or "write-error")
+        if not self._warned:
+            self._warned = True
+            warnings.warn(message, stacklevel=stacklevel + 1)
+
+
 class JsonLines:
     """An append-only JSON-lines file written best effort — the write
-    policy of the diagnostic sinks (the event bus and the trace writer).
+    path of the diagnostic sinks (the event bus and the trace writer).
 
     Each line is flushed as it is written.  A failed open or write never
-    raises: the line is dropped and counted under ``counter``, the first
-    loss warns, and the next line reopens the file for appending (in
-    case space frees up), so nothing already written is truncated.
-    Diagnostics are never correctness, so a full or read-only filesystem
-    must not take a run, a worker or the dispatcher down; ``repro
-    stats`` sums the counters.
+    raises: the line is dropped and absorbed by :class:`DegradedWrites`
+    under ``counter``, and the next line reopens the file for appending
+    (in case space frees up), so nothing already written is truncated.
     """
 
     def __init__(self, path: Path, counter: str, consequence: str):
         self.path = path
-        self.counter = counter
         self.consequence = consequence
         self._fh: "TextIO | None" = None
-        self._warned = False
+        self._degraded = DegradedWrites(counter)
 
     def write(self, doc: "dict[str, Any]") -> bool:
         """Append one line; whether it was written."""
@@ -123,13 +159,11 @@ class JsonLines:
             return True
         except OSError as exc:
             self.close()  # drops the unwritten buffer
-            _metrics.add(self.counter)
-            if not self._warned:
-                self._warned = True
-                warnings.warn(
-                    f"cannot append to {self.path} ({exc}); {self.consequence}",
-                    stacklevel=4,  # the caller of the sink's emit
-                )
+            self._degraded.absorb(
+                exc,
+                f"cannot append to {self.path} ({exc}); {self.consequence}",
+                stacklevel=4,  # the caller of the sink's emit
+            )
             return False
 
     def close(self) -> None:

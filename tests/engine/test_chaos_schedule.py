@@ -28,7 +28,11 @@ from repro.engine.chaos import (
 )
 from repro.engine.executor import Task, make_tasks, map_tasks
 from repro.engine.faults import RetryPolicy
-from repro.engine.journal import RunJournal
+from repro.engine.journal import LeaseLedger, RunJournal
+from repro.obs import events as obs_events
+from repro.obs import metrics as obs_metrics
+from repro.obs.events import EventBus
+from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture(autouse=True)
@@ -183,6 +187,30 @@ class TestEnospcDegradation:
         # Nothing was checkpointed, so a resume re-runs everything...
         resumed = RunJournal.open(tmp_path / "runs", "r")
         assert resumed.load_stage("e", 4) == {}
+
+    def test_lease_claim_enospc_degrades_with_one_warning(self, tmp_path):
+        chaos.install(ChaosPlan(
+            state_dir=str(tmp_path / "state"),
+            faults=(Fault(kind="enospc", site="journal.lease", once=False),),
+        ))
+        reg, bus = MetricsRegistry(), EventBus(tmp_path / "events", "lease-test")
+        previous_reg, previous_bus = obs_metrics.install(reg), obs_events.install(bus)
+        ledger = LeaseLedger(tmp_path / "leases")
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                ledger.claim(0, 1, "w0")  # neither claim raises
+                ledger.claim(1, 1, "w0")
+        finally:
+            obs_metrics.install(previous_reg)
+            obs_events.install(previous_bus)
+            bus.close()
+        assert len(caught) == 1 and "lease records" in str(caught[0].message)
+        assert reg.grouped_counters()["run"]["journal.degraded_writes"] == 2
+        events = [json.loads(line) for line in bus.path.read_text().splitlines()]
+        degraded = [e for e in events if e["kind"] == "degraded-write"]
+        assert [(e["what"], e["cause"]) for e in degraded] == [("lease", "no-space")] * 2
+        assert ledger.load(0) is None and ledger.load(1) is None
 
     def test_status_write_enospc_absorbed(self, tmp_path):
         chaos.install(ChaosPlan(

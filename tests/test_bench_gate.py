@@ -5,13 +5,15 @@ file path.  These tests pin the ``--check`` floor semantics: a measured
 speedup below its per-kernel floor (default 1.0 — a fast path must not
 lose to its reference) is a failure, and only kernels explicitly
 annotated ``floor: None`` in ``KERNEL_EXPECTATIONS`` are exempt.  The
-telemetry gate (``benchmarks/bench_obs.py``) is pinned on a fake clock:
-interleaved off/on pairs cancel host drift, yet still catch a 6%
-overhead against the 5% budget.
+telemetry gate (``benchmarks/bench_obs.py``) and the sparse-speedup
+floor are pinned on a fake clock: interleaved pairs cancel host drift,
+yet still catch a 6% overhead against the 5% budget and a top-k path
+under the 3x floor.
 """
 
 import contextlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,9 +23,14 @@ _RUN_ALL = Path(__file__).resolve().parents[1] / "benchmarks" / "run_all.py"
 
 @pytest.fixture(scope="module")
 def run_all():
-    spec = importlib.util.spec_from_file_location("bench_run_all", _RUN_ALL)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
+    # The harness imports its sibling bench_obs, as it does run as a script.
+    sys.path.insert(0, str(_RUN_ALL.parent))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run_all", _RUN_ALL)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+    finally:
+        sys.path.remove(str(_RUN_ALL.parent))
     return mod
 
 
@@ -146,3 +153,50 @@ def test_interleaved_pairs_still_catch_six_percent_under_drift(bench_obs):
     host = _Host(drift=0.015, overhead=0.06)
     pairs = bench_obs.paired_times(host.work, host.scope, 7, clock=host.clock)
     assert len(_gate(bench_obs, bench_obs.overhead_entry(pairs))) == 1
+
+
+# -- sparse-speedup floor (benchmarks/run_all.py) ------------------------
+
+
+def _floor_entry(run_all, speedup: float) -> dict:
+    n = run_all.SPARSE_FLOOR_MIN_N
+    mode = f"topk{run_all.SCALING_TOPK}"
+    return {f"scaling_n{n}_{mode}": {
+        "n": n, "mode": mode, "seconds": 0.0, "speedup_vs_dense": speedup,
+    }}
+
+
+def test_sparse_floor_pairs_cancel_host_drift(run_all):
+    """Top-k 3.3x faster than dense on a host slowing 1.5% per call: the
+    median of the alternating pairs passes the 3x floor, while timing
+    every dense run and then every top-k run on the same host reads
+    under 3x and would have failed."""
+    cost = 1.0 / 3.3
+    host = _Host(drift=0.015, overhead=cost - 1.0)  # the scope is top-k
+    dense_s, topk_s, speedup = run_all.paired_speedup(
+        host.work, host.scope, clock=host.clock
+    )
+    assert speedup == pytest.approx(3.3, rel=0.02)
+    assert dense_s / topk_s == pytest.approx(3.3, rel=0.05)
+    assert run_all.check_scaling(_floor_entry(run_all, speedup)) == []
+
+    host = _Host(drift=0.015, overhead=cost - 1.0)
+    best = []
+    for scoped in (False, True):
+        host.scoped = scoped
+        times = []
+        for _ in range(run_all.SPARSE_FLOOR_PAIRS):
+            start = host.clock()
+            host.work()
+            times.append(host.clock() - start)
+        best.append(min(times))
+    block_speedup = best[0] / best[1]
+    assert block_speedup < run_all.SPARSE_SPEEDUP_FLOOR
+    assert len(run_all.check_scaling(_floor_entry(run_all, block_speedup))) == 1
+
+
+def test_sparse_floor_pairs_still_catch_a_slow_topk_under_drift(run_all):
+    host = _Host(drift=0.015, overhead=1.0 / 2.7 - 1.0)
+    _, _, speedup = run_all.paired_speedup(host.work, host.scope, clock=host.clock)
+    assert speedup == pytest.approx(2.7, rel=0.02)
+    assert len(run_all.check_scaling(_floor_entry(run_all, speedup))) == 1
