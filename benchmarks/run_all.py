@@ -103,7 +103,7 @@ os.environ.update(
 
 import numpy as np
 
-from repro.backend import BackendConfig, backend_scope
+from repro.backend import BackendConfig
 from repro.capacity import greedy_capacity, local_search_capacity
 from repro.channel import BlockFadingChannel, NonFadingChannel, RayleighChannel
 from repro.core.affectance import affectance_matrix
@@ -115,6 +115,7 @@ from repro.learning.game import CapacityGame
 from repro.learning.regret import expected_send_rewards, lemma5_quantities
 from repro.learning.rwm import RWMLearner
 from repro.latency.slotloop import iter_slot_blocks, resolve_replay_block
+from repro.run_context import run_scope
 from repro.transform.simulation import simulate_rayleigh_optimum
 from repro.utils.logstar import b_sequence
 
@@ -708,7 +709,7 @@ def measure_scaling(
 
     Every mode at one ``n`` shares the instance, the pattern batch and
     the channel, whose kernel keeps one operator per backend config; a
-    mode's calls run inside its ``backend_scope``.  Deviations are
+    mode's calls run inside a ``run_scope`` with its backend config.  Deviations are
     measured on the *deterministic* Theorem-1 batch probabilities (no
     sampling noise), dense float64 being the reference.  From
     ``SPARSE_FLOOR_MIN_N`` on, the gated top-k speedup comes from
@@ -735,18 +736,18 @@ def measure_scaling(
         call = partial(channel.counterfactual_batch, pats, np.random.default_rng(1))
         probs, seconds, speedups = {}, {}, {}
         for mode, config in timed.items():
-            with backend_scope(config):
+            with run_scope(backend=config):
                 # Warm: builds the log-factor tensor + the mode's operator,
                 # and yields the deterministic output for the deviation column.
                 probs[mode] = channel.kernel.conditional_batch(pats)
         if n >= SPARSE_FLOOR_MIN_N and topk in timed:
             seconds["dense"], seconds[topk], speedups[topk] = paired_speedup(
-                call, partial(backend_scope, timed[topk])
+                call, partial(run_scope, backend=timed[topk])
             )
         reps = max(1, repeats if n <= 1000 else repeats // 2)
         for mode, config in timed.items():
             if mode not in seconds:
-                with backend_scope(config):
+                with run_scope(backend=config):
                     seconds[mode] = _best_of(call, reps)
         for mode in wanted:
             name = f"scaling_n{n}_{mode}"

@@ -23,7 +23,7 @@ Every schedule fault is once-only and the workload runs under
 ``on_error="retry"``, so every injected fault is recoverable by design;
 task randomness rides on spawned task seeds, so recovery re-derives
 identical numbers.  The harness therefore proves the *machinery*
-(retry, pool rebuild, lease re-issue, worker bundles, degradation
+(retry, pool rebuild, lease re-issue, run-context shipping, degradation
 ladder) — the math needs no luck.
 """
 
@@ -48,6 +48,7 @@ from repro.engine.backends.dispatch import seeded_norm_task
 from repro.engine.executor import make_tasks, map_tasks
 from repro.engine.faults import ExecutionPolicy, RetryPolicy, execution_scope
 from repro.engine.journal import RunJournal
+from repro.run_context import run_scope
 
 STAGES = ("soak-alpha", "soak-beta")
 
@@ -117,7 +118,7 @@ class WorkerFleet:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
-        env.pop(chaos.CHAOS_ENV, None)  # plans ship via the queue bundle
+        env.pop(chaos.CHAOS_ENV, None)  # plans ship in the queue's run context
         self.spawned += 1
         return subprocess.Popen(
             [
@@ -161,15 +162,14 @@ class WorkerFleet:
 
 
 def _chaos_phase(name: str, seed: int, quick: bool, work_dir: Path):
-    """Install a fresh seeded plan (new marker dir per phase, so each
-    phase suffers the full schedule) and a fresh journal."""
+    """A fresh seeded plan (new marker dir per phase, so each phase
+    suffers the full schedule) and a fresh journal."""
     state_dir = work_dir / f"chaos-{name}"
     plan = chaos.ChaosPlan(
         state_dir=str(state_dir), schedule=_schedule(seed, quick)
     )
-    chaos.install(plan)
     journal = RunJournal.create(work_dir / "runs", f"soak-{name}", {"phase": name})
-    return journal
+    return plan, journal
 
 
 def main(argv=None) -> int:
@@ -201,7 +201,6 @@ def main(argv=None) -> int:
     work_dir = Path(tempfile.mkdtemp(prefix="repro-soak-"))
     failures = 0
     try:
-        chaos.uninstall()
         t0 = time.monotonic()
         reference = _aggregate(tasks_per_stage, n, 1, _policy(), "serial")
         print(f"serial clean reference: {time.monotonic() - t0:.1f}s, "
@@ -210,10 +209,10 @@ def main(argv=None) -> int:
 
         for jobs in jobs_list:
             name = f"pool-j{jobs}"
-            journal = _chaos_phase(name, args.seed, args.quick, work_dir)
+            plan, journal = _chaos_phase(name, args.seed, args.quick, work_dir)
             t0 = time.monotonic()
-            got = _aggregate(tasks_per_stage, n, jobs, _policy(journal), "pool")
-            chaos.uninstall()
+            with run_scope(chaos=plan):
+                got = _aggregate(tasks_per_stage, n, jobs, _policy(journal), "pool")
             phases[name] = got
             ok = got == reference
             failures += not ok
@@ -223,19 +222,19 @@ def main(argv=None) -> int:
 
         for size in fleet_sizes:
             name = f"dispatch-w{size}"
-            journal = _chaos_phase(name, args.seed, args.quick, work_dir)
+            plan, journal = _chaos_phase(name, args.seed, args.quick, work_dir)
             backend = DispatchBackend(
                 work_dir / f"queue-{name}", lease_timeout=1.5, poll=0.02
             )
             t0 = time.monotonic()
             with WorkerFleet(work_dir / f"queue-{name}", size) as fleet:
                 try:
-                    got = _aggregate(
-                        tasks_per_stage, n, 1, _policy(journal), backend
-                    )
+                    with run_scope(chaos=plan):
+                        got = _aggregate(
+                            tasks_per_stage, n, 1, _policy(journal), backend
+                        )
                 finally:
                     backend.close()
-                    chaos.uninstall()
             phases[name] = got
             ok = got == reference
             failures += not ok
@@ -249,7 +248,6 @@ def main(argv=None) -> int:
                 (out_dir / f"{name}.json").write_text(text, encoding="utf-8")
             print(f"aggregates written to {out_dir}")
     finally:
-        chaos.uninstall()
         shutil.rmtree(work_dir, ignore_errors=True)
 
     if failures:

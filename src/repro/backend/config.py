@@ -6,25 +6,23 @@ needs to know about *how* to compute: the compute dtype policy
 in :data:`DTYPE_RTOL`), and the optional top-k sparsification of
 gain-style matrices (``topk=None`` keeps every matrix dense).
 
-The configuration is **ambient**: kernels read the process-wide config
-through :func:`get_config` (installed by the CLI's ``--dtype/--topk``
-flags, a :func:`backend_scope` block, or
-the executor's worker initializer) instead of threading a backend
-argument through every call.  The default config is the hard invariant
-of the whole layer: with ``BackendConfig()`` active, every routed
-kernel computes the byte-identical NumPy float64 expression it computed
-before the shim existed.
+The configuration in force is the ``backend`` field of the process's
+:class:`~repro.run_context.RunContext` (installed by the CLI's
+``--dtype/--topk`` flags, a :func:`~repro.run_context.run_scope` block,
+or a worker's shipped context), so kernels read
+``current_run().backend`` instead of threading a backend argument
+through every call.  The default config is the hard invariant of the
+whole layer: with ``BackendConfig()`` in force, every routed kernel
+computes the byte-identical NumPy float64 expression it computed before
+the shim existed.
 
 Configs are plain data — :meth:`BackendConfig.to_dict` /
-:meth:`BackendConfig.from_dict` round-trip them through the executor's
-worker bundle, so ``--jobs N`` workers always compute under the same
-policy as the parent process and the ``--jobs`` determinism invariant
-carries over unchanged.
+:meth:`BackendConfig.from_dict` round-trip them through ``summary.json``
+and run journals.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +31,6 @@ __all__ = [
     "DTYPES",
     "DTYPE_RTOL",
     "BackendConfig",
-    "backend_scope",
-    "get_config",
-    "set_config",
 ]
 
 #: Recognised compute dtypes for the gain-matrix kernels.
@@ -92,11 +87,10 @@ class BackendConfig:
         """Whether this is the byte-identical NumPy/float64/dense path."""
         return self.dtype == "float64" and self.topk is None
 
-    # -- worker shipping ----------------------------------------------------
     # The fixed "numpy" label keeps summary.json and older run journals byte-identical.
 
     def to_dict(self) -> "dict[str, object]":
-        """Plain-data form for the executor's worker bundle / summary.json."""
+        """Plain-data form for summary.json and run journals."""
         return {"backend": "numpy", "dtype": self.dtype, "topk": self.topk}
 
     @classmethod
@@ -111,37 +105,3 @@ class BackendConfig:
         tail = "dense" if self.topk is None else f"topk={self.topk}"
         return f"numpy/{self.dtype}/{tail}"
 
-
-#: The ambient process-wide configuration; default = byte-identical path.
-_CONFIG = BackendConfig()
-
-
-def get_config() -> BackendConfig:
-    """The active backend configuration of this process."""
-    return _CONFIG
-
-
-def set_config(config: BackendConfig) -> BackendConfig:
-    """Install ``config`` process-wide; returns the previous config.
-
-    Kernel-level operator caches are keyed by the active config, so
-    switching back and forth never mixes representations.
-    """
-    global _CONFIG
-    if not isinstance(config, BackendConfig):
-        raise TypeError(
-            f"config must be a BackendConfig, got {type(config).__name__}"
-        )
-    previous = _CONFIG
-    _CONFIG = config
-    return previous
-
-
-@contextmanager
-def backend_scope(config: BackendConfig):
-    """Temporarily run with the given backend configuration."""
-    previous = set_config(config)
-    try:
-        yield config
-    finally:
-        set_config(previous)

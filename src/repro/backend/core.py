@@ -7,12 +7,15 @@ kernel (``patterns @ log_factors``), the non-fading margin test
 (``(act · draws) @ S̄``), and the block-fading chunk evaluation.  The
 shim reduces all of them to one abstraction:
 
-* an :class:`ArrayBackend` resolves the ambient
-  :class:`~repro.backend.config.BackendConfig` into concrete behaviour
-  (compute dtype, dense vs top-k representation);
+* :func:`gain_operator` resolves a
+  :class:`~repro.backend.config.BackendConfig` (the kernels pass the run
+  context's, ``current_run().backend``) into concrete behaviour: compute
+  dtype, dense vs top-k representation;
 * a **gain operator** (:class:`DenseGains` or
   :class:`~repro.backend.sparse.TopKGains`) wraps one matrix and
-  answers ``matmul``/``matvec``/``gather_matmul``.
+  answers ``matmul``/``matvec``/``gather_matmul``.  Kernels cache their
+  operators keyed by the config, so a config switch never mixes
+  representations.
 
 The invariant everything else leans on: with the default config, the
 operator wraps the *same* float64 array it was given (no copy, no cast)
@@ -24,10 +27,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.config import BackendConfig, get_config
+from repro.backend.config import BackendConfig
 from repro.backend.sparse import TopKGains
 
-__all__ = ["ArrayBackend", "DenseGains", "active"]
+__all__ = ["DenseGains", "gain_operator"]
 
 
 class DenseGains:
@@ -64,44 +67,17 @@ class DenseGains:
         return f"DenseGains(n={self.matrix.shape[0]}, dtype={self.dtype})"
 
 
-class ArrayBackend:
-    """Resolves a config into dtype + operator choices: NumPy for dense
-    products, plus SciPy's sparse product when importable (see
-    :mod:`repro.backend.sparse`)."""
+def gain_operator(matrix: np.ndarray, config: BackendConfig, *, keep_diagonal: bool = False):
+    """Wrap a gain-style matrix per ``config``.
 
-    def __init__(self, config: BackendConfig):
-        self.config = config
-        self.dtype = config.np_dtype
-
-    def gain_operator(self, matrix: np.ndarray, *, keep_diagonal: bool = False):
-        """Wrap a gain-style matrix per the active policy.
-
-        ``keep_diagonal=True`` is for kernels whose product includes the
-        own-signal diagonal and subtracts it back out — the top-k form
-        then stores the diagonal exactly alongside the k strongest
-        off-diagonal interferers, so the subtraction stays exact.
-        """
-        n = np.asarray(matrix).shape[0]
-        if self.config.topk is None or n < 2 or self.config.topk >= n - 1:
-            return DenseGains(matrix, dtype=self.dtype)
-        return TopKGains.build(
-            matrix, self.config.topk, dtype=self.dtype, keep_diagonal=keep_diagonal
-        )
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.config.describe()})"
-
-
-#: One-slot resolve cache: (config, backend).  Configs are tiny frozen
-#: dataclasses, so the equality check is cheap and the cache follows
-#: every ``set_config``/``backend_scope`` switch automatically.
-_ACTIVE: "tuple[BackendConfig, ArrayBackend] | None" = None
-
-
-def active() -> ArrayBackend:
-    """The backend the ambient configuration names (cached)."""
-    global _ACTIVE
-    config = get_config()
-    if _ACTIVE is None or _ACTIVE[0] != config:
-        _ACTIVE = (config, ArrayBackend(config))
-    return _ACTIVE[1]
+    ``keep_diagonal=True`` is for kernels whose product includes the
+    own-signal diagonal and subtracts it back out — the top-k form
+    then stores the diagonal exactly alongside the k strongest
+    off-diagonal interferers, so the subtraction stays exact.
+    """
+    n = np.asarray(matrix).shape[0]
+    if config.topk is None or n < 2 or config.topk >= n - 1:
+        return DenseGains(matrix, dtype=config.np_dtype)
+    return TopKGains.build(
+        matrix, config.topk, dtype=config.np_dtype, keep_diagonal=keep_diagonal
+    )

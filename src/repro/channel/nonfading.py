@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import backend as _backend
+from repro.backend import gain_operator
 from repro.channel.base import Channel
 from repro.core.sinr import SINRInstance
 from repro.obs import metrics as _metrics
+from repro.run_context import current_run
 from repro.utils.validation import check_probability_vector
 
 __all__ = ["NonFadingChannel"]
@@ -49,17 +50,16 @@ class NonFadingChannel(Channel):
 
     def _bg_op(self):
         """Backend operator over the cached ``β·S̄`` tensor, keyed by the
-        active config (``keep_diagonal=False`` — the diagonal is zero).
+        run's backend config (``keep_diagonal=False`` — the diagonal is zero).
         Under the default config this wraps the cached float64 array and
         the margin test is byte-identical to ``pats @ β·S̄``."""
         ops = getattr(self, "_bg_ops_cache", None)
         if ops is None:
             ops = self._bg_ops_cache = {}
-        be = _backend.active()
-        op = ops.get(be.config)
+        config = current_run().backend
+        op = ops.get(config)
         if op is None:
-            op = be.gain_operator(self._beta_gains, keep_diagonal=False)
-            ops[be.config] = op
+            op = ops[config] = gain_operator(self._beta_gains, config)
         return op
 
     @property

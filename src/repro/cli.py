@@ -41,6 +41,12 @@ bit-identical to an uninterrupted run at any ``--jobs``.  ``--guards``
 sets the numerical-guard strictness (default ``warn``).  Runs that lose
 tasks are marked ``incomplete`` in ``summary.json`` and exit non-zero.
 
+Every setting of a run — the resolved experiment ids, scale, seed,
+channel, array backend, guard mode, chaos plan and telemetry switches —
+is one :class:`~repro.run_context.RunContext`: installed for the run,
+shipped whole to every worker, recorded at the top of ``summary.json``
+and in the journal, and checked by ``--resume``.
+
 Observability (see DESIGN.md, "Observability"): ``--trace`` streams
 hierarchical spans (run → experiment → stage → task) to
 ``trace.jsonl``, ``--metrics`` aggregates kernel/executor counters into
@@ -89,16 +95,17 @@ import os
 import sys
 from pathlib import Path
 
-from repro import backend as _backend
+from repro.backend import DTYPES, BackendConfig
 from repro.engine import chaos, guards
 from repro.engine.executor import resolve_jobs
 from repro.engine.faults import EXECUTOR_MODES, ON_ERROR_MODES, ExecutionPolicy, RetryPolicy
 from repro.engine.journal import JournalError, RunJournal
 from repro.engine.registry import ExperimentSpec, all_specs, get_spec
-from repro.obs import METRICS_FILENAME, TRACE_FILENAME, MetricsRegistry, Telemetry, obs_scope, span
+from repro.obs import METRICS_FILENAME, TRACE_FILENAME, Telemetry, obs_scope, span
 from repro.obs import events as obs_events
 from repro.obs import profile as obs_profile
 from repro.obs.stats import RunDirError, render_run_dir, stats_doc
+from repro.run_context import RESULT_FIELDS, RunContext, run_scope
 from repro.utils.atomic import atomic_write_text
 from repro.utils.heap import apply_heap_policy
 
@@ -127,23 +134,23 @@ def _resolve_specs(spec: str) -> "list[ExperimentSpec]":
         raise SystemExit(str(exc.args[0]) + "; or 'all'") from exc
 
 
-def _install_backend(args) -> "_backend.BackendConfig":
-    """Install the array-backend configuration the flags describe.
-
-    The installed config is shipped to ``--jobs`` workers by the
-    executor's pool initializer, so parent and workers always compute
-    under one policy.
-    """
-    config = _backend.BackendConfig(dtype=args.dtype, topk=args.topk)
-    _backend.set_config(config)
-    if getattr(args, "slot_block", None) is not None:
-        from repro.latency.slotloop import set_default_slot_block
-
-        try:
-            set_default_slot_block(args.slot_block)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from exc
-    return config
+def _build_run(args, **telemetry) -> RunContext:
+    """The run context this invocation's flags (and ``$REPRO_CHAOS``)
+    describe; ``telemetry`` sets its metrics/spans/events switches."""
+    try:
+        plan = chaos.plan_from_env()
+    except chaos.ChaosSpecError as exc:
+        raise SystemExit(str(exc)) from exc
+    return RunContext(
+        experiment_ids=tuple(spec.experiment_id for spec in _resolve_specs(args.experiment)),
+        scale=args.scale,
+        seed=args.seed,
+        channel=args.channel,
+        backend=BackendConfig(dtype=args.dtype, topk=args.topk),
+        guards=args.guards,
+        chaos=plan,
+        **telemetry,
+    )
 
 
 def _build_executor(args):
@@ -191,16 +198,18 @@ def _build_policy(args, journal: "RunJournal | None" = None) -> ExecutionPolicy:
         raise SystemExit(str(exc)) from exc
 
 
-def _open_journal(args) -> "RunJournal | None":
+def _open_journal(args, run: RunContext) -> "RunJournal | None":
     """Create or re-open the run journal the flags ask for (or ``None``).
 
-    A resumed journal must have been created by a compatible invocation:
-    the experiment selection, scale, seed, and channel all feed the sweep
-    shape and the per-task seeds, and the array-backend configuration
-    (dtype/topk) feeds the recorded result bytes, so a mismatch
-    would silently mix two different runs.  ``--jobs`` and ``--executor``
-    are deliberately *not* checked — results are bit-identical across
-    worker counts and backends by construction.
+    A new journal records the run context's dict form as its meta.  A
+    resumed journal must have been created with the same
+    :data:`~repro.run_context.RESULT_FIELDS`: the experiment ids, scale,
+    seed, and channel all feed the sweep shape and the per-task seeds,
+    and the array-backend configuration (dtype/topk) feeds the recorded
+    result bytes, so a mismatch would silently mix two different runs.
+    ``--jobs``, ``--executor``, guards, chaos and telemetry are
+    deliberately *not* checked — results are bit-identical across them
+    by construction.
     """
     if args.resume and args.run_id:
         raise SystemExit(
@@ -209,55 +218,56 @@ def _open_journal(args) -> "RunJournal | None":
         )
     if args.resume is None and args.run_id is None:
         return None
-    meta = {
-        "experiment": args.experiment,
-        "scale": args.scale,
-        "seed": args.seed,
-        "channel": args.channel,
-        "backend": _backend.get_config().to_dict(),
-    }
+    meta = run.to_dict()
     try:
-        if args.resume is not None:
-            journal = RunJournal.open(args.runs_root, args.resume)
-            for key, value in meta.items():
-                recorded = journal.meta.get(key)
-                if recorded == value:
-                    continue
-                if isinstance(recorded, dict) and isinstance(value, dict):
-                    diff = ", ".join(
-                        f"{f}: {recorded.get(f)!r} (recorded) != "
-                        f"{value.get(f)!r} (this invocation)"
-                        for f in sorted(set(recorded) | set(value))
-                        if recorded.get(f) != value.get(f)
-                    )
-                    raise SystemExit(
-                        f"--resume {args.resume}: the run was created under "
-                        f"a different {key} configuration [{diff}]; re-run "
-                        "with matching flags or start a new --run-id"
-                    )
-                raise SystemExit(
-                    f"--resume {args.resume}: the run was created with "
-                    f"{key}={recorded!r} but this invocation has "
-                    f"{key}={value!r}; re-run with matching flags or "
-                    "start a new --run-id"
-                )
-            return journal
-        return RunJournal.create(args.runs_root, args.run_id, meta)
+        if args.resume is None:
+            return RunJournal.create(args.runs_root, args.run_id, meta)
+        journal = RunJournal.open(args.runs_root, args.resume)
     except JournalError as exc:
         raise SystemExit(str(exc)) from exc
+    recorded = dict(journal.meta)
+    if "experiment" in recorded and "experiment_ids" not in recorded:
+        # Journals written before the ids were recorded hold the typed selection.
+        recorded["experiment_ids"] = [
+            spec.experiment_id for spec in _resolve_specs(str(recorded["experiment"]))
+        ]
+    for key in RESULT_FIELDS:
+        value, before = meta[key], recorded.get(key)
+        if before == value:
+            continue
+        if isinstance(before, dict) and isinstance(value, dict):
+            diff = ", ".join(
+                f"{f}: {before.get(f)!r} (recorded) != "
+                f"{value.get(f)!r} (this invocation)"
+                for f in sorted(set(before) | set(value))
+                if before.get(f) != value.get(f)
+            )
+            raise SystemExit(
+                f"--resume {args.resume}: the run was created under "
+                f"a different {key} configuration [{diff}]; re-run "
+                "with matching flags or start a new --run-id"
+            )
+        raise SystemExit(
+            f"--resume {args.resume}: the run was created with "
+            f"{key}={before!r} but this invocation has "
+            f"{key}={value!r}; re-run with matching flags or "
+            "start a new --run-id"
+        )
+    return journal
 
 
-def _run_specs(args, on_result, policy: "ExecutionPolicy | None" = None) -> int:
-    """Run each requested experiment, feed results to ``on_result``,
+def _run_specs(args, run: RunContext, on_result, policy: ExecutionPolicy) -> int:
+    """Run each experiment of ``run``, feed results to ``on_result``,
     and return the number of experiments with failing checks."""
     failures = 0
-    for spec in _resolve_specs(args.experiment):
+    for exp_id in run.experiment_ids:
+        spec = get_spec(exp_id)
         try:
             result = spec.run(
-                args.scale,
-                seed=args.seed,
+                run.scale,
+                seed=run.seed,
                 jobs=args.jobs,
-                channel=args.channel,
+                channel=run.channel,
                 policy=policy,
             )
         except (ValueError, JournalError, RuntimeError) as exc:
@@ -290,23 +300,34 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _cmd_run(args) -> int:
-    guards.set_guard_mode(args.guards)
-    backend_config = _install_backend(args)
-    journal = _open_journal(args)
-    policy = _build_policy(args, journal)
-    try:
-        return _cmd_run_scoped(args, backend_config, journal, policy)
-    finally:
-        _close_executor(policy)
-
-
-def _cmd_run_scoped(args, backend_config, journal, policy) -> int:
     out_dir = Path(args.out) if args.out else None
     if (args.trace or args.metrics or args.profile) and out_dir is None:
         raise SystemExit(
             "--trace/--metrics/--profile write their files into the run "
             "directory; pass --out DIR alongside them"
         )
+    # The event bus lives under the *runs root* (not --out) so that
+    # dispatch workers on other hosts append to the same directory and
+    # `repro top`/`repro tail` see the whole fleet.  --monitor with --out
+    # also collects metrics, for the live metrics.prom snapshot.
+    run = _build_run(
+        args,
+        metrics=bool(args.metrics or (args.monitor and out_dir is not None)),
+        spans=args.trace,
+        events=(
+            str(Path(args.runs_root) / obs_events.EVENTS_DIRNAME) if args.monitor else None
+        ),
+    )
+    journal = _open_journal(args, run)
+    policy = _build_policy(args, journal)
+    try:
+        with run_scope(run):
+            return _cmd_run_scoped(args, run, out_dir, journal, policy)
+    finally:
+        _close_executor(policy)
+
+
+def _cmd_run_scoped(args, run: RunContext, out_dir, journal, policy) -> int:
     if out_dir is not None:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -316,22 +337,16 @@ def _cmd_run_scoped(args, backend_config, journal, policy) -> int:
             ) from exc
     telemetry = (
         Telemetry.for_run_dir(
-            out_dir, trace=args.trace, metrics=args.metrics, profile=args.profile
+            out_dir, trace=run.spans, metrics=run.metrics, profile=args.profile
         )
         if out_dir is not None
         else None
     )
     snapshotter = None
-    if args.monitor:
-        # The event bus lives under the *runs root* (not --out) so that
-        # dispatch workers on other hosts append to the same directory
-        # and `repro top`/`repro tail` see the whole fleet.  Opening is
-        # lazy and degraded writes are absorbed, so --monitor can never
-        # take a run down or change result bytes.
-        bus = obs_events.EventBus(
-            Path(args.runs_root) / obs_events.EVENTS_DIRNAME,
-            obs_events.default_source("run"),
-        )
+    if run.events is not None:
+        # Opening is lazy and degraded writes are absorbed, so --monitor
+        # can never take a run down or change result bytes.
+        bus = obs_events.EventBus(run.events, obs_events.default_source("run"))
         if telemetry is None:
             telemetry = Telemetry(events=bus)
         else:
@@ -339,8 +354,6 @@ def _cmd_run_scoped(args, backend_config, journal, policy) -> int:
         if out_dir is not None:
             from repro.obs.openmetrics import SNAPSHOT_FILENAME, MetricsSnapshotter
 
-            if telemetry.metrics is None:  # --monitor implies metrics
-                telemetry.metrics = MetricsRegistry()
             snapshotter = MetricsSnapshotter(
                 telemetry.metrics, out_dir / SNAPSHOT_FILENAME
             ).start()
@@ -359,7 +372,7 @@ def _cmd_run_scoped(args, backend_config, journal, policy) -> int:
     try:
         with obs_scope(telemetry):
             with span("run", kind="run", experiments=args.experiment):
-                failures = _run_specs(args, on_result, policy)
+                failures = _run_specs(args, run, on_result, policy)
             profile_files = obs_profile.profile_dumps()
     finally:
         if snapshotter is not None:
@@ -369,12 +382,10 @@ def _cmd_run_scoped(args, backend_config, journal, policy) -> int:
     ]
     if out_dir is not None:
         doc = {
-            "scale": args.scale,
-            "seed": args.seed,
+            **run.to_dict(),
+            "chaos": run.chaos is not None,
             "jobs": args.jobs,
-            "channel": args.channel,
             "executor": args.executor,
-            "backend": backend_config.to_dict(),
             "run_id": journal.run_id if journal is not None else None,
             "passed": bool(failures == 0),
             "incomplete": bool(incomplete),
@@ -384,10 +395,10 @@ def _cmd_run_scoped(args, backend_config, journal, policy) -> int:
             doc["journal"] = journal.health()
         if telemetry is not None:
             doc["telemetry"] = {
-                "trace": TRACE_FILENAME if args.trace else None,
+                "trace": TRACE_FILENAME if run.spans else None,
                 "metrics": METRICS_FILENAME if telemetry.metrics is not None else None,
                 "profile": profile_files,
-                "backend": backend_config.describe(),
+                "backend": run.backend.describe(),
                 "events": (
                     str(telemetry.events.path) if telemetry.events is not None else None
                 ),
@@ -498,8 +509,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    guards.set_guard_mode(args.guards)
-    _install_backend(args)
+    run = _build_run(args)
     policy = _build_policy(args)
     lines = [
         "# Experiment report",
@@ -522,7 +532,8 @@ def _cmd_report(args) -> int:
         )
 
     try:
-        failures = _run_specs(args, on_result, policy)
+        with run_scope(run):
+            failures = _run_specs(args, run, on_result, policy)
     finally:
         _close_executor(policy)
     text = "\n".join(lines)
@@ -610,12 +621,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "rician:k=K | block:coherence=L[,family=...]",
     )
     parser.add_argument(
-        "--slot-block", type=int, default=None, metavar="B",
-        help="speculative block size of the latency slot-loop engine "
-        "(default: engine-chosen; results are identical for every value — "
-        "B=1 is the sequential reference, larger B only batches kernels)",
-    )
-    parser.add_argument(
         "--timings", action="store_true",
         help="append per-stage wall-clock timings to each table",
     )
@@ -644,7 +649,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "(default warn; strict turns violations into task failures)",
     )
     parser.add_argument(
-        "--dtype", choices=_backend.DTYPES, default="float64",
+        "--dtype", choices=DTYPES, default="float64",
         help="compute dtype of the gain-matrix products (default float64, "
         "exact; float32 trades documented tolerances for speed)",
     )
@@ -862,10 +867,6 @@ def main(argv: "list[str] | None" = None) -> int:
     """Entry point; returns the process exit code."""
     apply_heap_policy()
     args = build_parser().parse_args(argv)
-    try:
-        chaos.install_from_env()
-    except chaos.ChaosSpecError as exc:
-        raise SystemExit(str(exc)) from exc
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import backend as _backend
+from repro.backend import gain_operator
 from repro.core.network import Network
 from repro.core.power import PowerAssignment
+from repro.run_context import current_run
 from repro.utils.validation import check_nonnegative, check_positive, check_square_matrix
 
 __all__ = [
@@ -96,7 +97,7 @@ def sinr_nonfading(gains: np.ndarray, active, noise: float, *, gains_op=None) ->
     gains_op:
         Optional pre-built gain operator over ``gains`` (built with
         ``keep_diagonal=True``); :class:`SINRInstance` passes its cached
-        one.  When omitted, the ambient backend wraps ``gains`` — a
+        one.  When omitted, the run's backend config wraps ``gains`` — a
         no-copy view under the default config.
 
     Returns
@@ -111,7 +112,7 @@ def sinr_nonfading(gains: np.ndarray, active, noise: float, *, gains_op=None) ->
     mask = _as_active_bool(active, n)
     diag = np.diagonal(gains)
     if gains_op is None:
-        gains_op = _backend.active().gain_operator(gains, keep_diagonal=True)
+        gains_op = gain_operator(gains, current_run().backend, keep_diagonal=True)
     # Σ_{j active} S̄(j, i), includes own signal
     total = gains_op.matvec(mask.astype(gains_op.dtype))
     denom = total - mask * diag + float(noise)
@@ -129,7 +130,7 @@ def sinr_nonfading_batch(
 
     ``active`` has shape ``(B, n)`` (boolean), or ``(..., B, n)`` for a
     stack of batches; the result has the same shape.  One matrix product
-    evaluates all patterns — routed through the ambient array backend
+    evaluates all patterns — routed through the run's array-backend config
     (or the caller's ``gains_op``), so ``--topk`` swaps in the sparse
     representation transparently.  Under the dense backends a stack is
     one ``np.matmul``, which multiplies each ``(B, n)`` slice exactly as
@@ -143,7 +144,7 @@ def sinr_nonfading_batch(
         )
     diag = np.diagonal(gains)
     if gains_op is None:
-        gains_op = _backend.active().gain_operator(gains, keep_diagonal=True)
+        gains_op = gain_operator(gains, current_run().backend, keep_diagonal=True)
     total = gains_op.matmul(act.astype(gains_op.dtype))
     denom = total - act * diag + float(noise)
     out = np.zeros(act.shape, dtype=np.float64)
@@ -172,7 +173,7 @@ class SINRInstance:
     This is the common input of the non-fading engine, the Rayleigh engine,
     the scheduling algorithms, and the learning dynamics.  Instances are
     immutable; the only internal mutability is a cache of derived gain
-    operators keyed by the active backend configuration, so sharing an
+    operators keyed by the run's backend configuration, so sharing an
     instance across backend switches is safe.
     """
 
@@ -237,18 +238,18 @@ class SINRInstance:
     # -- backend operators ---------------------------------------------------
 
     def gains_operator(self, *, keep_diagonal: bool = True):
-        """Gain operator over ``S̄`` for the *active* backend config.
+        """Gain operator over ``S̄`` for the run's backend config.
 
         Cached per ``(config, keep_diagonal)`` so repeated batch calls
         under one policy reuse the representation (in particular the
         one-time top-k selection), while a config switch transparently
         builds — and thereafter reuses — the right operator.
         """
-        be = _backend.active()
-        key = (be.config, keep_diagonal)
+        config = current_run().backend
+        key = (config, keep_diagonal)
         op = self._backend_ops.get(key)
         if op is None:
-            op = be.gain_operator(self._gains, keep_diagonal=keep_diagonal)
+            op = gain_operator(self._gains, config, keep_diagonal=keep_diagonal)
             self._backend_ops[key] = op
         return op
 
@@ -256,7 +257,7 @@ class SINRInstance:
         """Sparse top-k-interferer representation of ``S̄`` (uncached).
 
         A direct builder for callers that want the sparse form
-        irrespective of the ambient config — e.g. the scaling benchmark
+        irrespective of the run's config — e.g. the scaling benchmark
         comparing dense vs sparse on one instance.
         """
         from repro.backend import TopKGains

@@ -15,35 +15,34 @@ lives here:
   path (metric merge, task span, journal record, failure report) the
   shared task lifecycle (:mod:`~repro.engine.backends.lifecycle`)
   funnels every outcome through, in task order;
-* :func:`worker_bundle` / :func:`install_worker_bundle` — the shared
-  state a worker process must install before running tasks (context,
-  guard mode, chaos plan, metrics switch, array-backend config), used
-  by both the process pool's initializer and the multi-host dispatch
-  workers;
+* :func:`shipped_run` / :func:`adopt_run` — the dispatching process's
+  :class:`~repro.run_context.RunContext`, shipped whole by the process
+  pool's initializer and by each dispatch queue's ``bundle.pkl``, and
+  installed by the worker together with the stage's shared context;
 * :func:`shed_parent_state` — what a *forked* worker (pool or local
   dispatch) drops first: the telemetry sinks and profiler hook it
   inherited from the dispatching process.
 
 The determinism contract is enforced by this split: task randomness
-rides on the tasks (spawned seeds), shared state ships via the bundle,
-and results settle in task order — so serial, process-pool, and
-dispatch execution produce bit-identical aggregates.
+rides on the tasks (spawned seeds), the run's settings ship as one
+context, and results settle in task order — so serial, process-pool,
+and dispatch execution produce bit-identical aggregates.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro import backend as array_backend
-from repro.engine import chaos, guards
+from repro.engine import chaos
 from repro.engine.faults import RetryPolicy, RunReport, TaskFailure
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
+from repro.run_context import RunContext, current_run, install_run
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.executor import Task
@@ -53,20 +52,20 @@ __all__ = [
     "ExecutionBackend",
     "RunState",
     "TaskEnvelope",
+    "adopt_run",
     "execute_task",
     "get_worker_context",
-    "install_worker_bundle",
     "record_event",
     "set_worker_name",
     "settle_failure",
     "settle_success",
     "shed_parent_state",
-    "worker_bundle",
+    "shipped_run",
 ]
 
 #: Per-process shared state installed by ``map_tasks``'s ``context``
 #: argument — set once per worker (pool initializer, dispatch-queue
-#: bundle, or around the serial loop) and read back with
+#: ``bundle.pkl``, or around the serial loop) and read back with
 #: :func:`get_worker_context`.
 _WORKER_CONTEXT: Any = None
 
@@ -101,50 +100,37 @@ def set_worker_name(name: "str | None") -> None:
 
 def observing() -> bool:
     """Whether task executions should ship telemetry envelopes: metrics
-    are being collected, or a tracer wants per-task spans (directly or
-    via cross-process span collection)."""
+    are being collected, or task spans are wanted (by a local tracer or
+    for stitching into the dispatcher's trace)."""
+    run = current_run()
     return (
-        obs_metrics.collecting()
+        run.metrics
+        or run.spans
+        or obs_metrics.collecting()
         or obs_trace.current_tracer() is not None
-        or obs_trace.span_collection()
     )
 
 
-def worker_bundle(context: Any) -> tuple:
-    """Everything a worker process must install before running tasks:
-    the shared context, the guard strictness, any chaos plan, whether to
-    buffer telemetry metrics for shipping back, the array-backend
-    configuration (so workers — pool or dispatch, local or remote —
-    compute under the parent's dtype/top-k policy and the
-    determinism invariant holds), whether to collect task spans for
-    trace stitching, and the event-bus directory of a monitored run."""
-    plan = chaos.current_plan()
-    return (
-        context,
-        guards.get_guard_mode(),
-        None if plan is None else plan.to_dict(),
-        observing(),
-        array_backend.get_config().to_dict(),
-        obs_trace.current_tracer() is not None or obs_trace.span_collection(),
-        obs_events.current_events_dir(),
+def shipped_run() -> RunContext:
+    """The run context workers install: this process's, with each
+    telemetry switch also on where a sink installed here wants the
+    workers' share (a metrics registry, a tracer, an event bus)."""
+    run = current_run()
+    return replace(
+        run,
+        metrics=run.metrics or obs_metrics.collecting(),
+        spans=run.spans or obs_trace.current_tracer() is not None,
+        events=run.events or obs_events.current_events_dir(),
     )
 
 
-def install_worker_bundle(bundle: tuple) -> None:
-    """Install a :func:`worker_bundle` in this process: shared context,
-    guards, chaos, the metrics switch, the array-backend config, the
-    span-collection switch, and (for monitored runs) the event bus."""
-    context, guard_mode, chaos_doc, metrics_on, backend_doc, trace_on, events_dir = (
-        bundle
-    )
+def adopt_run(run: RunContext, context: Any) -> None:
+    """Install a shipped run context and the stage's shared context in
+    this worker, and join the run's event bus when it is monitored."""
+    install_run(run)
     set_worker_context(context)
-    guards.set_guard_mode(guard_mode)
-    chaos.install(None if chaos_doc is None else chaos.ChaosPlan.from_dict(chaos_doc))
-    obs_metrics.set_collection(metrics_on)
-    array_backend.set_config(array_backend.BackendConfig.from_dict(backend_doc))
-    obs_trace.set_span_collection(trace_on)
-    if events_dir is not None:
-        obs_events.ensure_bus(events_dir, role="worker")
+    if run.events is not None:
+        obs_events.ensure_bus(run.events, role="worker")
 
 
 def shed_parent_state() -> None:
@@ -162,8 +148,8 @@ def shed_parent_state() -> None:
       dumped.
 
     Called first thing by the pool initializer and by every forked local
-    dispatch worker; :func:`install_worker_bundle` then installs what
-    the worker should share with the dispatcher.
+    dispatch worker; :func:`adopt_run` then installs what the worker
+    shares with the dispatcher.
     """
     obs_events.install(None)
     obs_trace.install_tracer(None)
@@ -219,7 +205,7 @@ def execute_task(fn: "Callable[[Task], Any]", task: "Task", stage: str) -> Any:
     try:
         obs_events.emit("task-start", stage=stage, index=task.index)
         chaos.on_task_start(stage, task.index)
-        if obs_trace.current_tracer() is None and obs_trace.span_collection():
+        if obs_trace.current_tracer() is None and current_run().spans:
             collector = obs_trace.SpanCollector()
             prev_tracer = obs_trace.install_tracer(collector)
         if obs_trace.current_tracer() is not None:
@@ -275,8 +261,8 @@ def settle_success(state: RunState, task: "Task", outcome: Any) -> Any:
             # the local trace with fresh ids under the open stage span.
             obs_trace.emit_subtree(outcome.spans)
         # spans == [] means the span already emitted where it executed,
-        # and None that nothing traced it: a traced dispatcher turns
-        # span collection on in every worker it ships a bundle to.
+        # and None that nothing traced it: a traced dispatcher ships
+        # every worker a run context with its spans switch on.
         obs_events.emit(
             "task-done",
             stage=state.stage,

@@ -10,9 +10,8 @@ that mounts the same directory — steal tasks from it::
     <runs-root>/queues/<queue-id>/
         manifest.json        # queue announce: stage, status open|closed,
                              # task count, worker heartbeat period
-        bundle.pkl           # task function + shared worker bundle
-                             # (context, guards, chaos plan, metrics
-                             # switch, array-backend config)
+        bundle.pkl           # task function, stage, the stage's shared
+                             # context and the dispatcher's RunContext
         todo/task-NNNNNN-aK.pkl      # unclaimed work unit, attempt K
         claimed/task-NNNNNN-aK.pkl   # claimed by exactly one worker
         leases/lease-NNNNNN.json     # who holds it; mtime = heartbeat
@@ -55,7 +54,7 @@ that dies while a stage is open is forked again.  External workers
 still find results by polling; the file protocol is the same for both.
 
 Determinism is inherited, not re-proven: tasks carry their spawned
-seeds, workers install the dispatcher's exact bundle before executing,
+seeds, workers install the dispatcher's run context before executing,
 result envelopes are settled strictly in task order, and retry /
 timeout / worker-loss recovery re-executes tasks whose randomness lives
 on the task — so ``--executor dispatch`` with any worker count (and any
@@ -83,12 +82,12 @@ from repro.engine import chaos
 from repro.engine.backends.base import (
     ExecutionBackend,
     RunState,
+    adopt_run,
     execute_task,
-    install_worker_bundle,
     record_event,
     set_worker_name,
     shed_parent_state,
-    worker_bundle,
+    shipped_run,
 )
 from repro.engine.backends.lifecycle import StageRun
 from repro.engine.backends.serial import degrade_local
@@ -256,7 +255,8 @@ class DispatchBackend(ExecutionBackend):
         bundle_doc = {
             "fn": state.fn,
             "stage": state.stage,
-            "bundle": worker_bundle(state.context),
+            "context": state.context,
+            "run": shipped_run(),
         }
         atomic_write_bytes(
             qdir / "bundle.pkl",
@@ -858,7 +858,7 @@ def _drain_queue(
         return 0
     try:
         bundle_doc = pickle.loads((qdir / "bundle.pkl").read_bytes())
-        install_worker_bundle(bundle_doc["bundle"])
+        adopt_run(bundle_doc["run"], bundle_doc["context"])
         fn, stage = bundle_doc["fn"], bundle_doc["stage"]
     except Exception:
         return 0  # half-removed queue, or a bundle this worker cannot load
@@ -887,7 +887,7 @@ def worker_loop(
 
     The body of ``repro worker`` and of the backend's forked local
     workers: scan for open queues, steal tasks, execute them under the
-    dispatcher's shipped bundle, and stream envelopes back.  Exits 0
+    dispatcher's shipped run context, and stream envelopes back.  Exits 0
     after ``max_idle`` seconds with nothing to do (``None`` = serve
     forever).  Chaos ``worker-lost`` faults may kill this process hard —
     that is the point of them.

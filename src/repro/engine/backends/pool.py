@@ -2,8 +2,8 @@
 
 A transport for the shared task lifecycle
 (:mod:`~repro.engine.backends.lifecycle`): workers are initialised with
-the shared worker bundle (context, guards, chaos plan, metrics switch,
-array-backend config), every task the lifecycle makes ready is
+the dispatcher's :class:`~repro.run_context.RunContext` and the stage's
+shared context, every task the lifecycle makes ready is
 submitted to one pool that lives across retries, and futures are
 awaited oldest submission first.  What the pool observes goes back to
 the lifecycle as an event — a result, an exception, a blown wall-clock
@@ -38,12 +38,12 @@ from typing import TYPE_CHECKING, Any
 from repro.engine.backends.base import (
     ExecutionBackend,
     RunState,
+    adopt_run,
     execute_task,
-    install_worker_bundle,
     record_event,
     set_worker_name,
     shed_parent_state,
-    worker_bundle,
+    shipped_run,
 )
 from repro.engine.backends.lifecycle import StageRun
 from repro.engine.backends.serial import degrade_local
@@ -55,12 +55,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ProcessPoolBackend"]
 
 
-def _init_worker(bundle: tuple) -> None:
+def _init_worker(run, context) -> None:
     """Pool initializer: shed the state a forked worker inherits,
-    install the shared worker bundle, and declare this process's
-    identity for task spans."""
+    install the dispatcher's run context and the stage's shared
+    context, and declare this process's identity for task spans."""
     shed_parent_state()
-    install_worker_bundle(bundle)
+    adopt_run(run, context)
     set_worker_name(f"pool-{os.getpid()}")
 
 
@@ -132,7 +132,7 @@ class ProcessPoolBackend(ExecutionBackend):
                                 max(state.n_jobs, 1), len(run.due) + len(run.inflight)
                             ),
                             initializer=_init_worker,
-                            initargs=(worker_bundle(state.context),),
+                            initargs=(shipped_run(), state.context),
                         )
                     inflight[idx] = (run.issue(idx), pool.submit(
                         _execute_marked, marker_dir, state.fn, run.tasks[idx], state.stage

@@ -43,13 +43,14 @@ inject identical faults).  Schedule faults are always once-only, which
 is what lets a soak run assert byte-identity with a clean serial run:
 every injected fault is recoverable by design.
 
-Plans are plain JSON: the CLI and pool workers load them from the
-``REPRO_CHAOS`` environment variable (a path to a plan file), and the
-executor re-ships the installed plan through its pool initializer, so
-injection behaves identically on fork and spawn start methods.
+Plans are plain JSON: the CLI loads one from the ``REPRO_CHAOS``
+environment variable (a path to a plan file) into the ``chaos`` field of
+the run context (:mod:`repro.run_context`), which the executor ships
+whole to every pool and dispatch worker, so injection behaves
+identically wherever a task runs.
 
-No fault fires unless a plan is installed; the inactive fast path is a
-single module-level ``None`` check.
+No fault fires unless the run context carries a plan; the inactive fast
+path is one ``None`` check.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ import numpy as np
 
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
+from repro.run_context import current_run
 
 __all__ = [
     "ChaosError",
@@ -77,18 +79,14 @@ __all__ = [
     "FAULT_SITES",
     "Fault",
     "RandomSchedule",
-    "active",
     "corrupt",
-    "current_plan",
     "declare_worker_process",
-    "install",
-    "install_from_env",
-    "install_from_file",
     "is_worker_process",
+    "load_plan",
     "on_task_start",
     "on_write",
+    "plan_from_env",
     "set_current_task",
-    "uninstall",
 ]
 
 #: Environment variable naming a JSON chaos-plan file.
@@ -329,7 +327,6 @@ class ChaosPlan:
         )
 
 
-_PLAN: "ChaosPlan | None" = None
 #: The (stage, index) of the task currently executing in this process.
 _CURRENT_TASK: "tuple[str, int] | None" = None
 #: Whether this process declared itself a dispatch worker (``repro
@@ -348,28 +345,8 @@ def is_worker_process() -> bool:
     return _WORKER_PROCESS
 
 
-def install(plan: "ChaosPlan | None") -> None:
-    """Install ``plan`` process-wide (``None`` uninstalls)."""
-    global _PLAN
-    if plan is not None:
-        Path(plan.state_dir).mkdir(parents=True, exist_ok=True)
-    _PLAN = plan
-
-
-def uninstall() -> None:
-    install(None)
-
-
-def active() -> bool:
-    return _PLAN is not None
-
-
-def current_plan() -> "ChaosPlan | None":
-    return _PLAN
-
-
-def install_from_file(path) -> ChaosPlan:
-    """Load and install a JSON plan file; returns the plan.
+def load_plan(path) -> ChaosPlan:
+    """Load a JSON plan file.
 
     A malformed plan raises :class:`ChaosSpecError` naming the file,
     the problem, and the valid fault kinds and site names — mirroring
@@ -392,20 +369,18 @@ def install_from_file(path) -> ChaosPlan:
             f"valid fault kinds: {', '.join(FAULT_KINDS)}; "
             f"valid sites: {', '.join(FAULT_SITES)}"
         ) from exc
-    install(plan)
     return plan
 
 
-def install_from_env() -> "ChaosPlan | None":
-    """Install the plan named by ``$REPRO_CHAOS``, if any."""
+def plan_from_env() -> "ChaosPlan | None":
+    """The plan named by ``$REPRO_CHAOS``, if any."""
     path = os.environ.get(CHAOS_ENV)
-    if not path:
-        return None
-    return install_from_file(path)
+    return load_plan(path) if path else None
 
 
 def _claim(plan: ChaosPlan, marker: str) -> bool:
     """Atomically claim a once-only marker; True exactly once per marker."""
+    Path(plan.state_dir).mkdir(parents=True, exist_ok=True)
     target = Path(plan.state_dir) / marker
     try:
         fd = os.open(target, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -471,7 +446,7 @@ def on_task_start(stage: str, index: int) -> None:
     fire first, then the plan's :class:`RandomSchedule` (always
     once-only) draws for the task.
     """
-    plan = _PLAN
+    plan = current_run().chaos
     if plan is None:
         return
     for pos, fault in enumerate(plan.faults):
@@ -502,7 +477,7 @@ def on_write(site: str, stage: "str | None" = None,
     Raises ``OSError(ENOSPC)`` when a fault fires, which the caller's
     degradation path then has to absorb; a no-op without a plan.
     """
-    plan = _PLAN
+    plan = current_run().chaos
     if plan is None:
         return
     for pos, fault in enumerate(plan.faults):
@@ -545,7 +520,7 @@ def corrupt(site: str, arr: np.ndarray) -> np.ndarray:
     Returns ``arr`` untouched (same object) when no fault matches; a
     corrupted copy otherwise.  ``links`` index the array's last axis.
     """
-    plan = _PLAN
+    plan = current_run().chaos
     if plan is None:
         return arr
     for pos, fault in enumerate(plan.faults):

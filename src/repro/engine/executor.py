@@ -26,8 +26,8 @@ bit-identical results.
 Shared read-only state (a config, a generated network list, a channel
 spec) can be passed once per worker through ``map_tasks(..., context=...)``
 instead of being pickled into every task payload: process backends ship
-it via the shared worker bundle (pool initializer / dispatch-queue
-bundle) and task functions read it back with :func:`get_worker_context`.
+it next to the run context (pool initializer / dispatch-queue
+``bundle.pkl``) and task functions read it back with :func:`get_worker_context`.
 Context must never carry randomness — seeds stay on the tasks, so the
 backend invariance is unaffected.
 
@@ -176,7 +176,7 @@ def map_tasks(
     pickled by reference).
 
     ``context`` is shared read-only state shipped **once per worker**
-    (via the shared worker bundle) rather than pickled into every task;
+    (with the run context) rather than pickled into every task;
     task functions retrieve it with :func:`get_worker_context`.  On the
     serial backend it is installed around the loop, so task functions
     behave identically on every backend.

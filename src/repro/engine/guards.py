@@ -9,8 +9,8 @@ sits at the kernel boundaries — :class:`~repro.fading.success.Theorem1Kernel`,
 Monte-Carlo probability estimators, and the regret kernels — and checks
 each output for NaN/Inf, negative probabilities, and ``Q_i > 1``.
 
-Three strictness levels (process-wide, shipped to pool workers by the
-executor's initializer):
+Three strictness levels, read from the ``guards`` field of the run
+context (:mod:`repro.run_context`), which workers receive whole:
 
 * ``"off"``   — checks compile to a single mode comparison (default for
   library use; the hot kernels stay untouched);
@@ -29,11 +29,11 @@ travel.
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
 
 import numpy as np
 
 from repro.obs import metrics as _metrics
+from repro.run_context import GUARD_MODES, current_run
 
 __all__ = [
     "GUARD_MODES",
@@ -41,15 +41,7 @@ __all__ = [
     "GuardWarning",
     "check_finite",
     "check_probabilities",
-    "enabled",
-    "get_guard_mode",
-    "guard_scope",
-    "set_guard_mode",
 ]
-
-GUARD_MODES = ("off", "warn", "strict")
-
-_MODE = "off"
 
 
 class GuardViolation(ValueError):
@@ -58,34 +50,6 @@ class GuardViolation(ValueError):
 
 class GuardWarning(UserWarning):
     """A kernel output failed validation under warn-level guards."""
-
-
-def get_guard_mode() -> str:
-    return _MODE
-
-
-def set_guard_mode(mode: str) -> str:
-    """Set the process-wide guard mode; returns the previous mode."""
-    global _MODE
-    if mode not in GUARD_MODES:
-        raise ValueError(f"guard mode must be one of {GUARD_MODES}, got {mode!r}")
-    previous = _MODE
-    _MODE = mode
-    return previous
-
-
-@contextmanager
-def guard_scope(mode: str):
-    """Temporarily run with the given guard mode."""
-    previous = set_guard_mode(mode)
-    try:
-        yield
-    finally:
-        set_guard_mode(previous)
-
-
-def enabled() -> bool:
-    return _MODE != "off"
 
 
 def _describe(site: str, arr: np.ndarray, bad: np.ndarray, problem: str, info) -> str:
@@ -103,7 +67,7 @@ def _describe(site: str, arr: np.ndarray, bad: np.ndarray, problem: str, info) -
 
 def _violate(site: str, message: str) -> None:
     _metrics.add("guards.violations." + site)
-    if _MODE == "strict":
+    if current_run().guards == "strict":
         raise GuardViolation(message)
     warnings.warn(message, GuardWarning, stacklevel=3)
 
@@ -114,7 +78,7 @@ def check_finite(arr: np.ndarray, site: str, allow_inf: bool = False, **info) ->
     ``allow_inf=True`` flags only NaN — for quantities like SINR where
     ``+inf`` is a legitimate value (no interference, zero noise).
     """
-    if _MODE == "off":
+    if current_run().guards == "off":
         return arr
     a = np.asarray(arr)
     bad = np.isnan(a) if allow_inf else ~np.isfinite(a)
@@ -129,7 +93,7 @@ def check_probabilities(arr: np.ndarray, site: str, tol: float = 1e-9, **info) -
     ``tol`` absorbs float round-off at the interval edges.  Returns
     ``arr`` unchanged.
     """
-    if _MODE == "off":
+    if current_run().guards == "off":
         return arr
     a = np.asarray(arr)
     finite = np.isfinite(a)

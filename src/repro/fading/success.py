@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import backend as _backend
+from repro.backend import gain_operator
 from repro.core.sinr import SINRInstance
 from repro.engine import chaos, guards
 from repro.obs import metrics as _metrics
+from repro.run_context import current_run
 from repro.utils.validation import check_probability_vector
 
 __all__ = [
@@ -173,7 +174,7 @@ class Theorem1Kernel:
         return self._log_factors
 
     def _operator(self, which: str):
-        """Backend operator over a cached tensor, keyed by active config.
+        """Backend operator over a cached tensor, keyed by the run's config.
 
         ``which`` names the tensor: ``"log_factors"`` (binary/batch sum
         form) or ``"weights"`` (fractional product form).  Both have a
@@ -181,13 +182,12 @@ class Theorem1Kernel:
         Under the default config the operator wraps the cached float64
         array itself, keeping the products byte-identical.
         """
-        be = _backend.active()
-        key = (be.config, which)
+        config = current_run().backend
+        key = (config, which)
         op = self._ops.get(key)
         if op is None:
             matrix = self.log_factors if which == "log_factors" else self.weights
-            op = be.gain_operator(matrix, keep_diagonal=False)
-            self._ops[key] = op
+            op = self._ops[key] = gain_operator(matrix, config)
         else:
             _metrics.add("theorem1.cache_hits")
         return op
@@ -272,7 +272,7 @@ class Theorem1Kernel:
     @property
     def supports_entry_gather(self) -> bool:
         """Whether the exact entry-level paths (:meth:`conditional_at`,
-        :meth:`screen_bound`) apply under the active backend config —
+        :meth:`screen_bound`) apply under the run's backend config —
         they read the raw float64 ``log_factors``, so top-k / reduced
         dtype configs must route through :meth:`conditional_batch`."""
         op = self._operator("log_factors")

@@ -21,7 +21,7 @@ All schedulers execute on the shared slot-loop engine
 (:mod:`~repro.latency.slotloop`): per-slot randomness is pre-drawn
 positionally in speculative blocks and settled in place, so results are
 identical for every ``slot_block`` — the block size is purely a
-throughput knob (process default via :func:`set_default_slot_block`).
+throughput knob (default :data:`~repro.latency.slotloop.DEFAULT_SLOT_BLOCK`).
 """
 
 from repro.latency.aloha import aloha_latency
@@ -36,12 +36,10 @@ from repro.latency.schedule import Schedule, replay_schedule, validate_schedule
 from repro.latency.slotloop import (
     ContentionResult,
     SlotFieldBuffer,
-    get_default_slot_block,
     iter_slot_blocks,
     resolve_slot_block,
     run_contention,
     run_fixed_pattern,
-    set_default_slot_block,
 )
 
 __all__ = [
@@ -51,7 +49,6 @@ __all__ = [
     "SlotFieldBuffer",
     "aloha_latency",
     "decay_latency",
-    "get_default_slot_block",
     "iter_slot_blocks",
     "multihop_latency",
     "multihop_lower_bound",
@@ -60,6 +57,5 @@ __all__ = [
     "resolve_slot_block",
     "run_contention",
     "run_fixed_pattern",
-    "set_default_slot_block",
     "validate_schedule",
 ]

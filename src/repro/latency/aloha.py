@@ -114,8 +114,8 @@ def aloha_latency(
         Per-phase step budget is ``max_steps_factor · n / q`` protocol
         steps (generous; only pathological probabilities exhaust it).
     slot_block:
-        Speculative block size of the slot-loop engine (``None`` → the
-        process default, :func:`repro.latency.slotloop.get_default_slot_block`).
+        Speculative block size of the slot-loop engine (``None`` →
+        :data:`repro.latency.slotloop.DEFAULT_SLOT_BLOCK`).
         Any value yields identical results; it only trades throughput
         against wasted speculation.
 

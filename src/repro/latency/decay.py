@@ -64,8 +64,8 @@ def decay_latency(
     max_sweeps:
         Safety cap (default ``50 · n``).
     slot_block:
-        Speculative block size of the slot-loop engine (``None`` → the
-        process default); results are identical for every value.
+        Speculative block size of the slot-loop engine (``None`` →
+        ``DEFAULT_SLOT_BLOCK``); results are identical for every value.
 
     Returns
     -------

@@ -154,7 +154,7 @@ def multihop_latency(
         Safety cap (default ``50 · total hops``).
     slot_block:
         Speculative block cap of the fixed-pattern engine path
-        (``None`` → the process default); results are identical for
+        (``None`` → ``DEFAULT_SLOT_BLOCK``); results are identical for
         every value.
 
     Returns

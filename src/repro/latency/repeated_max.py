@@ -96,7 +96,7 @@ def repeated_max_latency(
         need).
     slot_block:
         Speculative block cap of the fixed-pattern engine path
-        (``None`` → the process default); results are identical for
+        (``None`` → ``DEFAULT_SLOT_BLOCK``); results are identical for
         every value.  Between two services the unserved set — and hence
         the (deterministic) capacity algorithm's choice — cannot change,
         so the chosen set is re-planned only after a service and the

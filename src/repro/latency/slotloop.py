@@ -58,13 +58,11 @@ __all__ = [
     "DEFAULT_SLOT_BLOCK",
     "ContentionResult",
     "SlotFieldBuffer",
-    "get_default_slot_block",
     "iter_slot_blocks",
     "resolve_replay_block",
     "resolve_slot_block",
     "run_contention",
     "run_fixed_pattern",
-    "set_default_slot_block",
 ]
 
 #: Default speculative block size.  Large enough to amortize interpreter
@@ -74,11 +72,9 @@ __all__ = [
 DEFAULT_SLOT_BLOCK = 64
 
 #: Replay paths (recorded schedules, transform samplers) have no state
-#: feedback, so bigger blocks are a pure win; they default to at least
-#: this many slots per chunk.
-_REPLAY_FLOOR = 512
-
-_default_block = DEFAULT_SLOT_BLOCK
+#: feedback, so bigger blocks are a pure win; they default to this many
+#: slots per chunk.
+_REPLAY_BLOCK = 512
 
 #: Cost cap for one speculation window, in predicted transmitting
 #: pairs (Σ over admitted slots of the squared expected active count —
@@ -91,22 +87,6 @@ _EMPTY_SLOT = np.empty(0, dtype=np.intp)
 _EMPTY_SLOT.setflags(write=False)
 
 
-def get_default_slot_block() -> int:
-    """The process-wide default speculative block size ``B``."""
-    return _default_block
-
-
-def set_default_slot_block(block: int) -> int:
-    """Set the process-wide default ``B`` (the CLI ``--slot-block`` knob).
-
-    Returns the previous value so callers can restore it.
-    """
-    global _default_block
-    previous = _default_block
-    _default_block = _check_block(block)
-    return previous
-
-
 def _check_block(block) -> int:
     b = int(block)
     if b < 1:
@@ -115,18 +95,18 @@ def _check_block(block) -> int:
 
 
 def resolve_slot_block(slot_block: "int | None") -> int:
-    """``None`` means the process default; explicit values are checked."""
+    """``None`` means :data:`DEFAULT_SLOT_BLOCK`; explicit values are checked."""
     if slot_block is None:
-        return _default_block
+        return DEFAULT_SLOT_BLOCK
     return _check_block(slot_block)
 
 
 def resolve_replay_block(slot_block: "int | None") -> int:
     """Block size for state-free replay paths: an explicit value wins;
-    the default is floored at ``512`` (replay has no speculation cost,
-    so small blocks only add per-chunk overhead)."""
+    the default is ``512`` (replay has no speculation cost, so small
+    blocks only add per-chunk overhead)."""
     if slot_block is None:
-        return max(_REPLAY_FLOOR, _default_block)
+        return _REPLAY_BLOCK
     return _check_block(slot_block)
 
 
@@ -271,7 +251,7 @@ def run_contention(
         Protocol-step budget; the run executes at most
         ``max_steps * executions`` physical slots.
     slot_block:
-        Speculative block cap ``B`` (``None`` → process default).
+        Speculative block cap ``B`` (``None`` → :data:`DEFAULT_SLOT_BLOCK`).
         **Results are identical for every value** — the engine's RNG
         schedule is positional; ``B`` only trades throughput against
         wasted speculation.

@@ -245,7 +245,7 @@ def current_bus() -> "EventBus | None":
 
 
 def current_events_dir() -> "str | None":
-    """The installed bus's directory (shipped to workers on the bundle)."""
+    """The installed bus's directory (workers join it through the shipped run context)."""
     return None if _BUS is None else str(_BUS.directory)
 
 
@@ -259,7 +259,7 @@ def emit(kind: str, **fields: Any) -> None:
 def ensure_bus(directory, role: str = "proc") -> EventBus:
     """Idempotently give this process a bus under ``directory``.
 
-    Used by :func:`~repro.engine.backends.base.install_worker_bundle`:
+    Used by :func:`~repro.engine.backends.base.adopt_run`:
     a dispatch worker that already opened its own named bus (in
     ``worker_loop``) keeps it; a pool worker gets a fresh one keyed by
     its pid.  Re-installing for the same directory is a no-op, so one

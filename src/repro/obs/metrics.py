@@ -39,7 +39,6 @@ __all__ = [
     "merge_task_metrics",
     "observe",
     "prefix_scope",
-    "set_collection",
     "set_gauge",
 ]
 
@@ -47,9 +46,6 @@ __all__ = [
 _REGISTRY: "MetricsRegistry | None" = None
 #: Task-local buffer pushed by the executor around each task execution.
 _TASK_BUFFER: "MetricsRegistry | None" = None
-#: Worker-process flag: collect into task buffers even without a sink
-#: (the buffers travel back to the main process on the task results).
-_COLLECT = False
 #: Prefix (experiment id) applied by the main-process sink.
 _PREFIX = ""
 
@@ -207,23 +203,16 @@ def observe(name: str, value: float) -> None:
 
 
 def collecting() -> bool:
-    """Whether any metric written right now would be kept."""
-    return _COLLECT or _REGISTRY is not None or _TASK_BUFFER is not None
+    """Whether this process has a sink or task buffer for metrics.
+
+    Workers have neither between tasks; the ``metrics`` switch of the
+    shipped run context tells the executor to buffer their tasks."""
+    return _REGISTRY is not None or _TASK_BUFFER is not None
 
 
 def current_registry() -> "MetricsRegistry | None":
     """The installed main-process sink (``None`` when metrics are off)."""
     return _REGISTRY
-
-
-def set_collection(flag: bool) -> None:
-    """Worker-process switch: buffer task metrics even without a sink.
-
-    Shipped to pool workers by the executor's initializer, mirroring the
-    guard mode and chaos plan.
-    """
-    global _COLLECT
-    _COLLECT = bool(flag)
 
 
 def install(registry: "MetricsRegistry | None") -> "MetricsRegistry | None":

@@ -16,8 +16,10 @@ machine-readable document: counters, spans summary, faults, degraded
 writes), and ``--format openmetrics`` (the Prometheus text exposition
 of ``metrics.json``, rendered by :mod:`repro.obs.openmetrics`).
 
-Everything is file-based and read-only: ``repro stats`` re-runs nothing
-and works on any machine the run directory was copied to.
+Both renderings come from one document: the human report formats what
+:func:`stats_doc` read.  Everything is file-based and read-only:
+``repro stats`` re-runs nothing and works on any machine the run
+directory was copied to.
 """
 
 from __future__ import annotations
@@ -26,7 +28,12 @@ import json
 from pathlib import Path
 from typing import Any
 
+from repro.backend.config import BackendConfig
+
 __all__ = ["RunDirError", "render_run_dir", "stats_doc"]
+
+#: The run flags both renderings list, in order (``summary.json`` keys).
+FLAGS = ("scale", "seed", "jobs", "channel", "executor", "guards", "run_id")
 
 #: Failed best-effort writes, one counter per diagnostic sink.
 DEGRADED_COUNTERS = (
@@ -72,25 +79,35 @@ def _load_spans(path: Path) -> "list[dict[str, Any]]":
     return spans
 
 
-def _span_lines(spans: "list[dict[str, Any]]", experiment: str) -> "list[str]":
-    """Stage and task lines of one experiment's span subtree."""
+def _experiment_spans(spans: "list[dict[str, Any]]", experiment: str) -> "dict[str, Any]":
+    """Total seconds and per-stage task tallies of one experiment's span subtree."""
     exp = [s for s in spans if s.get("kind") == "experiment" and s.get("name") == experiment]
-    if not exp:
-        return []
     exp_ids = {s["id"] for s in exp}
-    lines = [f"  spans ({sum(s['dur'] for s in exp):.3f}s total):"]
+    stages = []
     for stage in (s for s in spans if s.get("parent") in exp_ids):
         if stage.get("kind") == "task":
             continue
         tasks = [
-            t for t in spans if t.get("parent") == stage["id"] and t.get("kind") == "task"
+            t["dur"] for t in spans if t.get("parent") == stage["id"] and t.get("kind") == "task"
         ]
-        lines.append(f"    {stage['name']}: {stage['dur']:.3f}s")
-        if tasks:
-            total = sum(t["dur"] for t in tasks)
+        stages.append(
+            {"name": stage["name"], "seconds": stage["dur"], "tasks": len(tasks),
+             "task_seconds": sum(tasks)}
+        )
+    return {"seconds": sum(s["dur"] for s in exp), "stages": stages}
+
+
+def _span_lines(summary: "dict[str, Any] | None") -> "list[str]":
+    """Stage and task lines of one experiment's span summary."""
+    if summary is None:
+        return []
+    lines = [f"  spans ({summary['seconds']:.3f}s total):"]
+    for stage in summary["stages"]:
+        lines.append(f"    {stage['name']}: {stage['seconds']:.3f}s")
+        if stage["tasks"]:
+            total, count = stage["task_seconds"], stage["tasks"]
             lines.append(
-                f"      tasks: {len(tasks)} "
-                f"(sum {total:.3f}s, mean {total / len(tasks):.4f}s)"
+                f"      tasks: {count} (sum {total:.3f}s, mean {total / count:.4f}s)"
             )
     return lines
 
@@ -148,12 +165,8 @@ def _worker_tasks(spans: "list[dict[str, Any]]") -> "dict[str, int]":
     return dict(sorted(tally.items()))
 
 
-def _fleet_lines(
-    grouped: "dict[str, dict[str, Any]]", spans: "list[dict[str, Any]]"
-) -> "list[str]":
+def _fleet_lines(totals: "dict[str, int]", workers: "dict[str, int]") -> "list[str]":
     """The dedicated fleet section: dispatch counters + worker roster."""
-    totals = _fleet_totals(grouped)
-    workers = _worker_tasks(spans)
     if not totals and not workers:
         return []
     lines = ["", "fleet:"]
@@ -172,20 +185,26 @@ def _spans_summary(spans: "list[dict[str, Any]]") -> "dict[str, Any]":
     for sp in spans:
         kind = str(sp.get("kind", "?"))
         by_kind[kind] = by_kind.get(kind, 0) + 1
+    experiments = dict.fromkeys(
+        sp.get("name") for sp in spans if sp.get("kind") == "experiment"
+    )
     return {
         "total": len(spans),
         "by_kind": dict(sorted(by_kind.items())),
         "workers": _worker_tasks(spans),
+        "experiments": {name: _experiment_spans(spans, name) for name in experiments},
     }
 
 
 def stats_doc(run_dir) -> "dict[str, Any]":
     """The machine-readable ``repro stats --json`` document.
 
-    Everything the human renderer knows, as one JSON object: run flags
-    and status, per-experiment checks/timings/faults, the full counter/
-    gauge/histogram document, a spans summary (with the per-worker task
-    tally), the fleet totals, and the degraded-write counts.
+    Everything the human renderer shows, as one JSON object: run flags
+    (``None`` without a ``summary.json``) and status, journal health,
+    per-experiment checks/timings/faults, the full counter/gauge/
+    histogram document, a spans summary (with the per-worker task tally
+    and each experiment's stages), the fleet totals, and the
+    degraded-write counts.
     """
     base = Path(run_dir)
     summary = _load_json(base / "summary.json")
@@ -198,17 +217,16 @@ def stats_doc(run_dir) -> "dict[str, Any]":
             "create one with `repro run ... --out DIR [--trace --metrics]`"
         )
     grouped = (metrics or {}).get("counters", {})
-    health = (summary or {}).get("journal") or {}
-    doc: "dict[str, Any]" = {
+    run = summary or {}
+    health = run.get("journal") or {}
+    return {
         "run_dir": str(base),
-        "flags": {
-            key: (summary or {}).get(key)
-            for key in ("scale", "seed", "jobs", "channel", "executor", "run_id")
-        },
-        "backend": (summary or {}).get("backend"),
-        "passed": (summary or {}).get("passed"),
-        "incomplete": bool((summary or {}).get("incomplete")),
-        "experiments": (summary or {}).get("experiments", []),
+        "flags": None if summary is None else {key: run.get(key) for key in FLAGS},
+        "backend": run.get("backend"),
+        "passed": run.get("passed"),
+        "incomplete": bool(run.get("incomplete")),
+        "journal": run.get("journal"),
+        "experiments": run.get("experiments", []),
         "metrics": metrics,
         "spans": _spans_summary(spans),
         "fleet": _fleet_totals(grouped),
@@ -222,47 +240,30 @@ def stats_doc(run_dir) -> "dict[str, Any]":
         },
         "profiles": profiles,
     }
-    return doc
 
 
 def render_run_dir(run_dir) -> str:
     """One readable report of everything the run directory recorded."""
-    base = Path(run_dir)
-    summary = _load_json(base / "summary.json")
-    metrics = _load_json(base / "metrics.json")
-    spans = _load_spans(base / "trace.jsonl")
-    profiles = sorted(p.name for p in base.glob("profile-*.pstats"))
-    if summary is None and metrics is None and not spans:
-        raise RunDirError(
-            f"{base} holds no summary.json, metrics.json, or trace.jsonl; "
-            "create one with `repro run ... --out DIR [--trace --metrics]`"
-        )
-
-    grouped = (metrics or {}).get("counters", {})
-    lines = [f"run directory: {base}"]
-    if summary is not None:
+    doc = stats_doc(run_dir)
+    metrics = doc["metrics"] or {}
+    grouped = metrics.get("counters", {})
+    spans = doc["spans"]
+    lines = [f"run directory: {doc['run_dir']}"]
+    if doc["flags"] is not None:
         flags = ", ".join(
-            f"{key}={summary.get(key)!r}"
-            for key in ("scale", "seed", "jobs", "channel", "run_id")
-            if summary.get(key) is not None
+            f"{key}={value!r}" for key, value in doc["flags"].items() if value is not None
         )
         lines.append(f"flags: {flags or '(defaults)'}")
-        backend_doc = summary.get("backend")
-        if isinstance(backend_doc, dict):
-            topk = backend_doc.get("topk")
-            tail = "dense" if topk is None else f"topk={topk}"
-            lines.append(
-                "backend: "
-                f"{backend_doc.get('backend')}/{backend_doc.get('dtype')}/{tail}"
-            )
-        status = "PASS" if summary.get("passed") else "FAIL"
-        if summary.get("incomplete"):
+        if isinstance(doc["backend"], dict):
+            lines.append(f"backend: {BackendConfig.from_dict(doc['backend']).describe()}")
+        status = "PASS" if doc["passed"] else "FAIL"
+        if doc["incomplete"]:
             status += " (INCOMPLETE)"
         lines.append(f"status: {status}")
-        health = summary.get("journal")
+        health = doc["journal"]
         if isinstance(health, dict):
             corrupt = int(health.get("corrupt_records", 0) or 0)
-            degraded = int(health.get("degraded_writes", 0) or 0)
+            degraded = doc["degraded_writes"]["journal"]
             if corrupt:
                 lines.append(
                     f"journal: {corrupt} corrupt record(s) skipped on "
@@ -275,7 +276,7 @@ def render_run_dir(run_dir) -> str:
                     "coverage reduced"
                 )
 
-    for entry in (summary or {}).get("experiments", []):
+    for entry in doc["experiments"]:
         exp_id = str(entry.get("experiment_id"))
         lines.append("")
         verdict = "PASS" if entry.get("passed") else "FAIL"
@@ -285,10 +286,10 @@ def render_run_dir(run_dir) -> str:
             rendered = ", ".join(f"{k}={v:.3f}s" for k, v in timings.items())
             lines.append(f"  timings: {rendered}")
         lines.extend(_fault_lines(entry))
-        lines.extend(_span_lines(spans, exp_id))
+        lines.extend(_span_lines(spans["experiments"].get(exp_id)))
         lines.extend(_counter_lines(grouped, exp_id))
 
-    if summary is None and metrics is not None:
+    if doc["flags"] is None and doc["metrics"] is not None:
         # Metrics without a summary: render every scope we have.
         for scope in grouped:
             if scope == "run":
@@ -297,15 +298,15 @@ def render_run_dir(run_dir) -> str:
             lines.append(f"[{scope}]")
             lines.extend(_counter_lines(grouped, scope))
 
-    lines.extend(_fleet_lines(grouped, spans))
+    lines.extend(_fleet_lines(doc["fleet"], spans["workers"]))
 
     run_counters = _counter_lines(grouped, "run")
-    gauges = (metrics or {}).get("gauges", {})
-    hists = (metrics or {}).get("histograms", {})
-    if run_counters or spans or profiles or gauges or hists:
+    gauges = metrics.get("gauges", {})
+    hists = metrics.get("histograms", {})
+    if run_counters or spans["total"] or doc["profiles"] or gauges or hists:
         lines.append("")
         lines.append("run totals:")
-        lines.extend(_counter_lines(grouped, "run", indent="  "))
+        lines.extend(run_counters)
         for scope, named in gauges.items():
             for name, value in named.items():
                 lines.append(f"  gauge {scope}/{name} = {value}")
@@ -318,8 +319,8 @@ def render_run_dir(run_dir) -> str:
                     f"  histogram {scope}/{name}: count={count} "
                     f"sum={total:.4f} mean={mean:.5f}"
                 )
-        if spans:
-            lines.append(f"  trace: {len(spans)} span(s) in trace.jsonl")
-        for name in profiles:
+        if spans["total"]:
+            lines.append(f"  trace: {spans['total']} span(s) in trace.jsonl")
+        for name in doc["profiles"]:
             lines.append(f"  profile: {name}")
     return "\n".join(lines)

@@ -39,9 +39,7 @@ __all__ = [
     "current_experiment",
     "emit_subtree",
     "install_tracer",
-    "set_span_collection",
     "span",
-    "span_collection",
 ]
 
 SPAN_KINDS = ("run", "experiment", "stage", "task")
@@ -120,10 +118,10 @@ class SpanCollector:
 
     Worker processes (pool and dispatch) have no trace file — the
     writer lives with the dispatching process — but tasks executed in
-    them still open spans.  When span collection is on (shipped on the
-    worker bundle, like the metrics switch), :func:`execute_task`
-    installs a collector as this process's tracer for the duration of
-    one task; the closed spans accumulate here with start times
+    them still open spans.  When the run context's ``spans`` switch is
+    on, :func:`~repro.engine.backends.base.execute_task` installs a
+    collector as this process's tracer for the duration of one task;
+    the closed spans accumulate here with start times
     *relative to the collector's epoch*, travel back to the dispatcher
     on the task's result envelope, and :func:`emit_subtree` re-emits
     them into the real trace with fresh ids and cross-process parent
@@ -154,10 +152,6 @@ class SpanCollector:
 _TRACER: "TraceWriter | None" = None
 _STACK: "list[Span]" = []
 _NEXT_ID = 1
-#: Worker-process switch (shipped on the worker bundle, mirroring the
-#: metrics ``set_collection`` flag): buffer task spans for stitching
-#: even though this process has no trace writer.
-_COLLECT_SPANS = False
 
 
 def install_tracer(tracer: "TraceWriter | None") -> "TraceWriter | None":
@@ -170,18 +164,6 @@ def install_tracer(tracer: "TraceWriter | None") -> "TraceWriter | None":
 
 def current_tracer() -> "TraceWriter | None":
     return _TRACER
-
-
-def set_span_collection(flag: bool) -> None:
-    """Worker-process switch: buffer task spans for cross-process
-    stitching even without a trace writer (see :class:`SpanCollector`)."""
-    global _COLLECT_SPANS
-    _COLLECT_SPANS = bool(flag)
-
-
-def span_collection() -> bool:
-    """Whether this process should collect task spans for shipping."""
-    return _COLLECT_SPANS
 
 
 def emit_subtree(records: "list[dict[str, Any]]") -> None:

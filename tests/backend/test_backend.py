@@ -1,7 +1,8 @@
 """Tests for the array-backend layer itself.
 
-Covers the configuration object (validation, round-tripping, the ambient
-install/scope mechanics), the dense operator's byte-identity contract,
+Covers the configuration object (validation, round-tripping, its
+install and scope as the run context's backend), the dense operator's
+byte-identity contract,
 the top-k selection and both sparse product engines, worker shipping
 through the executor, and the CLI flag surface.  Cross-channel
 *numerical* equivalence lives in
@@ -13,29 +14,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import backend
 from repro.backend import (
     DTYPE_RTOL,
     DTYPES,
-    ArrayBackend,
     BackendConfig,
     DenseGains,
     TopKGains,
-    backend_scope,
+    gain_operator,
     topk_indices,
 )
+from repro.core.sinr import SINRInstance
 from repro.engine.executor import make_tasks, map_tasks
+from repro.run_context import RunContext, current_run, run_scope
 
 N = 20
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend_config():
-    """The backend config is process-global (it ships to pool workers);
-    never let a test leak a non-default policy into its neighbours."""
-    previous = backend.get_config()
-    yield
-    backend.set_config(previous)
 
 
 @pytest.fixture()
@@ -47,7 +39,7 @@ def matrix() -> np.ndarray:
 
 def _describe_active_backend(task) -> str:
     """Module-level (picklable) task fn reporting the worker's config."""
-    return backend.get_config().describe()
+    return current_run().backend.describe()
 
 
 class TestBackendConfig:
@@ -105,36 +97,38 @@ class TestBackendConfig:
 
 
 class TestAmbientConfig:
-    def test_set_config_returns_previous(self):
+    def test_run_scope_installs_and_restores_the_config(self):
         cfg = BackendConfig(dtype="float32")
-        previous = backend.set_config(cfg)
-        assert backend.get_config() == cfg
-        assert backend.set_config(previous) == cfg
+        with run_scope(backend=cfg) as run:
+            assert current_run() is run
+            assert current_run().backend == cfg
+        assert current_run().backend == BackendConfig()
 
-    def test_set_config_rejects_non_config(self):
+    def test_run_context_rejects_non_config(self):
         with pytest.raises(TypeError):
-            backend.set_config({"backend": "numpy"})
+            RunContext(backend={"backend": "numpy"})
 
     def test_scope_restores_on_exception(self):
-        before = backend.get_config()
+        before = current_run()
         with pytest.raises(RuntimeError):
-            with backend_scope(BackendConfig(topk=4)):
-                assert backend.get_config().topk == 4
+            with run_scope(backend=BackendConfig(topk=4)):
+                assert current_run().backend.topk == 4
                 raise RuntimeError("boom")
-        assert backend.get_config() == before
+        assert current_run() is before
 
-    def test_active_backend_follows_the_config(self):
-        default = backend.active()
-        assert isinstance(default, ArrayBackend)
-        assert backend.active() is default  # cached
-        with backend_scope(BackendConfig(dtype="float32")):
-            assert backend.active().dtype == np.float32
-        assert backend.active().dtype == np.float64
+    def test_active_backend_follows_the_config(self, matrix):
+        inst = SINRInstance(matrix, noise=0.1)
+        default = inst.gains_operator()
+        assert default.dtype == np.float64
+        assert inst.gains_operator() is default  # cached
+        with run_scope(backend=BackendConfig(dtype="float32")):
+            assert inst.gains_operator().dtype == np.float32
+        assert inst.gains_operator() is default
 
 
 class TestDenseGains:
     def test_wraps_the_callers_float64_array_without_copy(self, matrix):
-        op = ArrayBackend(BackendConfig()).gain_operator(matrix)
+        op = gain_operator(matrix, BackendConfig())
         assert isinstance(op, DenseGains)
         assert op.matrix is matrix
 
@@ -147,10 +141,8 @@ class TestDenseGains:
         assert op.gather_matmul(x, other).tobytes() == (x @ other).tobytes()
 
     def test_gain_operator_stays_dense_when_topk_covers_everything(self, matrix):
-        be = ArrayBackend(BackendConfig(topk=N - 1))
-        assert isinstance(be.gain_operator(matrix), DenseGains)
-        be = ArrayBackend(BackendConfig(topk=N + 5))
-        assert isinstance(be.gain_operator(matrix), DenseGains)
+        assert isinstance(gain_operator(matrix, BackendConfig(topk=N - 1)), DenseGains)
+        assert isinstance(gain_operator(matrix, BackendConfig(topk=N + 5)), DenseGains)
 
 
 class TestTopKSelection:
@@ -239,14 +231,14 @@ class TestTopKGains:
 class TestWorkerShipping:
     def test_config_reaches_pool_workers(self):
         """``--jobs N`` determinism requires every worker to compute under
-        the parent's policy; the bundle ships it via the initializer."""
+        the parent's policy; the initializer ships the run context."""
         cfg = BackendConfig(dtype="float32", topk=4)
-        with backend_scope(cfg):
+        with run_scope(backend=cfg):
             out = map_tasks(_describe_active_backend, make_tasks(range(3)), jobs=2)
         assert out == ["numpy/float32/topk=4"] * 3
 
     def test_serial_backend_sees_the_same_config(self):
-        with backend_scope(BackendConfig(topk=7)):
+        with run_scope(backend=BackendConfig(topk=7)):
             out = map_tasks(_describe_active_backend, make_tasks(range(2)), jobs=1)
         assert out == ["numpy/float64/topk=7"] * 2
 

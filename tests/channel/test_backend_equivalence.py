@@ -23,8 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import backend
-from repro.backend import DTYPE_RTOL, BackendConfig, backend_scope
+from repro.backend import DTYPE_RTOL, BackendConfig
 from repro.channel import (
     BlockFadingChannel,
     MonteCarloChannel,
@@ -37,6 +36,7 @@ from repro.core.sinr import SINRInstance
 from repro.fading.models import NakagamiFading
 from repro.fading.success import Theorem1Kernel
 from repro.geometry.placement import paper_random_network
+from repro.run_context import run_scope
 
 N = 40
 BETA = 2.0
@@ -51,13 +51,6 @@ FLOAT32_FLIP_BUDGET = 0.02
 TOPK_FLIP_BUDGET = 0.15
 
 CHANNELS = ["nonfading", "rayleigh", "montecarlo", "block"]
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend_config():
-    previous = backend.get_config()
-    yield
-    backend.set_config(previous)
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +130,7 @@ class TestDefaultByteIdentity:
         default path — operator caches are keyed by config."""
         ch = _make_channel(name, instance)
         before = ch.counterfactual_batch(patterns, np.random.default_rng(9))
-        with backend_scope(BackendConfig(dtype="float32", topk=TOPK)):
+        with run_scope(backend=BackendConfig(dtype="float32", topk=TOPK)):
             ch.counterfactual_batch(patterns, np.random.default_rng(9))
         after = ch.counterfactual_batch(patterns, np.random.default_rng(9))
         np.testing.assert_array_equal(before, after)
@@ -148,7 +141,7 @@ class TestFloat32Tolerance:
         self, instance, patterns
     ):
         ref = Theorem1Kernel(instance, BETA).conditional_batch(patterns)
-        with backend_scope(BackendConfig(dtype="float32")):
+        with run_scope(backend=BackendConfig(dtype="float32")):
             got = Theorem1Kernel(instance, BETA).conditional_batch(patterns)
         np.testing.assert_allclose(
             got, ref, rtol=DTYPE_RTOL["float32"], atol=1e-6
@@ -157,7 +150,7 @@ class TestFloat32Tolerance:
     def test_fractional_q_within_documented_rtol(self, instance):
         q = np.random.default_rng(3).random(N)
         ref = Theorem1Kernel(instance, BETA).conditional(q)
-        with backend_scope(BackendConfig(dtype="float32")):
+        with run_scope(backend=BackendConfig(dtype="float32")):
             got = Theorem1Kernel(instance, BETA).conditional(q)
         np.testing.assert_allclose(
             got, ref, rtol=DTYPE_RTOL["float32"], atol=1e-6
@@ -168,14 +161,14 @@ class TestFloat32Tolerance:
         self, instance, patterns, name
     ):
         ref = _counterfactual(name, instance, patterns)
-        with backend_scope(BackendConfig(dtype="float32")):
+        with run_scope(backend=BackendConfig(dtype="float32")):
             got = _counterfactual(name, instance, patterns)
         assert np.mean(got != ref) <= FLOAT32_FLIP_BUDGET
 
     @pytest.mark.parametrize("name", CHANNELS)
     def test_realizations_barely_flip(self, instance, patterns, name):
         ref = _realize(name, instance, patterns)
-        with backend_scope(BackendConfig(dtype="float32")):
+        with run_scope(backend=BackendConfig(dtype="float32")):
             got = _realize(name, instance, patterns)
         assert np.mean(got != ref) <= FLOAT32_FLIP_BUDGET
 
@@ -186,7 +179,7 @@ class TestTopKEquivalence:
         dense one and every output byte-identical."""
         for name in CHANNELS:
             ref = _counterfactual(name, instance, patterns)
-            with backend_scope(BackendConfig(topk=N - 1)):
+            with run_scope(backend=BackendConfig(topk=N - 1)):
                 got = _counterfactual(name, instance, patterns)
             np.testing.assert_array_equal(got, ref)
 
@@ -196,7 +189,7 @@ class TestTopKEquivalence:
         """Dropping interferers can only *raise* Theorem-1 success
         probabilities (every dropped log factor is <= 0)."""
         ref = Theorem1Kernel(instance, BETA).conditional_batch(patterns)
-        with backend_scope(BackendConfig(topk=TOPK)):
+        with run_scope(backend=BackendConfig(topk=TOPK)):
             got = Theorem1Kernel(instance, BETA).conditional_batch(patterns)
         assert np.all(got >= ref - 1e-12)
 
@@ -205,14 +198,14 @@ class TestTopKEquivalence:
         self, instance, patterns, name
     ):
         ref = _counterfactual(name, instance, patterns)
-        with backend_scope(BackendConfig(topk=TOPK)):
+        with run_scope(backend=BackendConfig(topk=TOPK)):
             got = _counterfactual(name, instance, patterns)
         assert np.mean(got != ref) <= TOPK_FLIP_BUDGET
 
     @pytest.mark.parametrize("name", CHANNELS)
     def test_realize_disagreement_is_bounded(self, instance, patterns, name):
         ref = _realize(name, instance, patterns)
-        with backend_scope(BackendConfig(topk=TOPK)):
+        with run_scope(backend=BackendConfig(topk=TOPK)):
             got = _realize(name, instance, patterns)
         assert np.mean(got != ref) <= TOPK_FLIP_BUDGET
 
@@ -221,7 +214,7 @@ class TestTopKEquivalence:
         bounded perturbation of the dense float64 decisions."""
         for name in CHANNELS:
             ref = _counterfactual(name, instance, patterns)
-            with backend_scope(BackendConfig(dtype="float32", topk=TOPK)):
+            with run_scope(backend=BackendConfig(dtype="float32", topk=TOPK)):
                 got = _counterfactual(name, instance, patterns)
             assert np.mean(got != ref) <= TOPK_FLIP_BUDGET
 

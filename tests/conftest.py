@@ -6,21 +6,20 @@ import numpy as np
 import pytest
 
 from repro.core.network import Network
-from repro.engine import guards
-
-
-@pytest.fixture(autouse=True)
-def _isolate_guard_mode():
-    """The numerical-guard mode is process-global (it must ship to pool
-    workers); CLI entry points set it to their --guards flag.  Restore the
-    pre-test mode so tests that exercise the CLI cannot leak 'warn' into
-    tests that assume the 'off' default."""
-    previous = guards.get_guard_mode()
-    yield
-    guards.set_guard_mode(previous)
 from repro.core.power import UniformPower
 from repro.core.sinr import SINRInstance
 from repro.geometry.placement import paper_random_network
+from repro.run_context import current_run, install_run
+
+
+@pytest.fixture(autouse=True)
+def _isolate_run_context():
+    """The run context is process-global (it ships to workers); tests
+    that install one for their whole body (a chaos plan, a guard mode)
+    must not leak it into their neighbours."""
+    previous = current_run()
+    yield
+    install_run(previous)
 
 
 @pytest.fixture

@@ -9,11 +9,11 @@ attempt 2 succeeds.
 
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.engine import chaos
 from repro.engine.backends import (
     DispatchBackend,
     ProcessPoolBackend,
@@ -29,6 +29,13 @@ from repro.engine.faults import (
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
+from repro.run_context import current_run, install_run
+
+
+def _use_chaos(plan) -> None:
+    """Put ``plan`` in the run context for the rest of the test."""
+    install_run(replace(current_run(), chaos=plan))
+
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.01)
 
@@ -36,9 +43,7 @@ FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.01)
 @pytest.fixture(autouse=True)
 def _clean_state():
     yield
-    chaos.uninstall()
     obs_metrics.install(None)
-    obs_metrics.set_collection(False)
 
 
 def _draw(task: Task) -> float:
@@ -134,7 +139,7 @@ class TestCrossBackendParity:
         expected = map_tasks(_draw, tasks, executor="serial", stage="clean")
 
         def leg(executor, state_dir, **kwargs):
-            chaos.install(
+            _use_chaos(
                 ChaosPlan(
                     state_dir=str(tmp_path / state_dir),
                     faults=(Fault(kind="raise", stage="flaky", index=2),),
@@ -149,7 +154,7 @@ class TestCrossBackendParity:
                 )
             finally:
                 obs_metrics.install(None)
-                chaos.uninstall()
+                _use_chaos(None)
             return out, registry.counters
 
         # One chaos state dir per leg: the once-only marker must fire fresh.
@@ -177,7 +182,7 @@ class TestCrossBackendParity:
         expected = map_tasks(_draw, tasks, executor="serial", stage="clean")
 
         def leg(executor, state_dir, **kwargs):
-            chaos.install(
+            _use_chaos(
                 ChaosPlan(
                     state_dir=str(tmp_path / state_dir),
                     faults=(
@@ -194,7 +199,7 @@ class TestCrossBackendParity:
                 )
             finally:
                 obs_metrics.install(None)
-                chaos.uninstall()
+                _use_chaos(None)
             return out, registry.counters
 
         pool_out, pool_counters = leg("pool", "cs-pool", jobs=2)

@@ -13,6 +13,7 @@ import json
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,12 +34,12 @@ from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
+from repro.run_context import current_run, install_run
 
 
-@pytest.fixture(autouse=True)
-def _clean_chaos():
-    yield
-    chaos.uninstall()
+def _use_chaos(plan) -> None:
+    """Put ``plan`` in the run context for the rest of the test."""
+    install_run(replace(current_run(), chaos=plan))
 
 
 def _double(task: Task) -> int:
@@ -109,7 +110,7 @@ class TestRandomSchedule:
         """Every schedule fault is once-only, so on_error=retry lands on
         clean-run results — the invariant the soak harness asserts at
         scale."""
-        chaos.install(ChaosPlan(
+        _use_chaos(ChaosPlan(
             state_dir=str(tmp_path / "state"),
             schedule=RandomSchedule(seed=5, p_raise=0.5),
         ))
@@ -127,7 +128,7 @@ class TestSpecErrors:
         path = tmp_path / "plan.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         with pytest.raises(ChaosSpecError) as err:
-            chaos.install_from_file(path)
+            chaos.load_plan(path)
         return err.value
 
     def test_unknown_kind_lists_vocabulary(self, tmp_path):
@@ -174,7 +175,7 @@ class TestSpecErrors:
 
 class TestEnospcDegradation:
     def test_journal_record_enospc_degrades_with_warning(self, tmp_path):
-        chaos.install(ChaosPlan(
+        _use_chaos(ChaosPlan(
             state_dir=str(tmp_path / "state"),
             faults=(Fault(kind="enospc", site="journal.record", once=False),),
         ))
@@ -189,7 +190,7 @@ class TestEnospcDegradation:
         assert resumed.load_stage("e", 4) == {}
 
     def test_lease_claim_enospc_degrades_with_one_warning(self, tmp_path):
-        chaos.install(ChaosPlan(
+        _use_chaos(ChaosPlan(
             state_dir=str(tmp_path / "state"),
             faults=(Fault(kind="enospc", site="journal.lease", once=False),),
         ))
@@ -213,7 +214,7 @@ class TestEnospcDegradation:
         assert ledger.load(0) is None and ledger.load(1) is None
 
     def test_status_write_enospc_absorbed(self, tmp_path):
-        chaos.install(ChaosPlan(
+        _use_chaos(ChaosPlan(
             state_dir=str(tmp_path / "state"),
             faults=(Fault(kind="enospc", site="journal.status"),),
         ))

@@ -17,12 +17,13 @@ import sys
 import threading
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from repro.engine import chaos
+from repro.backend import BackendConfig
 from repro.engine.backends import DispatchBackend, dispatch, resolve_executor
 from repro.engine.backends.dispatch import (
     _parse_task_name,
@@ -33,11 +34,12 @@ from repro.engine.chaos import ChaosPlan, Fault
 from repro.engine.executor import Task, make_tasks, map_tasks
 from repro.engine.faults import RetryPolicy, is_failure
 from repro.obs import metrics as obs_metrics
+from repro.run_context import RunContext, current_run, install_run, run_scope
 
-@pytest.fixture(autouse=True)
-def _clean_chaos():
-    yield
-    chaos.uninstall()
+
+def _use_chaos(plan) -> None:
+    """Put ``plan`` in the run context for the rest of the test."""
+    install_run(replace(current_run(), chaos=plan))
 
 
 def _double(task: Task) -> int:
@@ -52,6 +54,12 @@ def _boom_on_three(task: Task) -> int:
     if task.payload == 3:
         raise ValueError("rejected payload 3")
     return task.payload * 2
+
+
+def _current_run(task: Task) -> RunContext:
+    """The run context of the process executing the task (module-level,
+    so an external worker can import it)."""
+    return current_run()
 
 
 def _spawn_worker(root, name: str) -> subprocess.Popen:
@@ -122,6 +130,33 @@ class TestDispatchBasics:
         with pytest.raises(ValueError, match="lease_timeout"):
             DispatchBackend(tmp_path, lease_timeout=0.0)
 
+    def test_external_worker_installs_the_whole_run_context(self, tmp_path):
+        """A fresh ``repro worker`` interpreter inherits nothing from the
+        dispatcher, so every setting it computes under must arrive in
+        the queue's bundle: here a non-default backend, strict guards, a
+        chaos plan whose fault never fires, and both telemetry switches."""
+        root = tmp_path / "runs"
+        plan = ChaosPlan(
+            state_dir=str(tmp_path / "chaos"),
+            faults=(Fault(kind="raise", stage="never-run", index=0),),
+        )
+        worker = _spawn_worker(root, "ctx")
+        backend = DispatchBackend(root, poll=0.02)
+        try:
+            with run_scope(
+                backend=BackendConfig(dtype="float32", topk=4), guards="strict",
+                chaos=plan, metrics=True, spans=True,
+            ) as run:
+                out = _run_with_deadline(60.0, lambda: map_tasks(
+                    _current_run, make_tasks(range(3)), executor=backend, stage="ctx",
+                ))
+        finally:
+            backend.close()
+            worker.terminate()
+            worker.wait(timeout=10)
+        assert out == [run] * 3
+        assert not list((tmp_path / "chaos").glob("*"))  # the fault never fired
+
     def test_resolve_executor_dispatch_uses_env_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_DISPATCH_ROOT", str(tmp_path / "env-root"))
         backend = resolve_executor("dispatch", 1, 1)
@@ -180,7 +215,7 @@ class TestDispatchChunking:
         and the sweep still matches serial bytes."""
         tasks = make_tasks(range(5), root_seed=13)
         expected = map_tasks(_double, tasks, executor="serial", stage="clean")
-        chaos.install(
+        _use_chaos(
             ChaosPlan(
                 state_dir=str(tmp_path / "chaos"),
                 faults=(Fault(kind="worker-lost", stage="wl-chunk", index=2),),
@@ -196,7 +231,7 @@ class TestDispatchChunking:
                                 stage="wl-chunk")
         finally:
             backend.close()
-            chaos.uninstall()
+            _use_chaos(None)
         assert pickle.dumps(out) == pickle.dumps(expected)
 
 
@@ -246,7 +281,7 @@ class TestDispatchFaults:
         the dispatcher re-issues it to a surviving worker."""
         tasks = make_tasks(range(5), root_seed=13)
         expected = map_tasks(_double, tasks, executor="serial", stage="clean")
-        chaos.install(
+        _use_chaos(
             ChaosPlan(
                 state_dir=str(tmp_path / "chaos"),
                 faults=(Fault(kind="worker-lost", stage="wl", index=2),),
@@ -260,7 +295,7 @@ class TestDispatchFaults:
                 out = map_tasks(_double, tasks, executor=backend, stage="wl")
         finally:
             backend.close()
-            chaos.uninstall()
+            _use_chaos(None)
         assert out == expected
 
     def test_sigkilled_external_worker_task_reissued(self, tmp_path):
@@ -353,7 +388,7 @@ class TestLocalWorkers:
     def test_dead_local_worker_is_restarted(self, tmp_path):
         # The only local worker dies holding task 0; without a restart
         # the re-issued task is never claimed and the stage hangs.
-        chaos.install(
+        _use_chaos(
             ChaosPlan(
                 state_dir=str(tmp_path / "chaos"),
                 faults=(Fault(kind="worker-lost", stage="respawn", index=0),),
@@ -420,7 +455,7 @@ class TestLocalWorkers:
         # however it was started; only ``worker-lost`` kills it.
         tasks = make_tasks(range(4), root_seed=3)
         expected = map_tasks(_double, tasks, executor="serial", stage="clean")
-        chaos.install(
+        _use_chaos(
             ChaosPlan(
                 state_dir=str(tmp_path / "chaos"),
                 faults=(Fault(kind="exit", stage="exit-fault", index=1),),

@@ -9,6 +9,7 @@ fault-tolerance layer.
 
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,19 +34,21 @@ from repro.engine.faults import (
 )
 from repro.engine.journal import JournalError, RunJournal
 from repro.fading.success import Theorem1Kernel
+from repro.run_context import current_run, install_run, run_scope
+
+
+def _use_chaos(plan) -> None:
+    """Put ``plan`` in the run context for the rest of the test."""
+    install_run(replace(current_run(), chaos=plan))
+
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.01)
 
 
-@pytest.fixture(autouse=True)
-def _clean_chaos():
-    yield
-    chaos.uninstall()
-
 
 def _install(tmp_path, *faults) -> ChaosPlan:
     plan = ChaosPlan(state_dir=str(tmp_path / "chaos-state"), faults=tuple(faults))
-    chaos.install(plan)
+    _use_chaos(plan)
     return plan
 
 
@@ -286,7 +289,7 @@ class TestJournal:
                 journal=journal,
             )
         assert is_failure(first[3]) and is_failure(first[4])
-        chaos.uninstall()
+        _use_chaos(None)
 
         # Resume: only the two missing tasks execute; the aggregate is
         # bit-identical to the uninterrupted run.
@@ -383,25 +386,25 @@ def _fresh_instance(n: int = 4) -> SINRInstance:
 class TestGuards:
     def test_off_by_default_lets_nan_through(self):
         arr = np.array([0.2, np.nan, 0.7])
-        assert guards.get_guard_mode() == "off"
+        assert current_run().guards == "off"
         assert guards.check_probabilities(arr, "site") is arr
 
     def test_strict_raises_with_link_indices(self):
         arr = np.array([0.2, np.nan, 0.7])
-        with guards.guard_scope("strict"):
+        with run_scope(guards="strict"):
             with pytest.raises(guards.GuardViolation, match=r"link\(s\) \[1\]"):
                 guards.check_probabilities(arr, "mykernel", beta=2.0)
 
     def test_warn_mode_warns_and_passes_value(self):
         arr = np.array([[1.5, 0.5]])
-        with guards.guard_scope("warn"):
+        with run_scope(guards="warn"):
             with pytest.warns(guards.GuardWarning, match="mykernel"):
                 out = guards.check_probabilities(arr, "mykernel")
         assert out is arr
 
     def test_check_finite_allows_inf_when_asked(self):
         arr = np.array([1.0, np.inf])
-        with guards.guard_scope("strict"):
+        with run_scope(guards="strict"):
             assert guards.check_finite(arr, "sinr", allow_inf=True) is arr
             with pytest.raises(guards.GuardViolation):
                 guards.check_finite(arr, "sinr")
@@ -416,7 +419,7 @@ class TestGuards:
         )
         kernel = Theorem1Kernel(_fresh_instance(), beta=1.0)
         q = np.full(4, 0.5)
-        with guards.guard_scope("strict"):
+        with run_scope(guards="strict"):
             with pytest.raises(guards.GuardViolation) as err:
                 kernel.conditional(q)
         message = str(err.value)
@@ -437,7 +440,7 @@ class TestGuards:
         kernel = Theorem1Kernel(_fresh_instance(), beta=1.0)
         q = np.full(4, 0.5)
         baseline = kernel.conditional(q)
-        with guards.guard_scope("strict"):
+        with run_scope(guards="strict"):
             checked = Theorem1Kernel(_fresh_instance(), beta=1.0).conditional(q)
         np.testing.assert_array_equal(baseline, checked)
 
@@ -453,13 +456,14 @@ class TestChaosPlanRoundTrip:
         )
         assert ChaosPlan.from_dict(plan.to_dict()) == plan
 
-    def test_install_from_env(self, tmp_path, monkeypatch):
+    def test_plan_from_env(self, tmp_path, monkeypatch):
         plan = ChaosPlan(state_dir=str(tmp_path / "s"), faults=())
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(json.dumps(plan.to_dict()))
         monkeypatch.setenv(chaos.CHAOS_ENV, str(plan_file))
-        assert chaos.install_from_env() == plan
-        assert chaos.active()
+        assert chaos.plan_from_env() == plan
+        monkeypatch.delenv(chaos.CHAOS_ENV)
+        assert chaos.plan_from_env() is None
 
     def test_exit_fault_downgrades_in_main_process(self, tmp_path):
         _install(tmp_path, Fault(kind="exit", stage="s", index=0))

@@ -8,10 +8,10 @@ every ``on_error`` mode.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.engine import chaos
 from repro.engine.backends import DispatchBackend, RunState
 from repro.engine.backends.lifecycle import StageRun
 from repro.engine.chaos import ChaosPlan, Fault
@@ -24,14 +24,20 @@ from repro.engine.faults import (
 )
 from repro.engine.journal import RunJournal
 from repro.obs import metrics as obs_metrics
+from repro.run_context import current_run, install_run
+
+
+def _use_chaos(plan) -> None:
+    """Put ``plan`` in the run context for the rest of the test."""
+    install_run(replace(current_run(), chaos=plan))
+
 
 FAST_RETRY = RetryPolicy(max_attempts=6, base_delay=0.001, max_delay=0.01)
 
 
 @pytest.fixture(autouse=True)
-def _clean_chaos():
+def _clean_metrics():
     yield
-    chaos.uninstall()
     obs_metrics.install(None)
 
 
@@ -42,7 +48,7 @@ def _install_persistent_kill(tmp_path, stage: str, index: int) -> ChaosPlan:
         state_dir=str(tmp_path / "chaos-state"),
         faults=(Fault(kind="worker-lost", stage=stage, index=index, once=False),),
     )
-    chaos.install(plan)
+    _use_chaos(plan)
     return plan
 
 
@@ -93,7 +99,7 @@ class TestPoolQuarantine:
             )
         assert journal.crash_counts("persist")[1] >= 2
 
-        chaos.uninstall()  # even with chaos gone, the record stands
+        _use_chaos(None)  # even with chaos gone, the record stands
         resumed = RunJournal.open(tmp_path / "runs", "r1")
         with pytest.warns(UserWarning, match="quarantine"):
             out = map_tasks(
@@ -127,7 +133,7 @@ class TestPoolQuarantine:
             state_dir=str(tmp_path / "chaos-state"),
             faults=(Fault(kind="worker-lost", stage="tq", index=1),),
         )
-        chaos.install(plan)
+        _use_chaos(plan)
         with pytest.warns(UserWarning, match="pool-broken"):
             out = map_tasks(
                 _double, make_tasks(range(4)), jobs=2, executor="pool",

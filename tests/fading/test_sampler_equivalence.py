@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import BackendConfig, backend_scope
+from repro.backend import BackendConfig
 from repro.core.sinr import SINRInstance, _as_active_bool
 from repro.fading.models import (
     NakagamiFading,
@@ -34,6 +34,7 @@ from repro.fading.models import (
     simulate_sinr_patterns,
     simulate_slots,
 )
+from repro.run_context import run_scope
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive
 
@@ -382,7 +383,7 @@ class TestPerSenderSampler:
     @settings(max_examples=40, deadline=None)
     @given(case=pattern_cases(), model=st.sampled_from(FAMILIES), cf=st.booleans())
     def test_equal_under_backend_modes(self, config, case, model, cf):
-        with backend_scope(config):
+        with run_scope(backend=config):
             _check_rayleigh_patterns(*case)
             _check_family_patterns(*case, model, cf)
 
@@ -467,7 +468,7 @@ class TestFullMatrixSampler:
     @settings(max_examples=25, deadline=None)
     @given(case=slot_cases(), model=st.sampled_from(FAMILIES))
     def test_equal_under_backend_modes(self, config, case, model):
-        with backend_scope(config):
+        with run_scope(backend=config):
             _check_rayleigh_slots(*case)
             _check_family_slots(*case, model)
 

@@ -12,9 +12,7 @@ from repro.obs import trace as obs_trace
 def _clean_obs_state():
     yield
     obs_metrics.install(None)
-    obs_metrics.set_collection(False)
     obs_trace.install_tracer(None)
-    obs_trace.set_span_collection(False)
     obs_profile.install_profile_dir(None)
     bus = obs_events.install(None)
     if bus is not None:

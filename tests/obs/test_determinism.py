@@ -7,15 +7,22 @@
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.engine import chaos
 from repro.engine.chaos import ChaosPlan, Fault
 from repro.engine.executor import Task, make_tasks, map_tasks
 from repro.engine.faults import RetryPolicy
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
+from repro.run_context import current_run, install_run
+
+
+def _use_chaos(plan) -> None:
+    """Put ``plan`` in the run context for the rest of the test."""
+    install_run(replace(current_run(), chaos=plan))
+
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.01)
 
@@ -132,10 +139,6 @@ class TestDispatchChunkDeterminism:
 
 
 class TestChaosRetryCounters:
-    @pytest.fixture(autouse=True)
-    def _clean_chaos(self):
-        yield
-        chaos.uninstall()
 
     def test_injected_retry_counts_without_perturbing_results(self, tmp_path):
         baseline = map_tasks(_instrumented_task, make_tasks(range(6)), stage="sweep")
@@ -144,7 +147,7 @@ class TestChaosRetryCounters:
             state_dir=str(tmp_path / "chaos-state"),
             faults=(Fault(kind="raise", stage="sweep", index=2),),
         )
-        chaos.install(plan)
+        _use_chaos(plan)
         reg = MetricsRegistry()
         obs_metrics.install(reg)
         try:

@@ -2,8 +2,10 @@
 
 import json
 
+from repro.engine.backends.base import observing
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
+from repro.run_context import run_scope
 
 
 class TestRegistry:
@@ -126,14 +128,14 @@ class TestAmbientApi:
         obs_metrics.install(MetricsRegistry())
         obs_metrics.merge_task_metrics(None)  # no-op, no raise
 
-    def test_set_collection_enables_worker_buffering(self):
-        # Worker processes have no sink; the collect flag alone must make
-        # collecting() true so the executor pushes task buffers.
-        assert not obs_metrics.collecting()
-        obs_metrics.set_collection(True)
-        assert obs_metrics.collecting()
-        obs_metrics.set_collection(False)
-        assert not obs_metrics.collecting()
+    def test_run_metrics_switch_enables_worker_buffering(self):
+        # Worker processes have no sink; the metrics switch of the run
+        # context they were shipped alone must make the executor push
+        # task buffers.
+        assert not obs_metrics.collecting() and not observing()
+        with run_scope(metrics=True):
+            assert observing()
+        assert not observing()
 
     def test_nested_task_buffers_restore_previous(self):
         outer_prev = obs_metrics.begin_task()

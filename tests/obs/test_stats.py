@@ -137,3 +137,16 @@ class TestRenderRunDir:
         assert "fleet:" in out
         assert "executor.worker_losses  2" in out
         assert stats_doc(tmp_path)["fleet"]["executor.worker_losses"] == 2
+
+    def test_dispatch_run_report_names_its_executor(self, tmp_path, capsys):
+        # The human report and --json list the same flags.
+        from repro.cli import main
+
+        out = tmp_path / "out"
+        assert main([
+            "run", "E13", "--executor", "dispatch", "--dispatch-workers", "1",
+            "--runs-root", str(tmp_path / "runs"), "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        assert "executor='dispatch'" in render_run_dir(out)
+        assert stats_doc(out)["flags"]["executor"] == "dispatch"

@@ -7,6 +7,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.engine import chaos
 from repro.engine.chaos import ChaosPlan, Fault
+from repro.engine.journal import RunJournal
 from repro.engine.registry import all_specs
 
 
@@ -181,6 +182,32 @@ class TestFailurePaths:
         assert "dtype" in message
         assert "float32" in message and "float64" in message
 
+    def test_resume_compares_resolved_experiment_ids(self, tmp_path, capsys):
+        """The journal records the ids the selection resolves to, so the
+        same experiments typed differently resume."""
+        root = str(tmp_path)
+        assert main(["run", "e13", "--run-id", "typed", "--runs-root", root]) == 0
+        assert main(["run", "E13", "--resume", "typed", "--runs-root", root]) == 0
+        meta = json.loads((tmp_path / "typed" / "meta.json").read_text())
+        assert meta["experiment_ids"] == ["E13"]
+
+    def test_resume_accepts_a_journal_that_recorded_the_typed_selection(
+        self, tmp_path, capsys
+    ):
+        """Journals written before the ids were recorded hold the typed
+        selection under ``experiment``; it is resolved before comparing."""
+        RunJournal.create(
+            tmp_path, "older",
+            {
+                "experiment": "e13", "scale": "quick", "seed": None, "channel": None,
+                "backend": {"backend": "numpy", "dtype": "float64", "topk": None},
+            },
+        )
+        assert main(["run", "E13", "--resume", "older", "--runs-root", str(tmp_path)]) == 0
+        with pytest.raises(SystemExit) as err:
+            main(["run", "E11", "--resume", "older", "--runs-root", str(tmp_path)])
+        assert "experiment_ids=['E13']" in str(err.value)
+
     def test_dispatch_workers_require_dispatch_executor(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(
@@ -234,10 +261,6 @@ class TestKillAndResume:
     non-zero with an incomplete marker, and resuming it reproduces the
     uninterrupted result byte for byte."""
 
-    @pytest.fixture(autouse=True)
-    def _clean_chaos(self):
-        yield
-        chaos.uninstall()
 
     def test_faulted_run_resumes_to_identical_bytes(self, tmp_path, monkeypatch, capsys):
         clean_dir = tmp_path / "clean"
@@ -274,7 +297,6 @@ class TestKillAndResume:
         # Resume without the fault: only the lost cell re-runs and the
         # aggregate matches the uninterrupted run exactly.
         monkeypatch.delenv(chaos.CHAOS_ENV)
-        chaos.uninstall()
         resumed_dir = tmp_path / "resumed"
         code = main(
             [

@@ -69,6 +69,42 @@ class TestExports:
         assert repro.simulate_slots is repro.fading.models.simulate_slots
         assert repro.fading.simulate_sinr_patterns is repro.fading.models.simulate_sinr_patterns
 
+    def test_one_record_of_the_run_settings(self):
+        """A run's settings live in one ``RunContext``: the per-setting
+        setters and scopes, the worker bundle, the array-backend resolver
+        and the process-wide slot-block default are gone everywhere."""
+        import repro.backend
+        import repro.backend.config
+        import repro.backend.core
+        import repro.engine.backends.base
+        import repro.latency
+        import repro.latency.slotloop
+        from repro.cli import build_parser
+        from repro.engine import chaos, guards
+        from repro.obs import metrics, trace
+
+        deleted = {
+            repro.backend: ("ArrayBackend", "active", "backend_scope", "get_config",
+                            "set_config"),
+            repro.backend.config: ("backend_scope", "get_config", "set_config"),
+            repro.backend.core: ("ArrayBackend", "active"),
+            repro.engine.backends.base: ("install_worker_bundle", "worker_bundle"),
+            guards: ("enabled", "get_guard_mode", "guard_scope", "set_guard_mode"),
+            chaos: ("active", "current_plan", "install", "install_from_env",
+                    "install_from_file", "uninstall"),
+            metrics: ("set_collection",),
+            trace: ("set_span_collection", "span_collection"),
+            repro.latency: ("get_default_slot_block", "set_default_slot_block"),
+            repro.latency.slotloop: ("_default_block", "get_default_slot_block",
+                                     "set_default_slot_block"),
+        }
+        for ns, names in deleted.items():
+            for name in names:
+                assert not hasattr(ns, name), (ns.__name__, name)
+                assert name not in getattr(ns, "__all__", ()), (ns.__name__, name)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "E13", "--slot-block", "4"])
+
     def test_graph_views_are_arrays(self):
         """The conflict graph is a boolean matrix, and the networkx-only
         affectance digraph is gone from every namespace."""

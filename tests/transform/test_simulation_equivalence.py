@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import BackendConfig, TopKGains, backend_scope
+from repro.backend import BackendConfig, TopKGains
 from repro.channel.spec import make_channel
 from repro.core.sinr import SINRInstance, sinr_nonfading_batch
 from repro.latency.slotloop import iter_slot_blocks, resolve_replay_block
+from repro.run_context import run_scope
 from repro.transform.simulation import (
     SimulationOutcome,
     simulate_rayleigh_optimum,
@@ -192,7 +193,7 @@ class TestStackedTrial:
     @settings(max_examples=25, deadline=None)
     @given(case=cases())
     def test_equals_per_stage_loop_under_backend_modes(self, config, case):
-        with backend_scope(config):
+        with run_scope(backend=config):
             out, ref, gen, gen_ref = _both(*case)
         assert_same_outcome(out, ref)
         assert_same_stream(gen, gen_ref)
@@ -202,7 +203,7 @@ class TestStackedTrial:
     def test_equals_per_stage_loop_under_topk_without_scipy(self, case):
         """The top-k operator's einsum fallback, as a SciPy-less install
         runs it."""
-        with pytest.MonkeyPatch.context() as mp, backend_scope(BackendConfig(topk=4)):
+        with pytest.MonkeyPatch.context() as mp, run_scope(backend=BackendConfig(topk=4)):
             mp.setitem(sys.modules, "scipy", None)
             out, ref, gen, gen_ref = _both(*case)
         assert_same_outcome(out, ref)
@@ -268,7 +269,7 @@ class TestStackedSINRBatch:
     def test_stack_equals_per_slice_calls(self, config, case, stages, rows, seed):
         inst, _beta = case
         patterns = np.random.default_rng(seed).random((stages, rows, inst.n)) < 0.4
-        with backend_scope(config):
+        with run_scope(backend=config):
             stacked = inst.sinr_batch(patterns)
             slices = [inst.sinr_batch(patterns[s]) for s in range(stages)]
         assert stacked.shape == patterns.shape and stacked.dtype == np.float64
