@@ -6,6 +6,7 @@
     python -m repro run E1                    # quick-scale Figure 1
     python -m repro run E2 --scale paper      # verbatim Section-7 scale
     python -m repro run E1 --jobs 4           # parallel sweep, same bytes
+    python -m repro run all --jobs 2          # whole experiments in parallel
     python -m repro run E6 --seed 7 --timings # re-seeded, with stage times
     python -m repro run E8 --channel nakagami:m=2   # another fading family
     python -m repro run all --out results/    # everything, tables to disk
@@ -80,7 +81,10 @@ Execution backends (see DESIGN.md, "Execution backends"):
 for ``--jobs 1``, a local process pool otherwise), ``serial``, ``pool``,
 or ``dispatch``, a multi-host work-stealing file queue under
 ``--runs-root`` served by ``repro worker <runs-root>`` processes (on
-this host or on any host mounting the same directory).
+this host or on any host mounting the same directory).  On the pool, a
+run of at least as many experiments as workers (two or more) without
+``--task-timeout`` hands each experiment to a worker whole
+(:mod:`repro.engine.suite`).
 ``--dispatch-workers N`` forks N local workers for single-host use;
 ``--lease-timeout`` bounds how long a silent worker holds a task before
 it is re-issued.  Result bytes are identical on every backend at every
@@ -93,6 +97,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from repro.backend import DTYPES, BackendConfig
@@ -129,20 +134,40 @@ def _resolve_specs(spec: str) -> "list[ExperimentSpec]":
     if not ids:
         raise SystemExit(f"no experiment ids in {spec!r}; pass E1..E22 or 'all'")
     try:
-        return [get_spec(i) for i in ids]
+        specs = [get_spec(i) for i in ids]
     except KeyError as exc:
         raise SystemExit(str(exc.args[0]) + "; or 'all'") from exc
+    seen: "set[str]" = set()
+    for s in specs:
+        if s.experiment_id in seen:
+            raise SystemExit(
+                f"experiment {s.experiment_id} is selected more than once in "
+                f"{spec!r}; name each experiment once"
+            )
+        seen.add(s.experiment_id)
+    return specs
 
 
 def _build_run(args, **telemetry) -> RunContext:
     """The run context this invocation's flags (and ``$REPRO_CHAOS``)
     describe; ``telemetry`` sets its metrics/spans/events switches."""
+    specs = _resolve_specs(args.experiment)
+    if args.channel is not None:
+        # Refused before anything runs or a journal is created.
+        refusing = [spec.experiment_id for spec in specs if not spec.supports_channel]
+        if refusing:
+            takers = [k for k, spec in all_specs().items() if spec.supports_channel]
+            raise SystemExit(
+                f"--channel applies only to {', '.join(takers)}; "
+                f"{', '.join(refusing)} {'does' if len(refusing) == 1 else 'do'} "
+                "not take a channel override"
+            )
     try:
         plan = chaos.plan_from_env()
     except chaos.ChaosSpecError as exc:
         raise SystemExit(str(exc)) from exc
     return RunContext(
-        experiment_ids=tuple(spec.experiment_id for spec in _resolve_specs(args.experiment)),
+        experiment_ids=tuple(spec.experiment_id for spec in specs),
         scale=args.scale,
         seed=args.seed,
         channel=args.channel,
@@ -256,24 +281,42 @@ def _open_journal(args, run: RunContext) -> "RunJournal | None":
     return journal
 
 
+def _whole_experiments(args, run: RunContext, policy: ExecutionPolicy) -> bool:
+    """Whether the pool takes whole experiments as its tasks: the executor
+    is the process pool and at least as many experiments as workers are
+    selected (two or more), so no worker idles that a sweep could have
+    used.  A task timeout keeps one process per sweep task, which is what
+    preempting one needs."""
+    workers = resolve_jobs(args.jobs)
+    pool = policy.executor == "pool" or (policy.executor == "auto" and workers >= 2)
+    selected = len(run.experiment_ids)
+    return pool and selected >= max(2, workers) and policy.timeout is None
+
+
 def _run_specs(args, run: RunContext, on_result, policy: ExecutionPolicy) -> int:
-    """Run each experiment of ``run``, feed results to ``on_result``,
-    and return the number of experiments with failing checks."""
-    failures = 0
-    for exp_id in run.experiment_ids:
-        spec = get_spec(exp_id)
-        try:
-            result = spec.run(
-                run.scale,
-                seed=run.seed,
-                jobs=args.jobs,
-                channel=run.channel,
-                policy=policy,
+    """Run each experiment of ``run``, feed results to ``on_result`` in
+    selection order as they land, and return the number of experiments
+    with failing checks."""
+    if _whole_experiments(args, run, policy):
+        from repro.engine.suite import run_whole
+
+        results = run_whole(run.experiment_ids, jobs=args.jobs, policy=policy)
+    else:
+        results = (
+            get_spec(exp_id).run(
+                run.scale, seed=run.seed, jobs=args.jobs, channel=run.channel, policy=policy
             )
-        except (ValueError, JournalError, RuntimeError) as exc:
-            raise SystemExit(str(exc)) from exc
-        failures += not result.all_checks_pass
-        on_result(spec, result)
+            for exp_id in run.experiment_ids
+        )
+    failures = 0
+    with closing(results):
+        for exp_id in run.experiment_ids:
+            try:
+                result = next(results)
+            except (ValueError, JournalError, RuntimeError) as exc:
+                raise SystemExit(str(exc)) from exc
+            failures += not result.all_checks_pass
+            on_result(get_spec(exp_id), result)
     return failures
 
 
@@ -611,8 +654,9 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--jobs", type=_jobs_arg, default=1,
-        help="worker processes for sweep-style experiments "
-        "(0 = all cores; results are identical for every value)",
+        help="worker processes (0 = all cores): a run of at least as many "
+        "experiments as workers runs each whole on one worker, otherwise the "
+        "sweep tasks spread over them (results are identical for every value)",
     )
     parser.add_argument(
         "--channel", default=None, metavar="SPEC",

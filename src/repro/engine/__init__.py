@@ -13,6 +13,8 @@ The engine is the layer between the experiment drivers and the CLI:
   :class:`numpy.random.SeedSequence` spawned from the experiment's root
   seed, so every backend at every worker count produces bit-identical
   results.
+* :mod:`repro.engine.suite` — whole experiments as the process pool's
+  tasks, for runs that select at least as many experiments as workers.
 * :mod:`repro.engine.faults` — failure records, retry policy with
   deterministic backoff jitter, and the per-run execution policy.
 * :mod:`repro.engine.journal` — incremental checkpointing of completed

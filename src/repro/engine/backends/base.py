@@ -61,6 +61,7 @@ __all__ = [
     "settle_success",
     "shed_parent_state",
     "shipped_run",
+    "worker_name",
 ]
 
 #: Per-process shared state installed by ``map_tasks``'s ``context``
@@ -96,6 +97,11 @@ def set_worker_name(name: "str | None") -> None:
     """Declare this process's worker identity (attached to task spans)."""
     global _WORKER_NAME
     _WORKER_NAME = name
+
+
+def worker_name() -> "str | None":
+    """This process's worker identity (``None`` in the main process)."""
+    return _WORKER_NAME
 
 
 def observing() -> bool:

@@ -52,10 +52,10 @@ from repro.obs import metrics as obs_metrics
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.executor import Task
 
-__all__ = ["ProcessPoolBackend"]
+__all__ = ["ProcessPoolBackend", "init_worker", "kill_pool"]
 
 
-def _init_worker(run, context) -> None:
+def init_worker(run, context) -> None:
     """Pool initializer: shed the state a forked worker inherits,
     install the dispatcher's run context and the stage's shared
     context, and declare this process's identity for task spans."""
@@ -94,7 +94,7 @@ def _execute_marked(marker_dir: str, fn, task, stage: str):
                 pass
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
+def kill_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down without waiting on hung or dead workers."""
     pool.shutdown(wait=False, cancel_futures=True)
     for proc in list((getattr(pool, "_processes", None) or {}).values()):
@@ -131,7 +131,7 @@ class ProcessPoolBackend(ExecutionBackend):
                             max_workers=min(
                                 max(state.n_jobs, 1), len(run.due) + len(run.inflight)
                             ),
-                            initializer=_init_worker,
+                            initializer=init_worker,
                             initargs=(shipped_run(), state.context),
                         )
                     inflight[idx] = (run.issue(idx), pool.submit(
@@ -144,7 +144,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 if abort is None:
                     continue
                 dead_pids = self._dead_pids(pool) if abort == "broken" else set()
-                _kill_pool(pool)
+                kill_pool(pool)
                 pool = None
                 if abort == "broken":
                     unresolved = len(run.due) + len(run.inflight)
@@ -175,7 +175,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 pool = None
         finally:
             if pool is not None:
-                _kill_pool(pool)
+                kill_pool(pool)
             if marker_dir:
                 shutil.rmtree(marker_dir, ignore_errors=True)
 

@@ -414,3 +414,11 @@ class RunJournal:
             "degraded_writes": self.degraded_writes,
             "stages": dict(sorted(self.stage_counts.items())),
         }
+
+    def adopt_health(self, health: "dict[str, Any]") -> None:
+        """Fold in the :meth:`health` of another handle on this run
+        directory — one a worker opened to run a whole experiment — so
+        ``status.json`` covers the stages it opened."""
+        self.corrupt_records += int(health["corrupt_records"])
+        self._degraded.count += int(health["degraded_writes"])
+        self.stage_counts.update(health["stages"])

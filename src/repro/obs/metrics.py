@@ -33,6 +33,7 @@ __all__ = [
     "MetricsRegistry",
     "add",
     "begin_task",
+    "collect_into",
     "collecting",
     "current_registry",
     "end_task",
@@ -221,6 +222,25 @@ def install(registry: "MetricsRegistry | None") -> "MetricsRegistry | None":
     previous = _REGISTRY
     _REGISTRY = registry
     return previous
+
+
+@contextmanager
+def collect_into(registry: "MetricsRegistry | None"):
+    """Make ``registry`` this process's sink for the block (``None``:
+    metrics off), outside any task buffer and prefix.
+
+    A worker that runs a whole experiment (:mod:`repro.engine.suite`)
+    collects it here exactly as the main process collects it at
+    ``--jobs 1``: counters land under the experiment's scope, and the
+    buffers of its own tasks merge on settling.  The previous sink,
+    buffer and prefix are restored on exit."""
+    global _REGISTRY, _TASK_BUFFER, _PREFIX
+    saved = (_REGISTRY, _TASK_BUFFER, _PREFIX)
+    _REGISTRY, _TASK_BUFFER, _PREFIX = registry, None, ""
+    try:
+        yield registry
+    finally:
+        _REGISTRY, _TASK_BUFFER, _PREFIX = saved
 
 
 @contextmanager

@@ -1,20 +1,26 @@
 """Per-stage cProfile hooks (``repro run --profile``).
 
 When a profile directory is installed, every driver stage (each
-:meth:`~repro.obs.trace.StageTimer.stage` block, which runs in the main
-process) is wrapped in a :class:`cProfile.Profile` and dumped to
-``profile-<experiment>-<stage>.pstats`` in that directory — loadable
-with :mod:`pstats` or any flamegraph tool that reads pstats files.
+:meth:`~repro.obs.trace.StageTimer.stage` block) is wrapped in a
+:class:`cProfile.Profile` and dumped to
+``profile-<experiment>-<stage>.pstats`` in that directory by the process
+that ran the stage — loadable with :mod:`pstats` or any flamegraph tool
+that reads pstats files.
 
-With ``--jobs >= 2`` the dump shows the main process's share of the
-stage (task dispatch, unpickling, aggregation); the worker-side cost is
-what the metrics counters and task spans account for.  Workers forked
-inside a profiled stage (pool workers, local dispatch workers) inherit
-the hook, so they drop it with :func:`shed` before running any task:
-their task spans then time the tasks, not the tasks plus cProfile.
-cProfile cannot nest, so an inner stage opened while an outer one is
-being profiled is timed (its span is unaffected) but not separately
-profiled.
+A stage runs where its experiment runs: in the main process, or, when
+``--jobs N`` hands whole experiments to the process pool
+(:mod:`repro.engine.suite`), in the worker that runs the experiment,
+which profiles its stages under :func:`profiling` and reports the names
+it dumped back to the main process (:func:`adopt_dumps`).  Where a
+stage fans its tasks out over a pool, the dump shows the running
+process's share of the stage (task dispatch, unpickling, aggregation);
+the worker-side cost is what the metrics counters and task spans
+account for.  Workers forked inside a profiled stage (pool workers,
+local dispatch workers) inherit the hook, so they drop it with
+:func:`shed` before running any task: their task spans then time the
+tasks, not the tasks plus cProfile.  cProfile cannot nest, so an inner
+stage opened while an outer one is being profiled is timed (its span is
+unaffected) but not separately profiled.
 
 Profiling observes the interpreter only — it draws no randomness and
 never touches results, so ``--profile`` preserves result bytes like the
@@ -28,7 +34,15 @@ import re
 from contextlib import contextmanager
 from pathlib import Path
 
-__all__ = ["install_profile_dir", "maybe_profile", "profile_dumps", "shed"]
+__all__ = [
+    "adopt_dumps",
+    "current_dir",
+    "install_profile_dir",
+    "maybe_profile",
+    "profile_dumps",
+    "profiling",
+    "shed",
+]
 
 _PROFILE_DIR: "Path | None" = None
 #: The profiler of the stage being profiled (``None`` between stages).
@@ -46,9 +60,38 @@ def install_profile_dir(path) -> None:
     _DUMPED.clear()
 
 
+def current_dir() -> "Path | None":
+    """The installed profile directory (``None``: profiling is off)."""
+    return _PROFILE_DIR
+
+
 def profile_dumps() -> "list[str]":
     """File names dumped so far (for ``summary.json``'s telemetry entry)."""
     return list(_DUMPED)
+
+
+def adopt_dumps(names: "list[str]") -> None:
+    """Count dumps another process wrote into the installed directory
+    (a worker that ran a whole experiment) as this process's own."""
+    _DUMPED.extend(names)
+
+
+@contextmanager
+def profiling(path):
+    """Profile the stages of the block into ``path`` (``None``: off), as
+    :func:`install_profile_dir` does for a run; yields the list of file
+    names the block dumped, filled on exit.  The previous directory,
+    profiler and dump list are restored."""
+    global _PROFILE_DIR, _ACTIVE
+    saved = (_PROFILE_DIR, _ACTIVE, list(_DUMPED))
+    install_profile_dir(path)
+    dumped: "list[str]" = []
+    try:
+        yield dumped
+    finally:
+        dumped.extend(_DUMPED)
+        _PROFILE_DIR, _ACTIVE = saved[:2]
+        _DUMPED[:] = saved[2]
 
 
 @contextmanager

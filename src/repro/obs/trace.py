@@ -166,16 +166,20 @@ def current_tracer() -> "TraceWriter | None":
     return _TRACER
 
 
-def emit_subtree(records: "list[dict[str, Any]]") -> None:
+def emit_subtree(
+    records: "list[dict[str, Any]]", epoch: "float | None" = None
+) -> None:
     """Stitch a worker's collected span subtree into the local trace.
 
     ``records`` is a :class:`SpanCollector` buffer shipped back on a
     task's result envelope.  Worker-local span ids are remapped through
     this process's id counter (two workers may both have used id 7),
-    parentless spans are grafted under the currently open span (the
-    stage span, since settling happens inside the driver's stage
-    block), and relative times are placed so the subtree *ends* at the
-    moment of settling.  No-op untraced.
+    and spans whose parent is not in the subtree are grafted under the
+    currently open span (the stage span, since settling happens inside
+    the driver's stage block).  Relative times are placed so the
+    subtree *ends* at the moment of settling — or, given the
+    collector's ``epoch``, at the times they were measured: a worker
+    on this host reads the same ``perf_counter`` clock.  No-op untraced.
     """
     global _NEXT_ID
     tracer = _TRACER
@@ -186,8 +190,8 @@ def emit_subtree(records: "list[dict[str, Any]]") -> None:
     for rec in records:
         idmap[rec["id"]] = _NEXT_ID
         _NEXT_ID += 1
-    end = max(rec["rel"] + rec["dur"] for rec in records)
-    base = perf_counter() - end
+    if epoch is None:
+        epoch = perf_counter() - max(rec["rel"] + rec["dur"] for rec in records)
     for rec in records:
         parent = rec.get("parent")
         sp = Span(
@@ -197,7 +201,7 @@ def emit_subtree(records: "list[dict[str, Any]]") -> None:
             idmap.get(parent, top) if parent is not None else top,
             dict(rec.get("meta") or {}),
         )
-        sp.start = base + rec["rel"]
+        sp.start = epoch + rec["rel"]
         sp.duration = rec["dur"]
         tracer.emit(sp)
 

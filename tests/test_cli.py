@@ -1,6 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +251,25 @@ class TestFailurePaths:
             main(["run", "E11", "--run-id", "once", "--runs-root", str(tmp_path)])
         assert "--resume once" in str(err.value)
 
+    def test_repeated_experiment_id_is_refused_up_front(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["run", "E13,e13", "--run-id", "x", "--runs-root", str(tmp_path / "runs")])
+        assert "E13 is selected more than once" in str(err.value)
+        assert not (tmp_path / "runs").exists()
+
+    def test_channel_override_is_checked_before_anything_runs(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(
+                [
+                    "run", "E15,E4,E13", "--channel", "nakagami:m=2",
+                    "--out", str(out), "--run-id", "c",
+                    "--runs-root", str(tmp_path / "runs"),
+                ]
+            )
+        assert "E4, E13 do not take a channel override" in str(err.value)
+        assert not out.exists() and not (tmp_path / "runs").exists()
+
     def test_run_id_and_resume_are_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(
@@ -254,6 +279,275 @@ class TestFailurePaths:
                 ]
             )
         assert "not both" in str(err.value)
+
+
+def _spans(out_dir):
+    return [json.loads(line) for line in (out_dir / "trace.jsonl").read_text().splitlines()]
+
+
+def _summary(out_dir):
+    return json.loads((out_dir / "summary.json").read_text())
+
+
+def _use_plan(state_dir, monkeypatch, *faults):
+    """Point ``$REPRO_CHAOS`` at a plan of ``faults`` kept in ``state_dir``."""
+    state_dir.mkdir()
+    plan_file = state_dir / "plan.json"
+    plan = ChaosPlan(state_dir=str(state_dir), faults=faults)
+    plan_file.write_text(json.dumps(plan.to_dict()))
+    monkeypatch.setenv(chaos.CHAOS_ENV, str(plan_file))
+
+
+@pytest.fixture(scope="class")
+def whole_runs(tmp_path_factory):
+    """``run E1,E7,E13`` at ``--jobs 1`` and at ``--jobs 2`` (whole
+    experiments on the pool), journaled and with every telemetry sink on:
+    ``{jobs: (out_dir, journal_dir)}``."""
+    root = tmp_path_factory.mktemp("whole")
+    dirs = {}
+    for jobs in (1, 2):
+        out, runs_root = root / f"out{jobs}", root / f"runs{jobs}"
+        code = main(
+            [
+                "run", "E1,E7,E13", "--jobs", str(jobs), "--out", str(out),
+                "--metrics", "--trace", "--profile",
+                "--run-id", "w", "--runs-root", str(runs_root),
+            ]
+        )
+        assert code == 0
+        dirs[jobs] = (out, runs_root / "w")
+    return dirs
+
+
+class TestWholeExperiments:
+    """A run of at least as many experiments as pool workers hands each
+    experiment to a worker whole; apart from timings and worker
+    attribution, everything it leaves behind reads as at ``--jobs 1``."""
+
+    def test_result_files_are_the_jobs_1_bytes(self, whole_runs):
+        (serial, _), (whole, _) = whole_runs[1], whole_runs[2]
+        for name in ("E1.json", "E1.txt", "E7.json", "E7.txt", "E13.json", "E13.txt"):
+            assert (whole / name).read_bytes() == (serial / name).read_bytes(), name
+
+    def test_summary_entries_match_apart_from_timings(self, whole_runs):
+        def entries(jobs):
+            doc = _summary(whole_runs[jobs][0])
+            return [
+                {k: v for k, v in entry.items() if k != "timings"}
+                for entry in doc["experiments"]
+            ]
+
+        assert entries(2) == entries(1)
+        assert [e["experiment_id"] for e in entries(2)] == ["E1", "E7", "E13"]
+
+    def test_metrics_counters_match(self, whole_runs):
+        counters = {
+            jobs: json.loads((out / "metrics.json").read_text())["counters"]
+            for jobs, (out, _) in whole_runs.items()
+        }
+        assert counters[2] == counters[1]
+        assert sorted(counters[2]) == ["E1", "E13", "E7"]
+
+    def test_journal_health_and_status_stage_counts_match(self, whole_runs):
+        from repro.engine.doctor import diagnose
+
+        health = {jobs: _summary(out)["journal"] for jobs, (out, _) in whole_runs.items()}
+        status = {
+            jobs: json.loads((journal / "status.json").read_text())["journal"]
+            for jobs, (_, journal) in whole_runs.items()
+        }
+        assert health[2] == health[1] == status[2] == status[1]
+        assert sorted(health[2]["stages"]) == ["E1/networks", "E13/cells", "E7/networks"]
+        findings = {
+            jobs: diagnose(journal.parent)["findings"]
+            for jobs, (_, journal) in whole_runs.items()
+        }
+        assert findings[2] == findings[1] == []
+
+    def test_each_stage_is_profiled_where_it_ran(self, whole_runs):
+        dumps = {
+            jobs: _summary(out)["telemetry"]["profile"] for jobs, (out, _) in whole_runs.items()
+        }
+        assert dumps[2] == dumps[1] and dumps[2]
+        out = whole_runs[2][0]
+        assert all((out / name).stat().st_size > 0 for name in dumps[2])
+
+    def test_trace_attributes_each_experiment_to_its_worker(self, whole_runs):
+        from repro.obs.stats import stats_doc
+
+        out = whole_runs[2][0]
+        spans = _spans(out)
+        by_id = {s["id"]: s for s in spans}
+        experiments = [s for s in spans if s["kind"] == "experiment"]
+        assert [s["name"] for s in experiments] == ["E1", "E7", "E13"]
+        run_id = next(s["id"] for s in spans if s["kind"] == "run")
+        for exp in experiments:
+            assert exp["parent"] == run_id
+            assert exp["meta"]["worker"].startswith("pool-")
+        tasks = [s for s in spans if s["kind"] == "task"]
+        assert len(tasks) == len([s for s in _spans(whole_runs[1][0]) if s["kind"] == "task"])
+        for task in tasks:
+            exp = by_id[by_id[task["parent"]]["parent"]]
+            assert task["meta"]["worker"] == exp["meta"]["worker"]
+        assert list(stats_doc(out)["spans"]["experiments"]) == ["E1", "E7", "E13"]
+
+    @pytest.mark.parametrize(
+        "selection, jobs, flags",
+        [
+            ("E1", 2, ()),
+            ("E1,E13", 3, ()),
+            ("E1,E13", 2, ("--task-timeout", "60")),
+            ("E1,E13", 2, ("--executor", "dispatch", "--dispatch-workers", "2")),
+        ],
+        ids=["one-experiment", "fewer-experiments-than-workers", "task-timeout", "dispatch"],
+    )
+    def test_other_runs_keep_one_worker_task_per_sweep_task(
+        self, tmp_path, capsys, selection, jobs, flags
+    ):
+        out = tmp_path / "out"
+        code = main(
+            [
+                "run", selection, "--jobs", str(jobs), "--trace", "--out", str(out),
+                "--runs-root", str(tmp_path / "runs"), *flags,
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        spans = _spans(out)
+        assert all("worker" not in s.get("meta", {}) for s in spans if s["kind"] == "experiment")
+        assert all(s["meta"].get("worker") for s in spans if s["kind"] == "task")
+
+    def test_worker_loss_reruns_the_experiment_with_per_task_workers(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        outcomes = {}
+        for jobs in (1, 2):
+            _use_plan(
+                tmp_path / f"chaos{jobs}", monkeypatch,
+                Fault(kind="worker-lost", stage="cells", index=5, once=False),
+            )
+            out = tmp_path / f"out{jobs}"
+            with pytest.warns(UserWarning):
+                code = main(
+                    [
+                        "run", "E1,E13", "--jobs", str(jobs), "--on-error", "skip",
+                        "--run-id", "w", "--runs-root", str(tmp_path / f"runs{jobs}"),
+                        "--out", str(out),
+                    ]
+                )
+            err = capsys.readouterr().err
+            summary = _summary(out)
+            failures = [
+                (entry["experiment_id"], f["stage"], f["index"])
+                for entry in summary["experiments"]
+                for f in entry.get("faults", {}).get("failures", [])
+            ]
+            outcomes[jobs] = (
+                code,
+                "INCOMPLETE: E13" in err,
+                summary["incomplete"],
+                failures,
+                summary["journal"],
+                (out / "E1.json").read_bytes(),
+                (out / "E13.json").read_bytes(),
+            )
+        assert outcomes[2] == outcomes[1]
+        assert outcomes[2][:4] == (1, True, True, [("E13", "cells", 5)])
+        e13 = _summary(tmp_path / "out2")["experiments"][1]
+        # The worker kills went per task: cell 5 was quarantined, and the
+        # pool break that sent E13 back to the main process is on the record.
+        assert e13["faults"]["failures"][0]["kind"] == "quarantined"
+        assert e13["faults"]["events"][0]["kind"] == "pool-broken"
+
+    def test_driver_error_matches_jobs_1(self, tmp_path, monkeypatch):
+        messages, written = {}, {}
+        for jobs in (1, 2):
+            _use_plan(
+                tmp_path / f"chaos{jobs}", monkeypatch,
+                Fault(kind="raise", stage="cells", index=3),
+            )
+            out = tmp_path / f"out{jobs}"
+            with pytest.raises(SystemExit) as err:
+                main(["run", "E1,E13,E7", "--jobs", str(jobs), "--out", str(out)])
+            messages[jobs] = err.value.code
+            written[jobs] = sorted(p.name for p in out.iterdir())
+        assert messages[2] == messages[1] == "injected crash in task 3 (stage 'cells')"
+        assert written[2] == written[1] == ["E1.json", "E1.txt"]
+
+    def test_results_are_written_as_they_land(self, tmp_path, monkeypatch):
+        # E6 hangs in its worker: the experiments before it are on disk
+        # while it runs, as they would be at --jobs 1.
+        _use_plan(
+            tmp_path / "chaos", monkeypatch,
+            Fault(kind="hang", stage="simulate", index=0, hang_seconds=120.0),
+        )
+        out = tmp_path / "out"
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", "E13,E4,E6", "--jobs", "2",
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 100
+            while not ((out / "E13.json").exists() and (out / "E4.json").exists()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.1)
+            assert proc.poll() is None and not (out / "E6.json").exists()
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+    def test_no_experiment_is_issued_after_a_driver_error(self, tmp_path, monkeypatch):
+        # The first sweep task of E1 and of E13 raises, so both workers'
+        # experiments come back failed before E7 could be issued.
+        messages, journals = {}, {}
+        for jobs in (1, 2):
+            _use_plan(tmp_path / f"chaos{jobs}", monkeypatch, Fault(kind="raise", index=0))
+            runs_root = tmp_path / f"runs{jobs}"
+            with pytest.raises(SystemExit) as err:
+                main(
+                    [
+                        "run", "E1,E13,E7", "--jobs", str(jobs), "--out",
+                        str(tmp_path / f"out{jobs}"), "--run-id", "r",
+                        "--runs-root", str(runs_root),
+                    ]
+                )
+            messages[jobs] = err.value.code
+            journals[jobs] = runs_root / "r" / "stages"
+        assert messages[2] == messages[1]
+        assert messages[2].startswith("injected crash in task 0 ")
+        assert not (tmp_path / "out2" / "E1.json").exists()
+        assert not (journals[2] / "E7").exists()
+
+    def test_a_fault_without_a_stage_fires_only_in_experiment_stages(
+        self, tmp_path, monkeypatch
+    ):
+        # A stage-less fault matches every map_tasks stage; the pool's
+        # experiments are not one, so the run reads as at --jobs 1.
+        seen = {}
+        for jobs in (1, 2):
+            _use_plan(tmp_path / f"chaos{jobs}", monkeypatch, Fault(kind="raise", index=1))
+            out = tmp_path / f"out{jobs}"
+            code = main(
+                [
+                    "run", "E1,E13", "--jobs", str(jobs), "--on-error", "retry",
+                    "--metrics", "--out", str(out),
+                    "--runs-root", str(tmp_path / f"runs{jobs}"),
+                ]
+            )
+            entries = [
+                {k: v for k, v in entry.items() if k != "timings"}
+                for entry in _summary(out)["experiments"]
+            ]
+            counters = json.loads((out / "metrics.json").read_text())["counters"]
+            seen[jobs] = (code, entries, counters, (out / "E13.json").read_bytes())
+        assert seen[2] == seen[1]
+        assert seen[2][0] == 0
+        assert seen[2][2]["E13"]["executor.retries"] == 1
 
 
 class TestKillAndResume:
