@@ -2,7 +2,7 @@
 
 The observability layer promises that its instrumentation is near-free:
 every hot-path report is a module-level call whose inactive fast path is
-two ``None`` checks (:mod:`repro.obs.metrics`).  This bench measures the
+one ``None`` check (:mod:`repro.obs.metrics`).  This bench measures the
 *active* cost — the same kernel workloads timed with no sink installed
 and then inside an ``obs_scope`` with a metrics registry collecting —
 and records both timings plus the relative overhead::

@@ -108,7 +108,6 @@ from repro.engine.journal import JournalError, RunJournal
 from repro.engine.registry import ExperimentSpec, all_specs, get_spec
 from repro.obs import METRICS_FILENAME, TRACE_FILENAME, Telemetry, obs_scope, span
 from repro.obs import events as obs_events
-from repro.obs import profile as obs_profile
 from repro.obs.stats import RunDirError, render_run_dir, stats_doc
 from repro.run_context import RESULT_FIELDS, RunContext, run_scope
 from repro.utils.atomic import atomic_write_text
@@ -378,28 +377,12 @@ def _cmd_run_scoped(args, run: RunContext, out_dir, journal, policy) -> int:
             raise SystemExit(
                 f"cannot create --out directory {out_dir}: {exc}"
             ) from exc
-    telemetry = (
-        Telemetry.for_run_dir(
-            out_dir, trace=run.spans, metrics=run.metrics, profile=args.profile
-        )
-        if out_dir is not None
-        else None
+    # The event bus opens lazily and every sink absorbs its failed
+    # writes, so telemetry can never take a run down or change bytes.
+    telemetry = Telemetry.for_run_dir(
+        out_dir, trace=run.spans, metrics=run.metrics, profile=args.profile,
+        events=run.events,
     )
-    snapshotter = None
-    if run.events is not None:
-        # Opening is lazy and degraded writes are absorbed, so --monitor
-        # can never take a run down or change result bytes.
-        bus = obs_events.EventBus(run.events, obs_events.default_source("run"))
-        if telemetry is None:
-            telemetry = Telemetry(events=bus)
-        else:
-            telemetry.events = bus
-        if out_dir is not None:
-            from repro.obs.openmetrics import SNAPSHOT_FILENAME, MetricsSnapshotter
-
-            snapshotter = MetricsSnapshotter(
-                telemetry.metrics, out_dir / SNAPSHOT_FILENAME
-            ).start()
     summary: "list[dict[str, object]]" = []
 
     def on_result(spec: ExperimentSpec, result) -> None:
@@ -412,14 +395,9 @@ def _cmd_run_scoped(args, run: RunContext, out_dir, journal, policy) -> int:
             _write_text(out_dir / f"{exp_id}.json", result.to_json())
         summary.append(_summary_entry(spec, result))
 
-    try:
-        with obs_scope(telemetry):
-            with span("run", kind="run", experiments=args.experiment):
-                failures = _run_specs(args, run, on_result, policy)
-            profile_files = obs_profile.profile_dumps()
-    finally:
-        if snapshotter is not None:
-            snapshotter.stop()
+    with obs_scope(telemetry):
+        with span("run", kind="run", experiments=args.experiment):
+            failures = _run_specs(args, run, on_result, policy)
     incomplete = [
         str(entry["experiment_id"]) for entry in summary if entry.get("incomplete")
     ]
@@ -440,12 +418,12 @@ def _cmd_run_scoped(args, run: RunContext, out_dir, journal, policy) -> int:
             doc["telemetry"] = {
                 "trace": TRACE_FILENAME if run.spans else None,
                 "metrics": METRICS_FILENAME if telemetry.metrics is not None else None,
-                "profile": profile_files,
+                "profile": telemetry.profiles,
                 "backend": run.backend.describe(),
                 "events": (
                     str(telemetry.events.path) if telemetry.events is not None else None
                 ),
-                "prom": "metrics.prom" if snapshotter is not None else None,
+                "prom": telemetry.snapshot.name if telemetry.snapshot is not None else None,
             }
         _write_text(out_dir / "summary.json", json.dumps(doc, indent=2) + "\n")
         if telemetry is not None and telemetry.metrics is not None:

@@ -74,10 +74,11 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro import obs
 from repro.engine import chaos
 from repro.engine.backends.base import (
     ExecutionBackend,
@@ -86,7 +87,6 @@ from repro.engine.backends.base import (
     execute_task,
     record_event,
     set_worker_name,
-    shed_parent_state,
     shipped_run,
 )
 from repro.engine.backends.lifecycle import StageRun
@@ -705,12 +705,12 @@ _WAKE_FD: "int | None" = None
 
 
 def _local_worker(root: str, name: str, wake_r: int, wake_w: int) -> None:
-    """Body of a forked local worker: shed the dispatcher's state, send
-    output to /dev/null, and serve ``root`` as ``repro worker ROOT
-    --name NAME --poll 0.02 --max-idle 600`` does, waking the
-    dispatcher after each result envelope it posts."""
+    """Body of a forked local worker: shed the dispatcher's telemetry
+    sinks, send output to /dev/null, and serve ``root`` as ``repro
+    worker ROOT --name NAME --poll 0.02 --max-idle 600`` does, waking
+    the dispatcher after each result envelope it posts."""
     global _WAKE_FD
-    shed_parent_state()
+    obs.shed()
     os.close(wake_r)
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, 1)
@@ -910,11 +910,14 @@ def worker_loop(
     idle_since = time.monotonic()
     try:
         while True:
-            if obs_events.current_bus() is None and events_dir.is_dir():
+            if obs.current().events is None and events_dir.is_dir():
                 # A monitored run appeared (or was live before we
                 # started): join the bus under our worker identity.
-                obs_events.install(
-                    obs_events.EventBus(events_dir, f"worker-{worker}")
+                obs.install(
+                    replace(
+                        obs.current(),
+                        events=obs_events.EventBus(events_dir, f"worker-{worker}"),
+                    )
                 )
                 obs_events.emit("worker-start", worker=worker)
             pulse.beat(tasks=total, worker=worker)
@@ -930,6 +933,6 @@ def worker_loop(
                     return 0
                 time.sleep(poll)
     finally:
-        bus = obs_events.install(None)
+        bus = obs.install(None).events
         if bus is not None:
             bus.close()

@@ -35,6 +35,7 @@ from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from typing import TYPE_CHECKING, Any
 
+from repro import obs
 from repro.engine.backends.base import (
     ExecutionBackend,
     RunState,
@@ -42,7 +43,6 @@ from repro.engine.backends.base import (
     execute_task,
     record_event,
     set_worker_name,
-    shed_parent_state,
     shipped_run,
 )
 from repro.engine.backends.lifecycle import StageRun
@@ -56,10 +56,10 @@ __all__ = ["ProcessPoolBackend", "init_worker", "kill_pool"]
 
 
 def init_worker(run, context) -> None:
-    """Pool initializer: shed the state a forked worker inherits,
-    install the dispatcher's run context and the stage's shared
-    context, and declare this process's identity for task spans."""
-    shed_parent_state()
+    """Pool initializer: shed the telemetry sinks a forked worker
+    inherits, install the dispatcher's run context and the stage's
+    shared context, and declare this process's identity for task spans."""
+    obs.shed()
     adopt_run(run, context)
     set_worker_name(f"pool-{os.getpid()}")
 

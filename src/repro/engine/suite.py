@@ -9,15 +9,17 @@ it as the main process runs it at ``--jobs 1``: through
 executor.
 
 What the main process would have gathered along the way, the worker
-gathers in the same form and ships back on :class:`Shipped`: a metrics
-registry of its own (so counters land under the experiment's scope), the
-span subtree of the experiment (stitched under the run span, with the
-experiment span attributed to the worker), the health of its handle on
-the run journal (the stage counts ``repro doctor`` range-checks records
-against), and the names of the profile dumps of its stages.
-:func:`run_whole` yields the results in selection order, each as soon as
-it and every experiment before it are back, after
-:meth:`Shipped.adopt` has folded its telemetry in.
+gathers under one :func:`repro.obs.capture` — the capture a pool task
+runs under, with the profile directory added — and ships back on
+:class:`Shipped`: its metrics (counters land under the experiment's
+scope), the span subtree of the experiment (stitched under the run span
+at its measured times, with the experiment span attributed to the
+worker) and the names of the profile dumps of its stages, plus the
+health of its handle on the run journal (the stage counts ``repro
+doctor`` range-checks records against).  :func:`run_whole` yields the
+results in selection order, each as soon as it and every experiment
+before it are back, after :meth:`Shipped.adopt` has folded its
+telemetry in.
 
 The experiments are not a ``map_tasks`` stage: no fault plan, event,
 counter or span ever names them, so chaos faults, the event bus and the
@@ -47,15 +49,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
+from repro import obs
 from repro.engine.backends.base import get_worker_context, shipped_run, worker_name
 from repro.engine.backends.pool import init_worker, kill_pool
 from repro.engine.executor import resolve_jobs
 from repro.engine.faults import ExecutionPolicy
 from repro.engine.journal import RunJournal
 from repro.engine.registry import get_spec
-from repro.obs import metrics as obs_metrics
-from repro.obs import profile as obs_profile
-from repro.obs import trace as obs_trace
 from repro.run_context import current_run
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -90,25 +90,16 @@ class Shipped:
     #: What the driver raised (``result`` is then ``None``) and where.
     error: "Exception | None"
     traceback: str
-    metrics: "obs_metrics.MetricsRegistry | None"
-    spans: "list[dict[str, Any]] | None"
-    #: The span collector's epoch on the host's ``perf_counter`` clock.
-    epoch: float
+    captured: "obs.Captured"
     journal: "dict[str, Any] | None"
-    profiles: "list[str]"
 
     def adopt(self, journal: "RunJournal | None") -> "ExperimentResult":
         """Fold this experiment's telemetry into this process's sinks and
         its journal health into ``journal``; return its result, or raise
         the driver's exception."""
-        registry = obs_metrics.current_registry()
-        if registry is not None and self.metrics is not None:
-            registry.merge(self.metrics)
-        if self.spans:
-            obs_trace.emit_subtree(self.spans, epoch=self.epoch)
+        self.captured.adopt()
         if journal is not None and self.journal is not None:
             journal.adopt_health(self.journal)
-        obs_profile.adopt_dumps(self.profiles)
         if self.error is not None:
             raise self.error from WorkerTraceback(self.traceback)
         return self.result
@@ -124,38 +115,24 @@ def _run_whole(exp_id: str) -> Shipped:
         # A handle of its own, whose counters hold this experiment's share.
         journal = RunJournal(journal.run_dir, journal.meta)
     policy = replace(setup.policy, journal=journal, executor="serial")
-    registry = obs_metrics.MetricsRegistry() if run.metrics else None
-    collector = obs_trace.SpanCollector() if run.spans else None
     result = error = None
     trace_text = ""
-    previous = obs_trace.install_tracer(collector)
-    try:
-        with obs_metrics.collect_into(registry), obs_profile.profiling(
-            setup.profile_dir
-        ) as dumped:
-            try:
-                result = get_spec(exp_id).run(
-                    run.scale, seed=run.seed, jobs=1, channel=run.channel, policy=policy
-                )
-            except Exception as exc:  # raised again, in its turn, by Shipped.adopt
-                error, trace_text = exc, traceback.format_exc()
-    finally:
-        obs_trace.install_tracer(previous)
-    spans = None
-    if collector is not None:
-        spans = collector.records
-        for rec in spans:
-            if rec["kind"] == "experiment":
-                rec["meta"]["worker"] = worker_name()
+    with obs.capture(worker=worker_name(), profile_dir=setup.profile_dir) as captured:
+        try:
+            result = get_spec(exp_id).run(
+                run.scale, seed=run.seed, jobs=1, channel=run.channel, policy=policy
+            )
+        except Exception as exc:  # raised again, in its turn, by Shipped.adopt
+            error, trace_text = exc, traceback.format_exc()
+    for rec in captured.spans:
+        if rec["kind"] == "experiment":
+            rec["meta"]["worker"] = captured.worker
     return Shipped(
         result=result,
         error=error,
         traceback=trace_text,
-        metrics=registry,
-        spans=spans,
-        epoch=collector.epoch if collector is not None else 0.0,
+        captured=captured,
         journal=journal.health() if journal is not None else None,
-        profiles=dumped,
     )
 
 
@@ -212,7 +189,7 @@ def run_whole(
     pool = ProcessPoolExecutor(
         max_workers=workers,
         initializer=init_worker,
-        initargs=(shipped_run(), _Setup(policy, obs_profile.current_dir())),
+        initargs=(shipped_run(), _Setup(policy, obs.current().profile_dir)),
     )
     landed: "dict[int, Future]" = {}
     inflight: "dict[Future, int]" = {}

@@ -21,11 +21,12 @@ The layer inherits the obs invariants wholesale:
 
 * **Never result bytes.**  Events are diagnostics; nothing reads them
   back into a computation.  Emitting is a no-op unless a bus has been
-  installed (two module-global ``None`` checks, like metrics).
+  installed (one module-global ``None`` check, like metrics).
 * **Never takes the run down.**  A full or read-only filesystem
   degrades event writes to a once-warned counter
   (``events.degraded_writes``), the same :class:`DegradedWrites` policy
-  the journal and its leases follow.
+  the trace writer, the journal, its leases and the ``metrics.prom``
+  snapshot follow.
 
 Wall-clock timestamps are deliberate: events are *not* trace spans, and
 operators correlating a fleet need "when" in human time.  Cross-host
@@ -40,6 +41,7 @@ import os
 import socket
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, TextIO
 
@@ -52,11 +54,8 @@ __all__ = [
     "EventBus",
     "Heartbeat",
     "JsonLines",
-    "current_bus",
-    "current_events_dir",
     "emit",
     "ensure_bus",
-    "install",
     "rss_bytes",
 ]
 
@@ -103,11 +102,14 @@ class DegradedWrites:
     down; ``repro stats`` sums the counters.  A write that names
     ``what`` it lost also emits a ``degraded-write`` event — the journal
     and its leases do; the event bus's own file never does, so a failing
-    bus does not write about itself.
+    bus does not write about itself.  A writer on a thread of its own
+    passes the ``registry`` it serves: the installed one follows what
+    the main thread runs (an experiment's prefix, a task's capture).
     """
 
-    def __init__(self, counter: str):
+    def __init__(self, counter: str, registry: "_metrics.MetricsRegistry | None" = None):
         self.counter = counter
+        self.registry = registry
         #: Failed writes absorbed so far.
         self.count = 0
         self._warned = False
@@ -124,7 +126,10 @@ class DegradedWrites:
         if it is the first; ``stacklevel`` counts from the caller, as
         for :func:`warnings.warn`."""
         self.count += 1
-        _metrics.add(self.counter)
+        if self.registry is not None:
+            self.registry.add(self.counter)
+        else:
+            _metrics.add(self.counter)
         if what is not None:
             emit("degraded-write", what=what, cause=exhaustion_kind(exc) or "write-error")
         if not self._warned:
@@ -225,28 +230,11 @@ class EventBus:
 
 
 # ---------------------------------------------------------------------------
-# Ambient API — mirrors repro.obs.metrics: a module-global sink, a
-# fast-path no-op emit, and install/restore for scoping.
+# Ambient API — mirrors repro.obs.metrics: a module-global sink set by
+# repro.obs.install, and a fast-path no-op emit.
 # ---------------------------------------------------------------------------
 
 _BUS: "EventBus | None" = None
-
-
-def install(bus: "EventBus | None") -> "EventBus | None":
-    """Install this process's event bus; returns the previous one."""
-    global _BUS
-    previous = _BUS
-    _BUS = bus
-    return previous
-
-
-def current_bus() -> "EventBus | None":
-    return _BUS
-
-
-def current_events_dir() -> "str | None":
-    """The installed bus's directory (workers join it through the shipped run context)."""
-    return None if _BUS is None else str(_BUS.directory)
 
 
 def emit(kind: str, **fields: Any) -> None:
@@ -268,18 +256,21 @@ def ensure_bus(directory, role: str = "proc") -> EventBus:
     another process (a forked worker that did not shed it) would
     interleave two processes into one file under one identity — such
     a bus is replaced, never reused.  Pool and local dispatch workers
-    drop theirs first (:func:`~repro.engine.backends.base.shed_parent_state`).
+    drop theirs first (:func:`repro.obs.shed`).
     """
-    global _BUS
+    from repro import obs
+
     directory = Path(directory)
+    bus = _BUS
     if (
-        _BUS is not None
-        and _BUS.extra.get("pid") == os.getpid()
-        and os.path.abspath(_BUS.directory) == os.path.abspath(directory)
+        bus is not None
+        and bus.extra.get("pid") == os.getpid()
+        and os.path.abspath(bus.directory) == os.path.abspath(directory)
     ):
-        return _BUS
-    _BUS = EventBus(directory, default_source(role))
-    return _BUS
+        return bus
+    bus = EventBus(directory, default_source(role))
+    obs.install(replace(obs.current(), events=bus))
+    return bus
 
 
 class Heartbeat:

@@ -4,18 +4,18 @@ The registry answers "what did the simulation actually do?": samples
 drawn, Theorem-1 cache hits, SINR evaluations, executor retries, guard
 trips.  Hot kernels report through three module-level functions —
 :func:`add` (counter), :func:`set_gauge`, :func:`observe` (histogram) —
-whose inactive fast path is two module-global ``None`` checks, so the
+whose inactive fast path is one module-global ``None`` check, so the
 instrumentation costs nothing when telemetry is off.
 
-Cross-process collection: the executor pushes a *task buffer* (a private
-:class:`MetricsRegistry`) around every task execution, so increments
-made inside a task — in whatever worker process it runs — land in the
-buffer instead of a sink that does not exist in the worker.  The buffer
-is shipped back piggybacked on the task's result and merged into the
-main-process registry in task-settle order.  Counters are integer sums
-and gauges are keyed last-write-by-task-index, so the merged totals are
-identical for every ``--jobs`` value; only wall-clock histograms vary
-between runs.
+Cross-process collection: :func:`repro.obs.capture` installs a fresh
+registry as this process's sink around every observed task execution
+(and around a whole experiment run on a pool worker), so increments
+made inside it — in whatever worker process it runs — land in that
+buffer.  The buffer is shipped back on the result and merged into the
+run's registry in task-settle order, under the prefix current there.
+Counters are integer sums and gauges are keyed last-write-by-task-index,
+so the merged totals are identical for every ``--jobs`` value; only
+wall-clock histograms vary between runs.
 
 The determinism invariant of the whole layer: collection never draws
 randomness, never mutates kernel values, and failed task attempts drop
@@ -32,22 +32,15 @@ from typing import Any
 __all__ = [
     "MetricsRegistry",
     "add",
-    "begin_task",
-    "collect_into",
-    "collecting",
-    "current_registry",
-    "end_task",
-    "merge_task_metrics",
     "observe",
     "prefix_scope",
     "set_gauge",
 ]
 
-#: Main-process sink (installed by ``obs_scope``); ``None`` = off.
+#: This process's registry, set by :func:`repro.obs.install` (the run's
+#: sink, or a capture's buffer); ``None`` = off.
 _REGISTRY: "MetricsRegistry | None" = None
-#: Task-local buffer pushed by the executor around each task execution.
-_TASK_BUFFER: "MetricsRegistry | None" = None
-#: Prefix (experiment id) applied by the main-process sink.
+#: Prefix (experiment id) applied to every write.
 _PREFIX = ""
 
 
@@ -166,16 +159,8 @@ def _bucket_of(value: float) -> str:
 
 
 def add(name: str, value: "int | float" = 1) -> None:
-    """Increment a counter (no-op when telemetry is off).
-
-    Inside a task execution the increment lands in the task buffer and
-    travels back to the main process with the result; outside tasks it
-    goes straight to the installed sink under the current prefix.
-    """
-    buf = _TASK_BUFFER
-    if buf is not None:
-        buf.add(name, value)
-        return
+    """Increment a counter under the current prefix (no-op when
+    telemetry is off)."""
     reg = _REGISTRY
     if reg is not None:
         reg.add(_PREFIX + name if _PREFIX else name, value)
@@ -183,10 +168,6 @@ def add(name: str, value: "int | float" = 1) -> None:
 
 def set_gauge(name: str, value: float) -> None:
     """Record a last-write-wins gauge (no-op when telemetry is off)."""
-    buf = _TASK_BUFFER
-    if buf is not None:
-        buf.set_gauge(name, value)
-        return
     reg = _REGISTRY
     if reg is not None:
         reg.set_gauge(_PREFIX + name if _PREFIX else name, value)
@@ -194,60 +175,16 @@ def set_gauge(name: str, value: float) -> None:
 
 def observe(name: str, value: float) -> None:
     """Add one histogram observation (no-op when telemetry is off)."""
-    buf = _TASK_BUFFER
-    if buf is not None:
-        buf.observe(name, value)
-        return
     reg = _REGISTRY
     if reg is not None:
         reg.observe(_PREFIX + name if _PREFIX else name, value)
 
 
-def collecting() -> bool:
-    """Whether this process has a sink or task buffer for metrics.
-
-    Workers have neither between tasks; the ``metrics`` switch of the
-    shipped run context tells the executor to buffer their tasks."""
-    return _REGISTRY is not None or _TASK_BUFFER is not None
-
-
-def current_registry() -> "MetricsRegistry | None":
-    """The installed main-process sink (``None`` when metrics are off)."""
-    return _REGISTRY
-
-
-def install(registry: "MetricsRegistry | None") -> "MetricsRegistry | None":
-    """Install the main-process sink; returns the previous one."""
-    global _REGISTRY
-    previous = _REGISTRY
-    _REGISTRY = registry
-    return previous
-
-
-@contextmanager
-def collect_into(registry: "MetricsRegistry | None"):
-    """Make ``registry`` this process's sink for the block (``None``:
-    metrics off), outside any task buffer and prefix.
-
-    A worker that runs a whole experiment (:mod:`repro.engine.suite`)
-    collects it here exactly as the main process collects it at
-    ``--jobs 1``: counters land under the experiment's scope, and the
-    buffers of its own tasks merge on settling.  The previous sink,
-    buffer and prefix are restored on exit."""
-    global _REGISTRY, _TASK_BUFFER, _PREFIX
-    saved = (_REGISTRY, _TASK_BUFFER, _PREFIX)
-    _REGISTRY, _TASK_BUFFER, _PREFIX = registry, None, ""
-    try:
-        yield registry
-    finally:
-        _REGISTRY, _TASK_BUFFER, _PREFIX = saved
-
-
 @contextmanager
 def prefix_scope(prefix: str):
-    """Namespace sink-bound metrics under ``prefix`` (the experiment id)
-    for the duration of the block.  Task buffers are unaffected — the
-    executor applies the main process's prefix when it merges them."""
+    """Namespace metrics under ``prefix`` (the experiment id) for the
+    duration of the block; ``""`` clears the namespace, as a capture does
+    for its buffer."""
     global _PREFIX
     previous = _PREFIX
     _PREFIX = f"{prefix}/" if prefix else ""
@@ -255,36 +192,3 @@ def prefix_scope(prefix: str):
         yield
     finally:
         _PREFIX = previous
-
-
-# -- executor integration (task buffers) ------------------------------------
-
-
-def begin_task() -> "MetricsRegistry | None":
-    """Push a fresh task buffer; returns the previous one (for nesting).
-
-    Called by the executor at the top of every task execution when
-    :func:`collecting` is true, in whatever process runs the task.
-    """
-    global _TASK_BUFFER
-    previous = _TASK_BUFFER
-    _TASK_BUFFER = MetricsRegistry()
-    return previous
-
-
-def end_task(previous: "MetricsRegistry | None") -> MetricsRegistry:
-    """Pop the task buffer installed by :func:`begin_task`."""
-    global _TASK_BUFFER
-    buffer = _TASK_BUFFER if _TASK_BUFFER is not None else MetricsRegistry()
-    _TASK_BUFFER = previous
-    return buffer
-
-
-def merge_task_metrics(delta: "MetricsRegistry | None") -> None:
-    """Merge one task's shipped buffer into the main-process sink under
-    the current prefix.  Called at task-settle time, in task order."""
-    if delta is None:
-        return
-    reg = _REGISTRY
-    if reg is not None:
-        reg.merge(delta, _PREFIX.rstrip("/"))

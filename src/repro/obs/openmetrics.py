@@ -26,6 +26,7 @@ import threading
 from pathlib import Path
 from typing import Any
 
+from repro.obs.events import DegradedWrites
 from repro.utils.atomic import atomic_write_text
 
 __all__ = ["MetricsSnapshotter", "SNAPSHOT_FILENAME", "render"]
@@ -131,9 +132,10 @@ class MetricsSnapshotter:
     The registry is read without locks: a frame that races a concurrent
     dict mutation (``RuntimeError``) is skipped — the next tick gets a
     consistent view — and :meth:`stop` always writes one final, exact
-    snapshot after the run has quiesced.  Snapshot writes never raise;
-    a full disk silently stops refreshing (events/metrics already count
-    degraded writes elsewhere — the snapshot is a pure convenience).
+    snapshot after the run has quiesced.  Snapshot writes never raise: a
+    failed one follows the best-effort writers' policy
+    (:class:`~repro.obs.events.DegradedWrites`), counted as
+    ``metrics.degraded_writes`` with one warning.
     """
 
     def __init__(self, registry, path, interval: float = 2.0):
@@ -144,6 +146,7 @@ class MetricsSnapshotter:
         self._thread = threading.Thread(
             target=self._loop, name="metrics-snapshotter", daemon=True
         )
+        self._degraded = DegradedWrites("metrics.degraded_writes", registry)
 
     def _write(self) -> bool:
         try:
@@ -152,7 +155,12 @@ class MetricsSnapshotter:
             return False
         try:
             atomic_write_text(self.path, text)
-        except OSError:
+        except OSError as exc:
+            self._degraded.absorb(
+                exc,
+                f"cannot write {self.path} ({exc}); continuing without the "
+                "live metrics snapshot — results are unaffected",
+            )
             return False
         return True
 

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.backend.config import BackendConfig
+from repro.engine.doctor import iter_jsonl
 
 __all__ = ["RunDirError", "render_run_dir", "stats_doc"]
 
@@ -40,6 +41,7 @@ DEGRADED_COUNTERS = (
     "journal.degraded_writes",
     "events.degraded_writes",
     "trace.degraded_writes",
+    "metrics.degraded_writes",
 )
 
 #: Counter names summed across scopes into the fleet section.
@@ -64,19 +66,6 @@ def _load_json(path: Path) -> "dict[str, Any] | None":
         return json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise RunDirError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_spans(path: Path) -> "list[dict[str, Any]]":
-    if not path.is_file():
-        return []
-    spans = []
-    try:
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                spans.append(json.loads(line))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise RunDirError(f"cannot read {path}: {exc}") from exc
-    return spans
 
 
 def _experiment_spans(spans: "list[dict[str, Any]]", experiment: str) -> "dict[str, Any]":
@@ -209,7 +198,10 @@ def stats_doc(run_dir) -> "dict[str, Any]":
     base = Path(run_dir)
     summary = _load_json(base / "summary.json")
     metrics = _load_json(base / "metrics.json")
-    spans = _load_spans(base / "trace.jsonl")
+    trace = base / "trace.jsonl"
+    # Torn lines (a run killed mid-append) are skipped; a trace that is
+    # not a regular file (a device standing in for a full disk) reads empty.
+    spans = iter_jsonl(trace) if trace.is_file() else []
     profiles = sorted(p.name for p in base.glob("profile-*.pstats"))
     if summary is None and metrics is None and not spans:
         raise RunDirError(

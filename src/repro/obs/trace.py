@@ -4,8 +4,8 @@ A span is one timed region of a run.  The ambient stack gives spans
 their parents: the CLI opens a ``run`` span, the registry opens one
 ``experiment`` span per driver call, drivers open ``stage`` spans (via
 :class:`StageTimer`), and the executor attaches one ``task`` span per
-completed task (timed in whatever process executed it, shipped back as
-a duration on the result envelope).
+completed task (timed in whatever process executed it, and stitched
+in from the worker's :class:`SpanCollector`).
 
 Spans always *measure* — entering one costs two ``perf_counter`` calls
 even with tracing off, which is how :class:`StageTimer` (and hence
@@ -38,7 +38,6 @@ __all__ = [
     "TraceWriter",
     "current_experiment",
     "emit_subtree",
-    "install_tracer",
     "span",
 ]
 
@@ -117,15 +116,15 @@ class SpanCollector:
     """A tracer that *buffers* spans instead of writing them.
 
     Worker processes (pool and dispatch) have no trace file — the
-    writer lives with the dispatching process — but tasks executed in
-    them still open spans.  When the run context's ``spans`` switch is
-    on, :func:`~repro.engine.backends.base.execute_task` installs a
-    collector as this process's tracer for the duration of one task;
-    the closed spans accumulate here with start times
-    *relative to the collector's epoch*, travel back to the dispatcher
-    on the task's result envelope, and :func:`emit_subtree` re-emits
-    them into the real trace with fresh ids and cross-process parent
-    links.  That is what makes ``--trace`` complete under
+    writer lives with the dispatching process — but what they execute
+    still opens spans.  When the run context's ``spans`` switch is on
+    and no tracer is installed, :func:`repro.obs.capture` installs a
+    collector for the captured block (one task, or one whole
+    experiment); the closed spans accumulate here with start times
+    *relative to the collector's epoch*, travel back on the
+    :class:`~repro.obs.Captured` record, and :func:`emit_subtree`
+    re-emits them into the real trace with fresh ids and cross-process
+    parent links.  That is what makes ``--trace`` complete under
     ``--executor dispatch``: every worker's task spans — persisted
     per-attempt in the queue's result files — get stitched into one
     coherent run trace.
@@ -149,21 +148,10 @@ class SpanCollector:
         )
 
 
-_TRACER: "TraceWriter | None" = None
+#: This process's span sink, set by :func:`repro.obs.install`.
+_TRACER: "TraceWriter | SpanCollector | None" = None
 _STACK: "list[Span]" = []
 _NEXT_ID = 1
-
-
-def install_tracer(tracer: "TraceWriter | None") -> "TraceWriter | None":
-    """Install the span sink; returns the previous one."""
-    global _TRACER
-    previous = _TRACER
-    _TRACER = tracer
-    return previous
-
-
-def current_tracer() -> "TraceWriter | None":
-    return _TRACER
 
 
 def emit_subtree(
@@ -172,14 +160,15 @@ def emit_subtree(
     """Stitch a worker's collected span subtree into the local trace.
 
     ``records`` is a :class:`SpanCollector` buffer shipped back on a
-    task's result envelope.  Worker-local span ids are remapped through
+    :class:`~repro.obs.Captured` record.  Worker-local span ids are remapped through
     this process's id counter (two workers may both have used id 7),
     and spans whose parent is not in the subtree are grafted under the
     currently open span (the stage span, since settling happens inside
-    the driver's stage block).  Relative times are placed so the
-    subtree *ends* at the moment of settling — or, given the
-    collector's ``epoch``, at the times they were measured: a worker
-    on this host reads the same ``perf_counter`` clock.  No-op untraced.
+    the driver's stage block).  Given the collector's ``epoch``, spans
+    are placed at the times they were measured, which holds for a
+    worker on this host: it reads the same ``perf_counter`` clock.
+    Without one (a worker on another host) the subtree is placed so it
+    *ends* at the moment of settling.  No-op untraced.
     """
     global _NEXT_ID
     tracer = _TRACER

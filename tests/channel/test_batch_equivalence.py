@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.channel import (
     BlockFadingChannel,
     MonteCarloChannel,
@@ -29,7 +30,7 @@ from repro.fading.success import (
     success_probability_conditional_batch,
 )
 from repro.geometry.placement import paper_random_network
-from repro.obs import metrics as obs_metrics
+from repro.obs import Telemetry
 from repro.obs.metrics import MetricsRegistry
 
 N = 24
@@ -65,12 +66,12 @@ class TestTheorem1KernelCache:
         q = np.random.default_rng(0).random(N)
         kern = Theorem1Kernel(instance, BETA)
         reg = MetricsRegistry()
-        previous = obs_metrics.install(reg)
+        previous = obs.install(Telemetry(metrics=reg))
         try:
             kern.conditional(q)
             kern.conditional(q)
         finally:
-            obs_metrics.install(previous)
+            obs.install(previous)
         assert reg.counters["theorem1.cache_misses"] == 1
         assert reg.counters["theorem1.cache_hits"] == 1
 

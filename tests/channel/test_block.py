@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.channel import BlockFadingChannel, RayleighChannel
 from repro.channel.block import STEP_BUFFER_BYTES
 from repro.fading.models import NakagamiFading
-from repro.obs import metrics as obs_metrics
+from repro.obs import Telemetry
 from repro.obs.metrics import MetricsRegistry
 
 BETA = 1.0
@@ -97,11 +98,11 @@ def _step_loop(ch, q, num_steps, gen, repeats):
 
 def _redraws(fn):
     reg = MetricsRegistry()
-    previous = obs_metrics.install(reg)
+    previous = obs.install(Telemetry(metrics=reg))
     try:
         result = fn()
     finally:
-        obs_metrics.install(previous)
+        obs.install(previous)
     return result, reg.counters.get("channel.block_redraws", 0)
 
 

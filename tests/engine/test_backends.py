@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.engine.backends import (
     DispatchBackend,
     ProcessPoolBackend,
@@ -27,6 +28,7 @@ from repro.engine.faults import (
     RetryPolicy,
     execution_scope,
 )
+from repro.obs import Telemetry
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.run_context import current_run, install_run
@@ -43,7 +45,7 @@ FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.01)
 @pytest.fixture(autouse=True)
 def _clean_state():
     yield
-    obs_metrics.install(None)
+    obs.install(None)
 
 
 def _draw(task: Task) -> float:
@@ -146,14 +148,14 @@ class TestCrossBackendParity:
                 )
             )
             registry = obs_metrics.MetricsRegistry()
-            obs_metrics.install(registry)
+            obs.install(Telemetry(metrics=registry))
             try:
                 out = map_tasks(
                     _draw, tasks, executor=executor, stage="flaky",
                     on_error="retry", retry=FAST_RETRY, **kwargs,
                 )
             finally:
-                obs_metrics.install(None)
+                obs.install(None)
                 _use_chaos(None)
             return out, registry.counters
 
@@ -191,14 +193,14 @@ class TestCrossBackendParity:
                 )
             )
             registry = obs_metrics.MetricsRegistry()
-            obs_metrics.install(registry)
+            obs.install(Telemetry(metrics=registry))
             try:
                 out = map_tasks(
                     _draw, tasks, executor=executor, stage="hung",
                     on_error="retry", retry=FAST_RETRY, timeout=0.75, **kwargs,
                 )
             finally:
-                obs_metrics.install(None)
+                obs.install(None)
                 _use_chaos(None)
             return out, registry.counters
 
@@ -225,7 +227,7 @@ class TestForkedWorkersShedParentState:
         is still written."""
         tasks = make_tasks(range(6))
         backend = _dispatch_backend(tmp_path)
-        obs_profile.install_profile_dir(tmp_path)
+        obs.install(Telemetry(profile_dir=tmp_path))
         try:
             with obs_profile.maybe_profile("probe"):
                 assert sys.getprofile() is not None
@@ -233,7 +235,7 @@ class TestForkedWorkersShedParentState:
                 dispatched = map_tasks(_profiled, tasks, executor=backend)
         finally:
             backend.close()
-            obs_profile.install_profile_dir(None)
+            obs.install(None)
         assert pooled == [False] * 6
         assert dispatched == [False] * 6
         assert (tmp_path / "profile-run-probe.pstats").is_file()

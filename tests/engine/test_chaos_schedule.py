@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.engine import chaos
 from repro.engine.chaos import (
     FAULT_KINDS,
@@ -30,8 +31,7 @@ from repro.engine.chaos import (
 from repro.engine.executor import Task, make_tasks, map_tasks
 from repro.engine.faults import RetryPolicy
 from repro.engine.journal import LeaseLedger, RunJournal
-from repro.obs import events as obs_events
-from repro.obs import metrics as obs_metrics
+from repro.obs import Telemetry
 from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
 from repro.run_context import current_run, install_run
@@ -195,7 +195,7 @@ class TestEnospcDegradation:
             faults=(Fault(kind="enospc", site="journal.lease", once=False),),
         ))
         reg, bus = MetricsRegistry(), EventBus(tmp_path / "events", "lease-test")
-        previous_reg, previous_bus = obs_metrics.install(reg), obs_events.install(bus)
+        previous = obs.install(Telemetry(metrics=reg, events=bus))
         ledger = LeaseLedger(tmp_path / "leases")
         try:
             with warnings.catch_warnings(record=True) as caught:
@@ -203,8 +203,7 @@ class TestEnospcDegradation:
                 ledger.claim(0, 1, "w0")  # neither claim raises
                 ledger.claim(1, 1, "w0")
         finally:
-            obs_metrics.install(previous_reg)
-            obs_events.install(previous_bus)
+            obs.install(previous)
             bus.close()
         assert len(caught) == 1 and "lease records" in str(caught[0].message)
         assert reg.grouped_counters()["run"]["journal.degraded_writes"] == 2

@@ -23,6 +23,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import obs
 from repro.backend import BackendConfig
 from repro.engine.backends import DispatchBackend, dispatch, resolve_executor
 from repro.engine.backends.dispatch import (
@@ -33,6 +34,7 @@ from repro.engine.backends.dispatch import (
 from repro.engine.chaos import ChaosPlan, Fault
 from repro.engine.executor import Task, make_tasks, map_tasks
 from repro.engine.faults import RetryPolicy, is_failure
+from repro.obs import Telemetry
 from repro.obs import metrics as obs_metrics
 from repro.run_context import RunContext, current_run, install_run, run_scope
 
@@ -395,7 +397,7 @@ class TestLocalWorkers:
             )
         )
         registry = obs_metrics.MetricsRegistry()
-        obs_metrics.install(registry)
+        obs.install(Telemetry(metrics=registry))
         backend = DispatchBackend(
             tmp_path / "runs", local_workers=1, lease_timeout=0.6, poll=0.02
         )
@@ -406,7 +408,7 @@ class TestLocalWorkers:
             ))
         finally:
             backend.close()
-            obs_metrics.install(None)
+            obs.install(None)
         assert out == [0, 2, 4]
         assert registry.counters["executor.dispatch.worker_restarts"] >= 1
         assert registry.counters["executor.worker_losses"] == 1
@@ -462,7 +464,7 @@ class TestLocalWorkers:
             )
         )
         registry = obs_metrics.MetricsRegistry()
-        obs_metrics.install(registry)
+        obs.install(Telemetry(metrics=registry))
         backend = DispatchBackend(tmp_path / "runs", local_workers=2, poll=0.02)
         try:
             out = _run_with_deadline(30.0, lambda: map_tasks(
@@ -472,7 +474,7 @@ class TestLocalWorkers:
             ))
         finally:
             backend.close()
-            obs_metrics.install(None)
+            obs.install(None)
         assert pickle.dumps(out) == pickle.dumps(expected)
         assert registry.counters["executor.retries"] == 1
         assert "executor.worker_losses" not in registry.counters

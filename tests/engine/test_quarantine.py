@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import obs
 from repro.engine.backends import DispatchBackend, RunState
 from repro.engine.backends.lifecycle import StageRun
 from repro.engine.chaos import ChaosPlan, Fault
@@ -23,6 +24,7 @@ from repro.engine.faults import (
     is_failure,
 )
 from repro.engine.journal import RunJournal
+from repro.obs import Telemetry
 from repro.obs import metrics as obs_metrics
 from repro.run_context import current_run, install_run
 
@@ -38,7 +40,7 @@ FAST_RETRY = RetryPolicy(max_attempts=6, base_delay=0.001, max_delay=0.01)
 @pytest.fixture(autouse=True)
 def _clean_metrics():
     yield
-    obs_metrics.install(None)
+    obs.install(None)
 
 
 def _install_persistent_kill(tmp_path, stage: str, index: int) -> ChaosPlan:
@@ -200,14 +202,14 @@ def _poison_run(tmp_path, executor: str, on_error: str, stage: str, poison: int 
         if executor == "dispatch" else executor
     )
     registry = obs_metrics.MetricsRegistry()
-    obs_metrics.install(registry)
+    obs.install(Telemetry(metrics=registry))
     try:
         out = map_tasks(
             _double, make_tasks(range(5)), jobs=2, executor=backend, stage=stage,
             on_error=on_error, retry=FAST_RETRY, quarantine_after=2,
         )
     finally:
-        obs_metrics.install(None)
+        obs.install(None)
         if executor == "dispatch":
             backend.close()
     return out, registry.counters

@@ -142,6 +142,19 @@ class TestStatsCommand:
         assert "counters:" in report
         assert "trace:" in report
 
+    def test_stats_renders_a_torn_trace(self, tmp_path, capsys):
+        # A run killed mid-append leaves a half-written last span.
+        out = tmp_path / "run"
+        assert main(["run", "E13", "--scale", "quick", "--out", str(out), "--trace"]) == 0
+        whole = len((out / "trace.jsonl").read_text().splitlines())
+        with open(out / "trace.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"name": "task-9", "kind": "ta')
+        capsys.readouterr()
+        assert main(["stats", str(out), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["spans"]["total"] == whole
+        assert main(["stats", str(out)]) == 0
+        assert "[E13]" in capsys.readouterr().out
+
     def test_stats_on_empty_directory_fails(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["stats", str(tmp_path)])

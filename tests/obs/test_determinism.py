@@ -11,9 +11,11 @@ from dataclasses import replace
 
 import pytest
 
+from repro import obs
 from repro.engine.chaos import ChaosPlan, Fault
 from repro.engine.executor import Task, make_tasks, map_tasks
 from repro.engine.faults import RetryPolicy
+from repro.obs import Telemetry
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.run_context import current_run, install_run
@@ -37,14 +39,14 @@ def _instrumented_task(task: Task) -> int:
 
 def _run_with_registry(jobs: int) -> "tuple[list, dict]":
     reg = MetricsRegistry()
-    obs_metrics.install(reg)
+    obs.install(Telemetry(metrics=reg))
     try:
         with obs_metrics.prefix_scope("EX"):
             out = map_tasks(
                 _instrumented_task, make_tasks(range(9)), jobs=jobs, stage="sweep"
             )
     finally:
-        obs_metrics.install(None)
+        obs.install(None)
     return out, reg.grouped_counters()
 
 
@@ -75,15 +77,14 @@ class TestJobsDeterminism:
     def test_trace_only_runs_still_return_plain_results(self, tmp_path):
         # With a tracer but no metrics sink the executor still envelopes
         # results (for task spans); callers must see unwrapped values.
-        from repro.obs import trace as obs_trace
         from repro.obs.trace import TraceWriter
 
         writer = TraceWriter(tmp_path / "trace.jsonl")
-        obs_trace.install_tracer(writer)
+        obs.install(Telemetry(tracer=writer))
         try:
             out = map_tasks(_instrumented_task, make_tasks(range(4)), jobs=1)
         finally:
-            obs_trace.install_tracer(None)
+            obs.install(None)
             writer.close()
         assert out == [0, 3, 6, 9]
         lines = (tmp_path / "trace.jsonl").read_text().splitlines()
@@ -120,7 +121,7 @@ class TestDispatchChunkDeterminism:
             poll=0.01, chunk=chunk,
         )
         reg = MetricsRegistry()
-        obs_metrics.install(reg)
+        obs.install(Telemetry(metrics=reg))
         try:
             with obs_metrics.prefix_scope("EX"):
                 out = map_tasks(
@@ -128,7 +129,7 @@ class TestDispatchChunkDeterminism:
                     executor=backend, stage="sweep",
                 )
         finally:
-            obs_metrics.install(None)
+            obs.install(None)
             backend.close()
         assert out == serial_out
         chunked = reg.grouped_counters()
@@ -149,7 +150,7 @@ class TestChaosRetryCounters:
         )
         _use_chaos(plan)
         reg = MetricsRegistry()
-        obs_metrics.install(reg)
+        obs.install(Telemetry(metrics=reg))
         try:
             out = map_tasks(
                 _instrumented_task,
@@ -159,7 +160,7 @@ class TestChaosRetryCounters:
                 retry=FAST_RETRY,
             )
         finally:
-            obs_metrics.install(None)
+            obs.install(None)
 
         assert out == baseline  # retry healed the fault; values untouched
         counters = reg.grouped_counters()["run"]

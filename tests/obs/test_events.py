@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro import obs
+from repro.engine.backends.base import shipped_run
+from repro.obs import Telemetry
 from repro.obs import events as obs_events
-from repro.obs import metrics as obs_metrics
 from repro.obs.events import EventBus, Heartbeat
 from repro.obs.metrics import MetricsRegistry
 
@@ -52,8 +54,8 @@ class TestEventBus:
         # open fail — the exhaustion path, minus the full disk.
         (tmp_path / "events").write_text("in the way")
         reg = MetricsRegistry()
-        obs_metrics.install(reg)
         bus = EventBus(tmp_path / "events", "s")
+        obs.install(Telemetry(metrics=reg))
         with pytest.warns(UserWarning, match="continuing without live events"):
             bus.emit("task-start", index=0)
         import warnings as _warnings
@@ -71,11 +73,11 @@ class TestAmbientBus:
 
     def test_install_and_emit(self, tmp_path):
         bus = EventBus(tmp_path / "events", "s")
-        assert obs_events.install(bus) is None
+        assert obs.install(Telemetry(events=bus)).events is None
         obs_events.emit("queue-open", queue="q1")
-        assert obs_events.current_bus() is bus
-        assert obs_events.current_events_dir() == str(bus.directory)
-        previous = obs_events.install(None)
+        assert obs.current().events is bus
+        assert shipped_run().events == str(bus.directory)
+        previous = obs.install(None).events
         assert previous is bus
         bus.close()
         assert _lines(bus)[0]["queue"] == "q1"
@@ -90,7 +92,7 @@ class TestAmbientBus:
 
 class TestHeartbeat:
     def test_disabled_when_period_nonpositive(self, tmp_path):
-        obs_events.install(EventBus(tmp_path / "events", "s"))
+        obs.install(Telemetry(events=EventBus(tmp_path / "events", "s")))
         assert Heartbeat("worker", period=0).beat(tasks=1) is False
 
     def test_silent_without_a_bus(self):
@@ -98,7 +100,7 @@ class TestHeartbeat:
 
     def test_fires_once_per_period_with_rate(self, tmp_path):
         bus = EventBus(tmp_path / "events", "s")
-        obs_events.install(bus)
+        obs.install(Telemetry(events=bus))
         pulse = Heartbeat("worker", period=3600.0)
         assert pulse.beat(tasks=0, worker="w") is True
         assert pulse.beat(tasks=5) is False  # within the period

@@ -2,7 +2,8 @@
 
 import json
 
-from repro.engine.backends.base import observing
+from repro import obs
+from repro.obs import Captured, Telemetry
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.run_context import run_scope
@@ -85,22 +86,22 @@ class TestAmbientApi:
         obs_metrics.add("orphan")
         obs_metrics.set_gauge("orphan", 1.0)
         obs_metrics.observe("orphan", 1.0)
-        assert not obs_metrics.collecting()
+        assert obs.current().metrics is None
 
     def test_writes_land_in_installed_sink(self):
         reg = MetricsRegistry()
-        obs_metrics.install(reg)
+        obs.install(Telemetry(metrics=reg))
         obs_metrics.add("hits", 2)
         obs_metrics.set_gauge("level", 0.5)
         obs_metrics.observe("secs", 1.5)
         assert reg.counters == {"hits": 2}
         assert reg.gauges == {"level": 0.5}
         assert reg.histograms["secs"]["count"] == 1
-        assert obs_metrics.collecting()
+        assert obs.current().metrics is reg
 
     def test_prefix_scope_namespaces_sink_writes(self):
         reg = MetricsRegistry()
-        obs_metrics.install(reg)
+        obs.install(Telemetry(metrics=reg))
         with obs_metrics.prefix_scope("E1"):
             obs_metrics.add("calls")
         obs_metrics.add("calls")
@@ -108,42 +109,41 @@ class TestAmbientApi:
 
     def test_task_buffer_diverts_writes_from_sink(self):
         reg = MetricsRegistry()
-        obs_metrics.install(reg)
-        prev = obs_metrics.begin_task()
-        obs_metrics.add("inner", 3)
-        delta = obs_metrics.end_task(prev)
+        obs.install(Telemetry(metrics=reg))
+        with obs.capture() as captured:
+            obs_metrics.add("inner", 3)
+        delta = captured.metrics
         assert reg.counters == {}
         assert delta.counters == {"inner": 3}
 
     def test_merge_task_metrics_applies_current_prefix(self):
         reg = MetricsRegistry()
-        obs_metrics.install(reg)
+        obs.install(Telemetry(metrics=reg))
         delta = MetricsRegistry()
         delta.add("inner", 3)
         with obs_metrics.prefix_scope("E7"):
-            obs_metrics.merge_task_metrics(delta)
+            Captured(metrics=delta).adopt()
         assert reg.counters == {"E7/inner": 3}
 
     def test_merge_task_metrics_tolerates_none(self):
-        obs_metrics.install(MetricsRegistry())
-        obs_metrics.merge_task_metrics(None)  # no-op, no raise
+        obs.install(Telemetry(metrics=MetricsRegistry()))
+        Captured(metrics=None).adopt()  # no-op, no raise
 
     def test_run_metrics_switch_enables_worker_buffering(self):
         # Worker processes have no sink; the metrics switch of the run
         # context they were shipped alone must make the executor push
         # task buffers.
-        assert not obs_metrics.collecting() and not observing()
+        assert obs.current().metrics is None and not obs.observing()
         with run_scope(metrics=True):
-            assert observing()
-        assert not observing()
+            assert obs.observing()
+        assert not obs.observing()
 
     def test_nested_task_buffers_restore_previous(self):
-        outer_prev = obs_metrics.begin_task()
-        obs_metrics.add("outer")
-        inner_prev = obs_metrics.begin_task()
-        obs_metrics.add("inner")
-        inner = obs_metrics.end_task(inner_prev)
-        obs_metrics.add("outer")
-        outer = obs_metrics.end_task(outer_prev)
+        with run_scope(metrics=True), obs.capture() as outer_capture:
+            obs_metrics.add("outer")
+            with obs.capture() as inner_capture:
+                obs_metrics.add("inner")
+            obs_metrics.add("outer")
+        inner, outer = inner_capture.metrics, outer_capture.metrics
         assert inner.counters == {"inner": 1}
         assert outer.counters == {"outer": 2}

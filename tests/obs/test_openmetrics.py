@@ -1,7 +1,12 @@
 """OpenMetrics exposition tests: format shape, bucket math, snapshotter."""
 
+import errno
 import math
+import time
+import warnings
 
+from repro import obs
+from repro.obs import Telemetry
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.openmetrics import MetricsSnapshotter, render
@@ -9,7 +14,7 @@ from repro.obs.openmetrics import MetricsSnapshotter, render
 
 def _doc():
     reg = MetricsRegistry()
-    obs_metrics.install(reg)
+    obs.install(Telemetry(metrics=reg))
     try:
         with obs_metrics.prefix_scope("E1"):
             obs_metrics.add("demo.calls", 3)
@@ -19,7 +24,7 @@ def _doc():
         obs_metrics.add("run.total", 1)
         obs_metrics.set_gauge("run.level", 0.5)
     finally:
-        obs_metrics.install(None)
+        obs.install(None)
     return reg.to_dict()
 
 
@@ -64,11 +69,11 @@ class TestRender:
 class TestSnapshotter:
     def test_writes_and_final_snapshot_on_stop(self, tmp_path):
         reg = MetricsRegistry()
-        obs_metrics.install(reg)
+        obs.install(Telemetry(metrics=reg))
         try:
             obs_metrics.add("demo.calls", 2)
         finally:
-            obs_metrics.install(None)
+            obs.install(None)
         path = tmp_path / "metrics.prom"
         snap = MetricsSnapshotter(reg, path, interval=3600.0).start()
         snap.stop()
@@ -81,3 +86,43 @@ class TestSnapshotter:
         snap = MetricsSnapshotter(MetricsRegistry(), target, interval=3600.0)
         assert snap._write() is False  # no raise, no file
         assert not target.exists()
+
+    def test_failed_snapshot_is_counted_with_one_warning(self, tmp_path, monkeypatch):
+        # The snapshot follows the best-effort writers' policy, and the
+        # scope stops it while the registry is installed, so its failed
+        # final write is counted in metrics.json.
+        def full(path, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("repro.obs.openmetrics.atomic_write_text", full)
+        reg = MetricsRegistry()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with obs.obs_scope(Telemetry(metrics=reg, snapshot=tmp_path / "metrics.prom")):
+                obs_metrics.add("demo.calls")
+        assert [str(w.message) for w in caught if "metrics.prom" in str(w.message)] == [
+            f"cannot write {tmp_path / 'metrics.prom'} ([Errno {errno.ENOSPC}] No space "
+            "left on device); continuing without the live metrics snapshot — results "
+            "are unaffected"
+        ]
+        assert reg.counters == {"demo.calls": 1, "metrics.degraded_writes": 1}
+        assert not (tmp_path / "metrics.prom").exists()
+
+    def test_snapshot_thread_counts_into_the_rendered_registry(self, tmp_path, monkeypatch):
+        # The main thread's prefix and task captures are not the
+        # snapshot thread's: its failures count at run scope.
+        def full(path, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("repro.obs.openmetrics.atomic_write_text", full)
+        reg = MetricsRegistry()
+        snap = MetricsSnapshotter(reg, tmp_path / "metrics.prom", interval=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with obs.obs_scope(Telemetry(metrics=reg)), obs_metrics.prefix_scope("E7"):
+                snap.start()
+                with obs.capture():
+                    time.sleep(0.2)
+                snap.stop()
+        assert list(reg.counters) == ["metrics.degraded_writes"]
+        assert reg.counters["metrics.degraded_writes"] >= 2

@@ -2,13 +2,17 @@
 coherent run trace, on the pool and on the dispatch backend alike."""
 
 import json
+import time
 
 import pytest
 
+from repro import obs
 from repro.engine.backends import DispatchBackend
 from repro.engine.executor import Task, make_tasks, map_tasks
+from repro.obs import Telemetry
 from repro.obs import trace as obs_trace
-from repro.obs.trace import SpanCollector, TraceWriter, emit_subtree, span
+from repro.obs.trace import TraceWriter, emit_subtree, span
+from repro.run_context import run_scope
 
 N_TASKS = 8
 
@@ -20,6 +24,11 @@ def _traced_task(task: Task) -> int:
         return task.payload * 2
 
 
+def _sleepy_task(task: Task) -> int:
+    time.sleep(task.payload)
+    return task.index
+
+
 def _read(path) -> list:
     return [
         json.loads(line) for line in path.read_text().splitlines() if line.strip()
@@ -28,13 +37,13 @@ def _read(path) -> list:
 
 def _run_traced(tmp_path, **kwargs) -> list:
     tracer = TraceWriter(tmp_path / "trace.jsonl")
-    obs_trace.install_tracer(tracer)
+    obs.install(Telemetry(tracer=tracer))
     try:
         with span("sweep", kind="stage"):
             out = map_tasks(_traced_task, make_tasks(range(N_TASKS)),
                             stage="sweep", **kwargs)
     finally:
-        obs_trace.install_tracer(None)
+        obs.install(None)
         tracer.close()
     assert out == [i * 2 for i in range(N_TASKS)]
     return _read(tmp_path / "trace.jsonl")
@@ -71,6 +80,31 @@ class TestPoolStitching:
         _check_stitched(spans, expect_workers=False)
 
 
+class TestMeasuredTimes:
+    def test_pool_task_spans_end_in_the_order_they_ran(self, tmp_path):
+        # Task 0 holds one worker while tasks 1-3 run one after another
+        # on the other.  They settle after task 0 (in task order), but
+        # their spans keep the times the worker measured.
+        tracer = TraceWriter(tmp_path / "trace.jsonl")
+        obs.install(Telemetry(tracer=tracer))
+        try:
+            with span("sweep", kind="stage"):
+                map_tasks(_sleepy_task, make_tasks([0.6, 0.05, 0.05, 0.05]),
+                          jobs=2, executor="pool", stage="sweep")
+        finally:
+            obs.install(None)
+            tracer.close()
+        tasks = [s for s in _read(tmp_path / "trace.jsonl") if s["kind"] == "task"]
+        end = {t["meta"]["index"]: t["t0"] + t["dur"] for t in tasks}
+        assert end[1] < end[2] < end[3] < end[0]
+        by_worker: "dict[str, list]" = {}
+        for t in tasks:
+            by_worker.setdefault(t["meta"]["worker"], []).append((t["t0"], t["t0"] + t["dur"]))
+        for spans in by_worker.values():
+            spans.sort()
+            assert all(b0 >= a1 - 1e-6 for (_, a1), (b0, _) in zip(spans, spans[1:]))
+
+
 class TestDispatchStitching:
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_every_workers_spans_land_in_one_trace(self, tmp_path, chunk):
@@ -93,25 +127,40 @@ class TestEmitSubtree:
                        "rel": 0.0, "dur": 0.1, "meta": {}}])  # must not raise
 
     def test_collector_buffer_grafts_under_current_span(self, tmp_path):
-        collector = SpanCollector()
-        prev = obs_trace.install_tracer(collector)
-        try:
+        with run_scope(spans=True), obs.capture() as captured:
             with span("task-0", kind="task", index=0):
                 with span("deep", kind="stage"):
                     pass
-        finally:
-            obs_trace.install_tracer(prev)
-        assert [r["name"] for r in collector.records] == ["deep", "task-0"]
+        assert [r["name"] for r in captured.spans] == ["deep", "task-0"]
 
         tracer = TraceWriter(tmp_path / "trace.jsonl")
-        obs_trace.install_tracer(tracer)
+        obs.install(Telemetry(tracer=tracer))
         try:
             with span("stage-x", kind="stage"):
-                emit_subtree(collector.records)
+                emit_subtree(captured.spans)
         finally:
-            obs_trace.install_tracer(None)
+            obs.install(None)
             tracer.close()
         spans = {s["name"]: s for s in _read(tmp_path / "trace.jsonl")}
         assert spans["task-0"]["parent"] == spans["stage-x"]["id"]
         assert spans["deep"]["parent"] == spans["task-0"]["id"]
         assert spans["deep"]["dur"] <= spans["task-0"]["dur"] + 1e-9
+
+    def test_captures_from_another_host_end_at_settle(self, tmp_path):
+        # Only this host's perf_counter clock places spans at their
+        # measured times; another host's epoch means nothing here.
+        record = {"name": "task-0", "kind": "task", "id": 1, "parent": None,
+                  "rel": 0.0, "dur": 0.25, "meta": {}}
+        tracer = TraceWriter(tmp_path / "trace.jsonl")
+        obs.install(Telemetry(tracer=tracer))
+        try:
+            with span("stage-x", kind="stage"):
+                obs.Captured(spans=[dict(record)], epoch=0.0).adopt()
+                obs.Captured(spans=[dict(record)], epoch=0.0, host="elsewhere").adopt()
+        finally:
+            obs.install(None)
+            tracer.close()
+        here, there = [s for s in _read(tmp_path / "trace.jsonl") if s["kind"] == "task"]
+        assert here["t0"] < 0.0  # measured long before the trace opened
+        assert there["t0"] + there["dur"] >= 0.0  # ends when it settled
+

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import metrics as obs_metrics
+from repro import obs
+from repro.obs import Telemetry
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, StageTimer, TraceWriter, span
@@ -35,7 +36,7 @@ class TestSpan:
 
     def test_nesting_assigns_parent_ids(self, tmp_path):
         writer = TraceWriter(tmp_path / "trace.jsonl")
-        obs_trace.install_tracer(writer)
+        obs.install(Telemetry(tracer=writer))
         with span("outer", kind="run") as outer:
             with span("mid", kind="experiment") as mid:
                 with span("leaf", kind="stage") as leaf:
@@ -51,7 +52,7 @@ class TestSpan:
 
     def test_emitted_doc_shape(self, tmp_path):
         writer = TraceWriter(tmp_path / "trace.jsonl")
-        obs_trace.install_tracer(writer)
+        obs.install(Telemetry(tracer=writer))
         with span("E1", kind="experiment", scale="quick"):
             pass
         writer.close()
@@ -78,9 +79,8 @@ class TestDegradedWrites:
         path = tmp_path / "trace.jsonl"
         path.symlink_to(DEV_FULL)
         reg = MetricsRegistry()
-        obs_metrics.install(reg)
         writer = TraceWriter(path)
-        obs_trace.install_tracer(writer)
+        obs.install(Telemetry(tracer=writer, metrics=reg))
         with pytest.warns(UserWarning, match="continuing without those spans"):
             with span("run", kind="run"):
                 with span("sweep", kind="stage"):
@@ -104,7 +104,7 @@ class TestDegradedWrites:
 
         path = tmp_path / "trace.jsonl"
         writer = TraceWriter(path)
-        obs_trace.install_tracer(writer)
+        obs.install(Telemetry(tracer=writer))
         with span("first", kind="stage"):
             pass
         writer._lines.close()
@@ -133,7 +133,7 @@ class TestStageTimer:
 
     def test_stages_emit_spans_when_traced(self, tmp_path):
         writer = TraceWriter(tmp_path / "trace.jsonl")
-        obs_trace.install_tracer(writer)
+        obs.install(Telemetry(tracer=writer))
         timer = StageTimer()
         with timer.stage("sweep"):
             pass

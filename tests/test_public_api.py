@@ -105,6 +105,30 @@ class TestExports:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "E13", "--slot-block", "4"])
 
+    def test_one_install_for_all_sinks(self):
+        """``repro.obs.install`` sets every telemetry sink and
+        ``repro.obs.capture`` is the one worker capture: the per-sink
+        setters, getters, task buffers and fork-shed helpers are gone."""
+        import repro.engine.backends.base
+        import repro.obs
+        from repro.obs import events, metrics, profile, trace
+
+        deleted = {
+            trace: ("install_tracer", "current_tracer"),
+            metrics: ("install", "current_registry", "collecting", "collect_into",
+                      "begin_task", "end_task", "merge_task_metrics"),
+            events: ("install", "current_bus", "current_events_dir"),
+            profile: ("install_profile_dir", "current_dir", "profiling", "adopt_dumps"),
+            repro.engine.backends.base: ("shed_parent_state",),
+        }
+        for ns, names in deleted.items():
+            for name in names:
+                assert not hasattr(ns, name), (ns.__name__, name)
+                assert name not in getattr(ns, "__all__", ()), (ns.__name__, name)
+        assert not hasattr(repro.obs.Telemetry, "enabled")
+        for name in ("install", "current", "shed", "capture", "Captured"):
+            assert name in repro.obs.__all__
+
     def test_graph_views_are_arrays(self):
         """The conflict graph is a boolean matrix, and the networkx-only
         affectance digraph is gone from every namespace."""
