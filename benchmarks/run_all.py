@@ -48,9 +48,13 @@ bit-identical), and ``block_transformed_steps_n60`` runs E15's
 transformed step as a ``realize``-per-slot loop against
 ``BlockFadingChannel.transformed_steps``.  ``capacity_greedy_n100``
 and ``capacity_local_search_n100`` time the capacity admission loops at
-the paper's ``n = 100`` (greedy as repeated maximization calls it,
-local search as E18's lower bound runs it) against the masked loops
-they replaced, which return the same sets.  All four take the default
+the paper's ``n = 100`` (greedy on a whole instance, local search as
+E18's lower bound runs it) against the masked loops they replaced,
+which return the same sets.  ``repeated_max_rayleigh_n100`` runs E8's
+six repeated-maximization runs on one paper network (one non-fading,
+five Rayleigh) against the loop that built a subinstance of the
+unserved links every round and evaluated every row of a repeated
+pattern; both schedule the same slots.  All five take the default
 floor, and so does ``algorithm1_trials_e6_sizes``: 200 Algorithm-1
 trials at each of E6's sizes (n = 20, 50, 100), a product per stage
 against ``simulate_rayleigh_optimum``'s one stacked product per trial,
@@ -114,7 +118,13 @@ from repro.geometry.placement import paper_random_network
 from repro.learning.game import CapacityGame
 from repro.learning.regret import expected_send_rewards, lemma5_quantities
 from repro.learning.rwm import RWMLearner
-from repro.latency.slotloop import iter_slot_blocks, resolve_replay_block
+from repro.latency.repeated_max import repeated_max_latency
+from repro.latency.slotloop import (
+    DEFAULT_SLOT_BLOCK,
+    SlotFieldBuffer,
+    iter_slot_blocks,
+    resolve_replay_block,
+)
 from repro.run_context import run_scope
 from repro.transform.simulation import simulate_rayleigh_optimum
 from repro.utils.logstar import b_sequence
@@ -223,15 +233,16 @@ KERNEL_EXPECTATIONS: "dict[str, dict]" = {
     },
     "latency_aloha_n100": {
         "floor": None,
-        "note": "informational: at the paper's n=100 the engine still loses "
-        "to the naive per-slot loop: 0.5-0.7x over five runs after the "
-        "per-window cuts (0.4-0.5x before, 0.35x recorded then)",
+        "note": "informational: at the paper's n=100 the engine reaches "
+        "parity with the naive per-slot loop since its first window holds "
+        "3200 // n rows (32 here): 0.90-1.11x over five runs, three of them "
+        "at or above 1.0x (0.53-0.57x with the 8-row start, same runs)",
     },
     "latency_decay_n100": {
         "floor": None,
-        "note": "informational: near parity at n=100 and noisy: 1.2-1.4x "
-        "over five runs after the per-window cuts, 0.8x in the recorded "
-        "run (0.6-0.9x before)",
+        "note": "informational: 1.33-1.51x over five runs with the 3200 // n "
+        "first window (0.88-1.50x with the 8-row start, same runs), but a "
+        "sixth run on a busy host read 0.84x",
     },
     "latency_aloha_n10000": {
         "floor": None,
@@ -342,6 +353,45 @@ def _naive_greedy_capacity(instance: SINRInstance, beta: float) -> np.ndarray:
         admitted_mask[i] = True
         incoming += a[i, :]
     return np.array(sorted(admitted), dtype=np.intp)
+
+
+def _naive_fixed_pattern(fields, start: int, mask: np.ndarray, max_rows: int):
+    """``run_fixed_pattern`` evaluating every row of each window as its
+    own pattern (the form before one Theorem-1 row per window)."""
+    used, window = 0, 1
+    while used < max_rows:
+        m = min(window, max_rows - used)
+        ok = fields.apply(start + used, np.broadcast_to(mask, (m, mask.size))) & mask
+        hit_rows = ok.any(axis=1)
+        if hit_rows.any():
+            r = int(hit_rows.argmax())
+            return used + r + 1, ok[r]
+        used += m
+        window = min(DEFAULT_SLOT_BLOCK, window * 2)
+    return used, np.zeros(mask.size, dtype=bool)
+
+
+def _naive_repeated_max(instance: SINRInstance, beta: float, channel, gen) -> int:
+    """Repeated maximization re-planning from scratch: ``greedy_capacity``
+    on a fresh subinstance of the unserved links every round, and
+    per-row evaluation of each repeated pattern.  Returns the latency."""
+    n = instance.n
+    cap = 2 * n if channel.is_deterministic else 50 * n
+    remaining = np.arange(n)
+    slots = 0
+    fields = SlotFieldBuffer(channel, gen)
+    while remaining.size:
+        chosen = remaining[greedy_capacity(instance.subinstance(remaining), beta)]
+        mask = np.zeros(n, dtype=bool)
+        mask[chosen] = True
+        if channel.is_deterministic:
+            used, ok = 1, fields.apply(slots, mask[None])[0] & mask
+        else:
+            used, ok = _naive_fixed_pattern(fields, slots, mask, cap - slots)
+        slots += used
+        fields.release(slots)
+        remaining = remaining[~ok[remaining]]
+    return slots
 
 
 def _naive_algorithm1_trial(instance: SINRInstance, q: np.ndarray, beta: float, gen) -> tuple:
@@ -638,6 +688,29 @@ def measure_kernels(
         lambda: _naive_local_search_capacity(inst, BETA, np.random.default_rng(6), 8),
         lambda: local_search_capacity(inst, BETA, np.random.default_rng(6), restarts=8),
     )
+
+    # E8's six repeated-maximization runs on one paper network: one
+    # non-fading, five Rayleigh trials on one shared channel.  Both sides
+    # schedule the same slots.
+    def e8_runs(run):
+        ray_e8 = RayleighChannel(inst, BETA)
+        lat = [run(NonFadingChannel(inst, BETA), None)]
+        for t in range(5):
+            ray_e8.reset()
+            lat.append(run(ray_e8, np.random.default_rng(t)))
+        return lat
+
+    def naive_e8():
+        return e8_runs(lambda ch, g: _naive_repeated_max(inst, BETA, ch, g))
+
+    def fast_e8():
+        return e8_runs(
+            lambda ch, g: repeated_max_latency(inst, BETA, channel=ch, rng=g).latency
+        )
+
+    if name_filter is None or name_filter in f"repeated_max_rayleigh_n{N}":
+        assert naive_e8() == fast_e8()
+    record(f"repeated_max_rayleigh_n{N}", naive_e8, fast_e8)
 
     # E6's Algorithm-1 trials, 200 at each size: one stacked product per
     # trial against a product per stage.  Both draw the same patterns.

@@ -22,15 +22,18 @@ instance with :class:`~repro.core.power.UniformPower` for [8] or
 Complexity: ``O(n²)`` arithmetic.  Each admission adds one row of the
 affectance matrix to the incoming-affectance vector and caches the new
 member's column; each candidate is then tested against the admitted set
-only, with one add, one compare and one ``any`` over the cached columns
-(:class:`~repro.capacity.admission.Admission`), so the interpreter cost
+only, with one buffered add and one maximum over the cached columns
+(:meth:`~repro.capacity.admission.Admission.fill`, the admission pass
+local search and repeated maximization share), so the interpreter cost
 is a few array calls per candidate rather than two masked ``O(n)``
 gathers.
+
+:func:`greedy_planner` runs the signal-order greedy on candidate subsets
+of one instance, as repeated maximization plans each round on the
+links it has not served yet, without rebuilding the affectance matrix.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -39,7 +42,17 @@ from repro.core.affectance import affectance_matrix
 from repro.core.sinr import SINRInstance
 from repro.utils.validation import check_positive
 
-__all__ = ["greedy_capacity"]
+__all__ = ["greedy_capacity", "greedy_planner"]
+
+
+#: Float slack on the admission budget: sums that land on ``margin``
+#: up to rounding are admitted.
+_SLACK = 1e-12
+
+
+def _viable(instance: SINRInstance, beta: float) -> np.ndarray:
+    """Links that reach ``β`` against noise alone."""
+    return instance.signal > beta * instance.noise
 
 
 def _resolve_order(instance: SINRInstance, order, rng=None) -> np.ndarray:
@@ -113,16 +126,39 @@ def greedy_capacity(
 
     # A link blocked by noise alone (S̄(i,i) <= βν) can never succeed;
     # its incoming affectances are +inf, so it is never a candidate.
-    viable = instance.signal > beta * instance.noise
-    threshold = margin + 1e-12
-    adm = Admission(a, threshold)
-    incoming = adm.incoming  # Σ_{j admitted} a(j, i), all i; updated in place
-    for i in base_order[viable[base_order]].tolist():
-        # Candidate must fit under the budget itself...
-        x = incoming[i]
-        if not math.isfinite(x) or x > threshold:
-            continue
-        # ... and must not push any admitted link over budget.
-        if adm.fits(i):
-            adm.admit(i)
+    viable = _viable(instance, beta)
+    adm = Admission(a, margin + _SLACK)
+    adm.fill(base_order[viable[base_order]])
     return np.array(sorted(adm.members), dtype=np.intp)
+
+
+def greedy_planner(instance: SINRInstance, beta: float):
+    """The signal-order greedy at margin 1, over candidate subsets of one
+    instance.
+
+    Returns ``plan``: for an ascending index array ``candidates``,
+    ``plan(candidates)`` equals
+    ``candidates[greedy_capacity(instance.subinstance(candidates), beta)]``,
+    the sorted global indices of the greedy set among the candidates.
+    The affectance matrix and the signal order are built once, here.
+    Affectance is elementwise in the gains, so a subinstance's matrix is
+    this one's restricted to the candidates; and a stable sort of the
+    candidates' signals is this instance's stable order with the other
+    links left out.  Each call fills an empty
+    :class:`~repro.capacity.admission.Admission` with the candidates in
+    that order, so it costs no ``O(n²)`` step.
+    """
+    check_positive(beta, "beta")
+    a = affectance_matrix(instance, beta, clamped=False)
+    order = _resolve_order(instance, "signal")
+    viable = _viable(instance, beta)
+    pending = np.zeros(instance.n, dtype=bool)
+
+    def plan(candidates) -> np.ndarray:
+        pending[:] = False
+        pending[candidates] = True
+        adm = Admission(a, 1.0 + _SLACK)
+        adm.fill(order[(pending & viable)[order]])
+        return np.array(sorted(adm.members), dtype=np.intp)
+
+    return plan

@@ -174,14 +174,64 @@ def _best_response_refine(
     return members
 
 
-def _greedy_in_order(a: np.ndarray, viable: np.ndarray, order: np.ndarray) -> Admission:
-    """Maximal feasible set built in the given candidate order."""
-    adm = Admission(a, _THRESHOLD)
-    incoming = adm.incoming  # updated in place by admit()
-    for k in order[viable[order]].tolist():
-        if not incoming[k] > _THRESHOLD and adm.fits(k):
-            adm.admit(k)
-    return adm
+def _worth_visiting(cur: Admission, a: np.ndarray, links: np.ndarray) -> np.ndarray:
+    """Which of ``links`` (none of them members) an improvement pass must
+    visit against the current set, in one array expression.
+
+    A visit inserts a link that fits outright, and tries an eviction
+    for a link with one to three blockers: members it affects, or that
+    it would push over budget.  Every other link is passed over without
+    drawing from the generator, so skipping it changes nothing.  The
+    tests are the per-link ones, on the same floats.
+    """
+    over = cur.over(links)
+    fits = ~(cur.incoming[links] > _THRESHOLD) & ~over.any(axis=1)
+    blockers = ((a[np.ix_(cur.admitted, links)] > _EPS).T | over).sum(axis=1)
+    return fits | ((blockers >= 1) & (blockers <= 3))
+
+
+def _improve(cur: Admission, members: np.ndarray, k: int, a, viable, gen):
+    """One visit of an improvement pass to outside link ``k``: insert it
+    if it fits, else evict one of its blockers and complete greedily.
+
+    Returns the grown ``(set, membership)``, or ``None`` when the set
+    stays as it was.  An insertion grows ``cur`` and ``members`` in
+    place; an accepted eviction returns new ones.
+    """
+    over = cur.over(k)
+    if not cur.incoming[k] > _THRESHOLD and not over.any():
+        # Pure insertion (set was not maximal after an evict).
+        cur.admit(k)
+        members[k] = True
+        return cur, members
+    # Try evicting one member to make room for k, then re-fill greedily;
+    # accept only strict growth.  Blockers are listed in admission order,
+    # which gen.choice depends on.
+    chosen = cur.admitted
+    blockers = chosen[(a[chosen, k] > _EPS) | over]
+    j = int(gen.choice(blockers))
+    trial_incoming = cur.incoming - a[j, :]
+    keep = chosen != j
+    if trial_incoming[k] > _THRESHOLD or np.any(
+        (trial_incoming[chosen] + a[k, chosen])[keep] > _THRESHOLD
+    ):
+        return None
+    trial_members = members.copy()
+    trial_members[j] = False
+    trial_members[k] = True
+    trial = Admission(
+        a,
+        _THRESHOLD,
+        [x for x in cur.members if x != j] + [k],
+        trial_incoming + a[k, :],
+    )
+    # Greedy completion, in index order.
+    size = len(trial.members)
+    trial.fill(np.flatnonzero(viable & ~trial_members))
+    trial_members[trial.members[size:]] = True
+    if len(trial.members) <= len(cur.members):
+        return None
+    return trial, trial_members
 
 
 def local_search_capacity(
@@ -219,7 +269,8 @@ def local_search_capacity(
     best: list[int] = []
     for restart in range(restarts):
         order = signal_order if restart == 0 else gen.permutation(n)
-        cur = _greedy_in_order(a, viable, order)
+        cur = Admission(a, _THRESHOLD)
+        cur.fill(order[viable[order]])
         members = np.zeros(n, dtype=bool)
         members[cur.members] = True
         # Best-response refinement: lets links drop out and re-enter,
@@ -237,48 +288,21 @@ def local_search_capacity(
             improved = False
             outside = np.flatnonzero(viable & ~members).tolist()
             gen.shuffle(outside)
-            for k in outside:
-                if members[k]:  # re-inserted earlier in this same pass
-                    continue
-                over = cur.over(k)
-                if not cur.incoming[k] > _THRESHOLD and not over.any():
-                    # Pure insertion (set was not maximal after an evict).
-                    cur.admit(k)
-                    members[k] = True
-                    improved = True
-                    continue
-                # Try evicting one member to make room for k, then re-fill
-                # greedily; accept only strict growth.  Blockers are listed
-                # in admission order, which gen.choice depends on.
-                chosen = cur.admitted
-                blockers = chosen[(a[chosen, k] > _EPS) | over]
-                if blockers.size == 0 or blockers.size > 3:
-                    continue
-                j = int(gen.choice(blockers))
-                trial_incoming = cur.incoming - a[j, :]
-                rest = chosen != j
-                if trial_incoming[k] > _THRESHOLD or np.any(
-                    (trial_incoming[chosen] + a[k, chosen])[rest] > _THRESHOLD
-                ):
-                    continue
-                trial_members = members.copy()
-                trial_members[j] = False
-                trial_members[k] = True
-                trial = Admission(
-                    a,
-                    _THRESHOLD,
-                    [x for x in cur.members if x != j] + [k],
-                    trial_incoming + a[k, :],
-                )
-                # Greedy completion, in index order.
-                for m in np.flatnonzero(viable & ~trial_members).tolist():
-                    if not trial.incoming[m] > _THRESHOLD and trial.fits(m):
-                        trial.admit(m)
-                        trial_members[m] = True
-                if len(trial.members) > len(cur.members):
-                    cur = trial
-                    members = trial_members
-                    improved = True
+            # Visit the pass's links in order, screening what is left of
+            # it against the current set, and re-screening after every
+            # change to the set.
+            rest = np.array(outside, dtype=np.intp)
+            while rest.size:
+                rest = rest[~members[rest]]  # re-inserted earlier in this pass
+                for pos in np.flatnonzero(_worth_visiting(cur, a, rest)).tolist():
+                    grown = _improve(cur, members, int(rest[pos]), a, viable, gen)
+                    if grown is not None:
+                        cur, members = grown
+                        improved = True
+                        rest = rest[pos + 1 :]
+                        break
+                else:
+                    break
             if not improved:
                 break
         if len(cur.members) > len(best):

@@ -201,6 +201,17 @@ class Channel(abc.ABC):
             out[t] = self.realize(pats[t], child)
         return out
 
+    def apply_repeated_fields(self, fields, mask, rows: int, offset: int = 0) -> np.ndarray:
+        """Success masks of one transmit ``mask`` under ``rows``
+        consecutive cached fields, from ``fields[offset]`` on.
+
+        Equal to :meth:`apply_slot_fields` on ``rows`` copies of
+        ``mask``, which is what this default does; a channel whose
+        per-slot law depends only on the pattern (Rayleigh's Theorem-1
+        probabilities) overrides it to evaluate that law once.
+        """
+        return self.apply_slot_fields(fields, np.broadcast_to(mask, (rows, self.n)), offset)
+
     @abc.abstractmethod
     def counterfactual(self, active, rng=None) -> np.ndarray:
         """Success-if-sent indicator for *every* link given the others.

@@ -129,6 +129,34 @@ class RayleighChannel(Channel):
         out[srows[live], scols[live]] = True
         return out
 
+    def apply_repeated_fields(self, fields, mask, rows: int, offset: int = 0) -> np.ndarray:
+        """Threshold ``rows`` rows of cached uniforms against one
+        pattern's exact conditional probabilities, evaluated once.
+
+        On the entry-gather path each entry's probability depends only
+        on its row's active set (:meth:`~repro.fading.success.
+        Theorem1Kernel.conditional_at`), so every row of a repeated
+        pattern has the same values, and ``u < p`` per row gives
+        :meth:`apply_slot_fields`'s outcomes on the repeated batch.  A
+        pattern that batch would screen (active count above the cutoff)
+        is evaluated exactly here, with the same outcomes, and leaves
+        the hit-rate average alone as screening does.  Top-k and reduced
+        precision take the batch path."""
+        kern = self.kernel
+        if not kern.supports_entry_gather:
+            return super().apply_repeated_fields(fields, mask, rows, offset)
+        pats = self._patterns(mask[None, :])
+        cols = np.flatnonzero(pats[0])
+        out = np.zeros((rows, self.n), dtype=bool)
+        if cols.size == 0:
+            return out
+        p = kern.conditional_at(pats, np.zeros(cols.size, dtype=np.intp), cols)
+        hit = fields[offset : offset + rows, cols] < p
+        out[:, cols] = hit
+        if cols.size <= kern.screen_cutoff:
+            kern.note_hit_rate(hit.size, int(hit.sum()))
+        return out
+
     def counterfactual(self, active, rng=None) -> np.ndarray:
         """Sampled success-if-sent with the exact conditional law.
 

@@ -80,10 +80,16 @@ def read_json(path) -> "dict[str, Any] | None":
 
 def iter_jsonl(path) -> "list[dict[str, Any]]":
     """Whole records of a JSONL file; torn or garbled lines (a writer
-    died mid-append, or is appending right now) are silently skipped."""
+    died mid-append, or is appending right now) are silently skipped.
+    A path that is not a regular file (missing, or a device such as
+    ``/dev/zero`` standing in for a full disk) reads as no records,
+    rather than being read until memory runs out."""
     records: "list[dict[str, Any]]" = []
     try:
-        text = Path(path).read_text(encoding="utf-8", errors="replace")
+        path = Path(path)
+        if not path.is_file():
+            return records
+        text = path.read_text(encoding="utf-8", errors="replace")
     except OSError:
         return records
     for line in text.splitlines():

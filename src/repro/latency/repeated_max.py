@@ -18,6 +18,17 @@ no interference, so this matches per-subinstance evaluation exactly):
   (capacity per slot drops by at most the constant of Lemma 2, hence
   expected latency grows by a constant factor).
 
+Every round plans on the parent instance.  The default capacity
+algorithm is the signal-order greedy of
+:func:`~repro.capacity.greedy.greedy_planner`: the affectance matrix and
+the stable signal order are built once per run, and each round fills an
+empty :class:`~repro.capacity.admission.Admission` with the unserved
+links in that order.  That is the set ``greedy_capacity`` picks on the
+unserved links' subinstance, without the subinstance's gains copy,
+validation, ``O(n²)`` affectance matrix and argsort every round.  A
+custom ``algorithm`` plans the same way: it receives the parent
+instance, ``β`` and the unserved links, and returns global indices.
+
 Channel randomness flows through the slot-loop engine's per-slot field
 buffer (:class:`~repro.latency.slotloop.SlotFieldBuffer`): fields are
 pre-drawn positionally in blocks — they never depend on the transmit
@@ -32,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.capacity.greedy import greedy_capacity
+from repro.capacity.greedy import greedy_planner
 from repro.channel.base import Channel
 from repro.channel.spec import make_channel
 from repro.core.sinr import SINRInstance
@@ -68,7 +79,7 @@ def repeated_max_latency(
     beta: float,
     *,
     channel: "Channel | str" = "nonfading",
-    algorithm: "Callable[[SINRInstance, float], np.ndarray] | None" = None,
+    algorithm: "Callable[[SINRInstance, float, np.ndarray], np.ndarray] | None" = None,
     rng=None,
     max_slots: "int | None" = None,
     slot_block: "int | None" = None,
@@ -86,8 +97,11 @@ def repeated_max_latency(
         a spec string (``"nonfading"``, the default, ``"rayleigh"``,
         ``"nakagami:m=2"``, ...).
     algorithm:
-        Single-slot capacity algorithm ``(sub_instance, beta) -> indices``;
-        defaults to the affectance greedy.
+        Single-slot capacity algorithm ``(instance, beta, candidates) ->
+        indices``: given the parent instance and the ascending global
+        indices of the unserved links, return the global indices to
+        schedule next.  Defaults to the affectance greedy (margin 1) on
+        the candidates, planned on the parent instance.
     rng:
         Fading randomness (stochastic channels only).
     max_slots:
@@ -113,9 +127,12 @@ def repeated_max_latency(
             "some links cannot reach beta against noise alone; "
             "no finite non-fading schedule exists"
         )
-    alg = algorithm if algorithm is not None else (
-        lambda sub, b: greedy_capacity(sub, b, margin=1.0)
-    )
+    if algorithm is None:
+        plan = greedy_planner(instance, beta)
+
+        def algorithm(_instance, _beta, candidates):
+            return plan(candidates)
+
     gen = as_generator(rng)
     n = instance.n
     cap = max_slots if max_slots is not None else (2 * n if ch.is_deterministic else 50 * n)
@@ -130,14 +147,12 @@ def repeated_max_latency(
                 f"scheduler exceeded {cap} slots with {remaining.size} links left; "
                 "instance is pathological or the capacity algorithm returned empty sets"
             )
-        sub = instance.subinstance(remaining)
-        local = np.asarray(alg(sub, beta), dtype=np.intp)
-        if local.size == 0:
+        chosen = np.asarray(algorithm(instance, beta, remaining), dtype=np.intp)
+        if chosen.size == 0:
             # The capacity algorithm refused everything; fall back to the
             # single individually-viable link with the strongest signal so
             # progress is guaranteed.
-            local = np.array([int(np.argmax(sub.signal))], dtype=np.intp)
-        chosen = remaining[local]
+            chosen = remaining[[int(np.argmax(instance.signal[remaining]))]]
         mask = np.zeros(n, dtype=bool)
         mask[chosen] = True
         if ch.is_deterministic:

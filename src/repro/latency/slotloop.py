@@ -76,6 +76,13 @@ DEFAULT_SLOT_BLOCK = 64
 #: slots per chunk.
 _REPLAY_BLOCK = 512
 
+#: Size of a contention run's first speculation window, in link-slots:
+#: ``max(executions, 8, _FIRST_WINDOW_LINK_SLOTS // n)`` rows, capped at
+#: the block cap.  That is 32 rows at n = 100 and 8 rows from n = 400 up,
+#: so a repeat-4 ALOHA or decay run of 35-40 slots at n = 100 takes about
+#: two windows rather than five.
+_FIRST_WINDOW_LINK_SLOTS = 3200
+
 #: Cost cap for one speculation window, in predicted transmitting
 #: pairs (Σ over admitted slots of the squared expected active count —
 #: the scaling of the kernel's ragged entry gather).  Bounds both the
@@ -144,19 +151,34 @@ class SlotFieldBuffer:
             self._windows.append((self._drawn, upto, fields))
             self._drawn = upto
 
-    def apply(self, start: int, patterns: np.ndarray) -> np.ndarray:
-        """Success masks of ``patterns`` at slots ``start, start+1, ...``."""
-        pats = np.ascontiguousarray(patterns)
-        m = pats.shape[0]
+    def _spans(self, start: int, m: int):
+        """``(lo, hi, fields, offset)`` for each cached window overlapping
+        slots ``start .. start+m-1``, drawing what is missing first;
+        ``lo``/``hi`` are relative to ``start``."""
         self.ensure(start + m)
-        out = np.zeros(pats.shape, dtype=bool)
         for ws, we, fields in self._windows:
             lo = max(ws, start)
             hi = min(we, start + m)
-            if lo >= hi:
-                continue
-            out[lo - start : hi - start] = self._channel.apply_slot_fields(
-                fields, pats[lo - start : hi - start], offset=lo - ws
+            if lo < hi:
+                yield lo - start, hi - start, fields, lo - ws
+
+    def apply(self, start: int, patterns: np.ndarray) -> np.ndarray:
+        """Success masks of ``patterns`` at slots ``start, start+1, ...``."""
+        pats = np.ascontiguousarray(patterns)
+        out = np.zeros(pats.shape, dtype=bool)
+        for lo, hi, fields, offset in self._spans(start, pats.shape[0]):
+            out[lo:hi] = self._channel.apply_slot_fields(fields, pats[lo:hi], offset=offset)
+        return out
+
+    def apply_repeated(self, start: int, mask: np.ndarray, m: int) -> np.ndarray:
+        """Success masks of one transmit ``mask`` at slots ``start ..
+        start+m-1``: ``apply`` of ``m`` copies of it, which a channel
+        may evaluate once for all rows
+        (:meth:`~repro.channel.base.Channel.apply_repeated_fields`)."""
+        out = np.zeros((m, mask.size), dtype=bool)
+        for lo, hi, fields, offset in self._spans(start, m):
+            out[lo:hi] = self._channel.apply_repeated_fields(
+                fields, mask, hi - lo, offset=offset
             )
         return out
 
@@ -255,6 +277,12 @@ def run_contention(
         **Results are identical for every value** — the engine's RNG
         schedule is positional; ``B`` only trades throughput against
         wasted speculation.
+
+    The first window has ``max(executions, 8, 3200 // n)`` rows, capped
+    at ``B``: small networks finish in few slots, so their runs start
+    wide.  Later windows double after a window that settled without
+    re-evaluation and halve after one that re-evaluated more rows than
+    it held.  Window sizes, like ``B``, never change results.
     """
     if executions < 1:
         raise ValueError(f"executions must be >= 1, got {executions}")
@@ -274,7 +302,7 @@ def run_contention(
     row_index = np.arange(cap)[:, None]
 
     t = 0
-    window = min(cap, max(executions, min(8, cap)))
+    window = min(cap, max(executions, 8, _FIRST_WINDOW_LINK_SLOTS // max(n, 1)))
     while unserved.any() and t < max_slots:
         m = min(window, max_slots - t)
         q = _q_rows(q_of_step, t, m, executions, n)
@@ -418,7 +446,12 @@ def run_fixed_pattern(
     without a success.
 
     The speculation window starts at one slot and doubles up to the
-    block cap, so high-success channels never over-draw fields.
+    block cap, so high-success channels never over-draw fields.  Every
+    row of a window holds the same pattern, so the window goes to the
+    channel as one pattern and a row count
+    (:meth:`SlotFieldBuffer.apply_repeated`): the Rayleigh channel then
+    evaluates the pattern's Theorem-1 probabilities once and thresholds
+    each row's uniforms against them.
     """
     cap = resolve_slot_block(slot_block)
     n = mask.size
@@ -426,8 +459,7 @@ def run_fixed_pattern(
     window = 1
     while used < max_rows:
         m = min(window, max_rows - used)
-        pats = np.broadcast_to(mask, (m, n))
-        ok = fields.apply(start + used, pats) & mask
+        ok = fields.apply_repeated(start + used, mask, m) & mask
         _metrics.add("slotloop.slots_speculated", m)
         hit_rows = ok.any(axis=1)
         if hit_rows.any():

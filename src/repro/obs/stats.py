@@ -201,7 +201,7 @@ def stats_doc(run_dir) -> "dict[str, Any]":
     trace = base / "trace.jsonl"
     # Torn lines (a run killed mid-append) are skipped; a trace that is
     # not a regular file (a device standing in for a full disk) reads empty.
-    spans = iter_jsonl(trace) if trace.is_file() else []
+    spans = iter_jsonl(trace)
     profiles = sorted(p.name for p in base.glob("profile-*.pstats"))
     if summary is None and metrics is None and not spans:
         raise RunDirError(

@@ -11,20 +11,33 @@ zero noise, duplicated links and senders sitting on another link's
 receiver (exact ties and huge affectances), and links blocked by noise
 alone.
 
+Greedy, local search's construction and its greedy completion, and
+repeated maximization's planner now share one pass,
+:meth:`~repro.capacity.admission.Admission.fill`.  The three per-link
+loops it replaced are kept as references too and must admit the same
+links on random candidate subsets, and the planner must pick
+``greedy_capacity``'s set on the candidates' subinstance.  Local
+search's improvement rounds screen the links a pass need not visit;
+the masked reference has no screen, and E3's paper networks (at the
+paper's β and at β × 0.5 and β × 3, whole and on their first 18 links)
+pin the screened rounds on the sets E3 runs.
+
 Two latency-side shortcuts are pinned here too: the Rayleigh channel's
 unscreened path for batches without a dense slot, against the method
 it replaced, and E8's reuse of the non-fading ALOHA probability in its
 faded trials, against ``q="auto"``.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.capacity.greedy import _resolve_order, greedy_capacity
-from repro.capacity.optimum import local_search_capacity
+from repro.capacity.admission import Admission
+from repro.capacity.greedy import _resolve_order, greedy_capacity, greedy_planner
+from repro.capacity.optimum import _prepare, local_search_capacity
 from repro.channel import RayleighChannel
 from repro.core.affectance import affectance_matrix
 from repro.core.network import Network
@@ -32,6 +45,7 @@ from repro.core.power import UniformPower
 from repro.core.sinr import SINRInstance
 from repro.experiments import latency_compare
 from repro.experiments.config import Figure1Config
+from repro.experiments.workloads import figure1_networks, instance_pair
 from repro.geometry.placement import paper_random_network
 from repro.utils.rng import as_generator
 
@@ -188,6 +202,36 @@ def ref_local_search_capacity(instance, beta, rng=None, *, restarts=10, improvem
     return np.array(sorted(best), dtype=np.intp)
 
 
+# The three per-link admission loops ``Admission.fill`` replaced, on the
+# same Admission state.  ``greedy_capacity``'s refused a candidate whose
+# incoming affectance was not finite; local search's construction and its
+# greedy completion refused one whose incoming affectance was over budget.
+
+
+def ref_greedy_loop(adm, candidates):
+    incoming = adm.incoming
+    for i in candidates:
+        x = incoming[i]
+        if not math.isfinite(x) or x > adm.threshold:
+            continue
+        if not adm.members or not adm.over(i).any():
+            adm.admit(i)
+
+
+def ref_construction_loop(adm, candidates):
+    incoming = adm.incoming
+    for k in candidates:
+        if not incoming[k] > adm.threshold and (not adm.members or not adm.over(k).any()):
+            adm.admit(k)
+
+
+def ref_completion_loop(adm, candidates, members):
+    for m in candidates:
+        if not adm.incoming[m] > adm.threshold and (not adm.members or not adm.over(m).any()):
+            adm.admit(m)
+            members[m] = True
+
+
 def ref_apply_slot_fields(channel, fields, patterns, offset=0):
     """``RayleighChannel.apply_slot_fields`` before the unscreened path."""
     pats = channel._patterns(patterns)
@@ -328,6 +372,92 @@ class TestGreedy:
 
 
 # ---------------------------------------------------------------------------
+# One admission pass
+# ---------------------------------------------------------------------------
+
+
+def _prefix(a, threshold, gen, n):
+    """An Admission already holding a feasible set, as local search's
+    completion starts from: the greedy set of a random order's prefix."""
+    adm = Admission(a, threshold)
+    adm.fill(gen.permutation(n)[: int(gen.integers(0, n + 1))])
+    return Admission(a, threshold, list(adm.members), adm.incoming.copy())
+
+
+class TestFill:
+    @settings(max_examples=60, deadline=None)
+    @given(case=instances(), margin=st.sampled_from([1.0, 0.5]), seed=st.integers(0, 10**6))
+    def test_greedy_loop(self, case, margin, seed):
+        # Unclamped affectance, noise-blocked columns at +inf: greedy's.
+        inst, beta = case
+        gen = np.random.default_rng(seed)
+        a = affectance_matrix(inst, beta, clamped=False)
+        cand = gen.permutation(inst.n)[: int(gen.integers(0, inst.n + 1))]
+        out, ref = Admission(a, margin + _EPS), Admission(a, margin + _EPS)
+        out.fill(cand)
+        ref_greedy_loop(ref, cand.tolist())
+        assert out.members == ref.members
+        np.testing.assert_array_equal(out.incoming, ref.incoming)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=instances(), seed=st.integers(0, 10**6))
+    def test_construction_and_completion_loops(self, case, seed):
+        # Local search's matrix: noise-blocked columns zeroed.
+        inst, beta = case
+        gen = np.random.default_rng(seed)
+        a, viable = _prepare(inst, beta)
+        order = gen.permutation(inst.n)
+        out, ref = Admission(a, 1.0 + _EPS), Admission(a, 1.0 + _EPS)
+        out.fill(order[viable[order]])
+        ref_construction_loop(ref, order[viable[order]].tolist())
+        assert out.members == ref.members
+
+        start = _prefix(a, 1.0 + _EPS, gen, inst.n)
+        members = np.zeros(inst.n, dtype=bool)
+        members[start.members] = True
+        cand = np.flatnonzero(viable & ~members)
+        out = Admission(a, start.threshold, start.members, start.incoming.copy())
+        ref = Admission(a, start.threshold, start.members, start.incoming.copy())
+        out.fill(cand)
+        ref_completion_loop(ref, cand.tolist(), members.copy())
+        assert out.members == ref.members
+
+    def test_nan_and_inf_decide_as_any(self):
+        # Link 2 affects link 0 by NaN and link 1 by +inf: any(· > budget)
+        # refuses it, and a NaN-propagating maximum would admit it.
+        a = np.zeros((4, 4))
+        a[2, 0], a[2, 1] = np.nan, np.inf
+        a[3, 0] = np.nan
+        for loop in (ref_greedy_loop, ref_construction_loop):
+            out, ref = Admission(a, 1.0 + _EPS, [0, 1]), Admission(a, 1.0 + _EPS, [0, 1])
+            out.fill([2, 3])
+            loop(ref, [2, 3])
+            assert out.members == ref.members == [0, 1, 3]
+        # A candidate whose own incoming affectance is +inf or NaN is refused.
+        inc = np.array([0.0, 0.0, np.inf, np.nan])
+        out = Admission(np.zeros((4, 4)), 1.0 + _EPS, incoming=inc)
+        out.fill([2, 3, 0])
+        assert out.members == [0]
+
+
+class TestGreedyPlanner:
+    @settings(max_examples=60, deadline=None)
+    @given(case=instances(), data=st.data())
+    def test_equals_greedy_on_the_subinstance(self, case, data):
+        # Repeated maximization's rounds: shrinking candidate sets,
+        # including noise-blocked links.
+        inst, beta = case
+        plan = greedy_planner(inst, beta)
+        cand = np.arange(inst.n)
+        while cand.size:
+            out = plan(cand)
+            ref = cand[greedy_capacity(inst.subinstance(cand), beta)]
+            assert_same_set(out, ref)
+            drop = data.draw(st.lists(st.integers(0, cand.size - 1), min_size=1, max_size=8))
+            cand = np.delete(cand, drop)
+
+
+# ---------------------------------------------------------------------------
 # Local search
 # ---------------------------------------------------------------------------
 
@@ -364,6 +494,24 @@ class TestLocalSearch:
         ref = ref_local_search_capacity(inst, 2.5, gen_ref, restarts=8)
         assert_same_set(out, ref)
         assert gen.bit_generator.state == gen_ref.bit_generator.state
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("links", [18, None])
+    def test_e3_networks(self, scale, links):
+        # Two of E3's forty paper networks, whole and on the first 18
+        # links it solves exactly, at the paper's β and at β × 0.5 and
+        # β × 3.
+        cfg = replace(Figure1Config.paper(), num_networks=2)
+        beta = cfg.params.beta * scale
+        for k, net in enumerate(figure1_networks(cfg)):
+            inst, _ = instance_pair(net, cfg.params, with_sqrt=False)
+            if links is not None:
+                inst = inst.subinstance(np.arange(links))
+            gen, gen_ref = np.random.default_rng(k), np.random.default_rng(k)
+            out = local_search_capacity(inst, beta, gen, restarts=8)
+            ref = ref_local_search_capacity(inst, beta, gen_ref, restarts=8)
+            assert_same_set(out, ref)
+            assert gen.bit_generator.state == gen_ref.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

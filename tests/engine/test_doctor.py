@@ -9,8 +9,14 @@ normal readers (``load_stage``, the dispatch claim loop) accept.
 
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import pytest
+
+import repro
 from repro.cli import main
 from repro.engine.doctor import diagnose
 from repro.engine.journal import RunJournal
@@ -155,3 +161,31 @@ class TestDoctorCLI:
         assert main(["doctor", str(tmp_path / "nothing-here")]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["runs"] == 0 and report["queues"] == 0
+
+
+class TestIterJsonl:
+    #: Address-space cap of the reading process: room for the imports,
+    #: and a few hundred MB short of what reading /dev/zero would take.
+    LIMIT = 768 * 2**20
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_symlink_to_a_device_reads_as_no_records(self, tmp_path):
+        # repro top/tail read event files and repro doctor reads journal
+        # records with iter_jsonl; a file replaced by a link to a device
+        # that never ends must read as empty, not until memory runs out.
+        link = tmp_path / "worker-1.jsonl"
+        link.symlink_to("/dev/zero")
+        code = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({self.LIMIT}, {self.LIMIT}))\n"
+            "from repro.engine.doctor import iter_jsonl\n"
+            "print(iter_jsonl(sys.argv[1]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(link)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[]"

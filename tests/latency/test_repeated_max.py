@@ -60,9 +60,9 @@ class TestNonFading:
         inst = random_instance(4, n=6)
         calls = []
 
-        def one_at_a_time(sub, beta):
-            calls.append(sub.n)
-            return np.array([0])
+        def one_at_a_time(instance, beta, candidates):
+            calls.append(candidates.size)
+            return candidates[:1]
 
         result = repeated_max_latency(inst, BETA, algorithm=one_at_a_time)
         assert result.latency == 6
@@ -75,8 +75,8 @@ class TestNonFading:
         gains = np.full((n, n), 5.0)
         inst = SINRInstance(gains, noise=0.0)
 
-        def bad_algorithm(sub, beta):
-            return np.arange(sub.n)  # everything at once — infeasible
+        def bad_algorithm(instance, beta, candidates):
+            return candidates  # everything at once — infeasible
 
         result = repeated_max_latency(inst, beta=2.0, algorithm=bad_algorithm)
         assert result.schedule.covers_all()
@@ -114,7 +114,7 @@ class TestRayleigh:
         with pytest.raises(RuntimeError):
             repeated_max_latency(
                 inst, BETA, channel="rayleigh", rng=0, max_slots=1,
-                algorithm=lambda sub, b: np.array([], dtype=int),
+                algorithm=lambda instance, b, candidates: np.array([], dtype=int),
             )
 
     def test_unknown_model(self):
