@@ -73,13 +73,15 @@ Unpinned, the dense reference's matmul runs on every core while the
 top-k CSR product runs on one, and the sparse floor measures the core
 count instead of the representation.
 
-``--filter SUBSTR`` restricts the micro-kernels, the scaling entries,
-and the executor/telemetry benches to names containing the substring
-(e.g. ``--filter scaling``); partial runs *merge* into the recorded
+``--filter NAME`` restricts the micro-kernels, the scaling entries,
+and the executor/telemetry benches: a bench's full name selects that
+bench alone (``--filter latency_aloha_n100`` leaves n = 1000 and 10000
+out), and any other string selects the names containing it (e.g.
+``--filter scaling``).  Partial runs *merge* into the recorded
 baselines instead of clobbering the entries they did not measure.  A
 filter that matches nothing is an error: the run exits non-zero listing
-the known bench names rather than silently rewriting baselines with an
-empty measurement set.
+the known bench names, before timing anything, rather than silently
+rewriting baselines with an empty measurement set.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 # Run as a script, each BLAS library gets one thread before numpy loads,
 # as benchmarks/e2e pins its passes (an explicit setting wins).  Importing
@@ -534,19 +537,36 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def measure_kernels(
-    repeats: int,
-    name_filter: "str | None" = None,
-    known: "list[str] | None" = None,
-) -> dict:
-    """Time every (naive, fast) kernel pair; returns the summary mapping.
+def name_selector(name_filter: "str | None", names) -> "Callable[[str], bool]":
+    """The ``--filter`` rule over the bench ``names``: no filter selects
+    every bench, a bench's full name selects that bench alone, and any
+    other string selects the names that contain it."""
+    if name_filter is None:
+        return lambda name: True
+    if name_filter in names:
+        return lambda name: name == name_filter
+    return lambda name: name_filter in name
 
-    ``name_filter`` skips every kernel whose name does not contain the
-    substring (the ``--filter`` flag); skipped kernels are absent from
-    the returned mapping, and the caller merge-writes the baseline.
-    Every kernel name is appended to ``known`` (filtered or not), so the
-    caller can report the full vocabulary when a filter matches nothing.
-    """
+
+class KernelPair(NamedTuple):
+    """One (naive, fast) kernel pair, set up but not timed.  ``check``,
+    if given, runs once before a selected pair is timed."""
+
+    name: str
+    naive: Callable
+    fast: Callable
+    calls: int = 1
+    naive_repeats: "int | None" = None
+    check: "Callable[[], None] | None" = None
+
+
+def kernel_pairs(repeats: int) -> "list[KernelPair]":
+    """Every (naive, fast) kernel pair, with its inputs built and warm."""
+    pairs: "list[KernelPair]" = []
+
+    def record(*args, **kwargs):
+        pairs.append(KernelPair(*args, **kwargs))
+
     inst = _instance()
     gen = np.random.default_rng(0)
     actions = gen.random((T, N)) < 0.4
@@ -560,25 +580,6 @@ def measure_kernels(
     # game/scheduler loops actually run in.
     ray.counterfactual(mask, np.random.default_rng(1))
     nf.counterfactual(mask)
-
-    kernels: dict[str, dict] = {}
-
-    def record(name, naive_fn, fast_fn, *, calls=1, naive_repeats=None):
-        if known is not None:
-            known.append(name)
-        if name_filter is not None and name_filter not in name:
-            return
-        before = _best_of(naive_fn, naive_repeats or repeats) / calls
-        after = _best_of(fast_fn, repeats) / calls
-        kernels[name] = {
-            "before_s": before,
-            "after_s": after,
-            "speedup": before / max(after, 1e-12),
-        }
-        print(
-            f"  {name:35s} {before:10.3e}s -> {after:10.3e}s   "
-            f"({kernels[name]['speedup']:6.1f}x)"
-        )
 
     record(
         "expected_send_rewards_T2000_n100",
@@ -708,9 +709,10 @@ def measure_kernels(
             lambda ch, g: repeated_max_latency(inst, BETA, channel=ch, rng=g).latency
         )
 
-    if name_filter is None or name_filter in f"repeated_max_rayleigh_n{N}":
+    def e8_agree():
         assert naive_e8() == fast_e8()
-    record(f"repeated_max_rayleigh_n{N}", naive_e8, fast_e8)
+
+    record(f"repeated_max_rayleigh_n{N}", naive_e8, fast_e8, check=e8_agree)
 
     # E6's Algorithm-1 trials, 200 at each size: one stacked product per
     # trial against a product per stage.  Both draw the same patterns.
@@ -728,6 +730,31 @@ def measure_kernels(
         lambda: alg1_trials(simulate_rayleigh_optimum),
         calls=ALG1_TRIALS * len(ALG1_NS),
     )
+    return pairs
+
+
+def measure_kernels(
+    pairs: "list[KernelPair]", repeats: int, selects: "Callable[[str], bool]"
+) -> dict:
+    """Time the selected kernel pairs; returns the summary mapping (the
+    caller merge-writes the baseline when a filter left some out)."""
+    kernels: dict[str, dict] = {}
+    for pair in pairs:
+        if not selects(pair.name):
+            continue
+        if pair.check is not None:
+            pair.check()
+        before = _best_of(pair.naive, pair.naive_repeats or repeats) / pair.calls
+        after = _best_of(pair.fast, repeats) / pair.calls
+        kernels[pair.name] = {
+            "before_s": before,
+            "after_s": after,
+            "speedup": before / max(after, 1e-12),
+        }
+        print(
+            f"  {pair.name:35s} {before:10.3e}s -> {after:10.3e}s   "
+            f"({kernels[pair.name]['speedup']:6.1f}x)"
+        )
     return kernels
 
 
@@ -772,11 +799,14 @@ def paired_speedup(call, topk_scope, clock=time.perf_counter) -> "tuple[float, f
     return float(dense_s), float(topk_s), float(np.median(pairs[:, 0] / pairs[:, 1]))
 
 
+def scaling_names(ns: "tuple[int, ...]") -> "list[str]":
+    return [f"scaling_n{n}_{m}" for n in ns for m, _ in _scaling_modes()]
+
+
 def measure_scaling(
     repeats: int,
     ns: "tuple[int, ...]",
-    name_filter: "str | None" = None,
-    known: "list[str] | None" = None,
+    selects: "Callable[[str], bool]",
 ) -> dict:
     """Throughput of ``counterfactual_batch`` per backend mode and size.
 
@@ -793,10 +823,8 @@ def measure_scaling(
     entries: "dict[str, dict]" = {}
     modes = _scaling_modes()
     topk = f"topk{SCALING_TOPK}"
-    if known is not None:
-        known.extend(f"scaling_n{n}_{m}" for n in ns for m, _ in modes)
     for n in ns:
-        wanted = [m for m, _ in modes if name_filter is None or name_filter in f"scaling_n{n}_{m}"]
+        wanted = [m for m, _ in modes if selects(f"scaling_n{n}_{m}")]
         if not wanted:
             continue
         # The dense leg always runs when any mode at this n is wanted:
@@ -908,11 +936,14 @@ def _naive_slot_loop(channel, q_of_step, gen, executions: int, max_steps: int):
     return True, slots, served_at
 
 
+def latency_name(bench: tuple) -> str:
+    return f"latency_{bench[0]}_n{bench[1]}"
+
+
 def measure_latency(
     repeats: int,
     benches: "tuple[tuple, ...]",
-    name_filter: "str | None" = None,
-    known: "list[str] | None" = None,
+    selects: "Callable[[str], bool]",
 ) -> dict:
     """Sequential vs engine wall clock per contention scheduler and size.
 
@@ -933,12 +964,11 @@ def measure_latency(
     from repro.latency.slotloop import run_contention
 
     kernels: dict[str, dict] = {}
-    for sched, n, side, reference, partial_steps, q_override in benches:
-        name = f"latency_{sched}_n{n}"
-        if known is not None:
-            known.append(name)
-        if name_filter is not None and name_filter not in name:
+    for bench in benches:
+        name = latency_name(bench)
+        if not selects(name):
             continue
+        sched, n, side, reference, partial_steps, q_override = bench
         s, r = paper_random_network(n, area=side, rng=n)
         inst = SINRInstance.from_network(Network(s, r), UniformPower(2.0), 2.2, 4e-7)
         ch = make_channel("rayleigh", inst, BETA)
@@ -1017,18 +1047,14 @@ EXECUTOR_TASK_SLEEP = 0.01
 
 
 def measure_executor(
-    repeats: int,
-    name_filter: "str | None" = None,
-    known: "list[str] | None" = None,
+    repeats: int, selects: "Callable[[str], bool]"
 ) -> dict:
     """One identical sweep end-to-end on the process pool (``before_s``)
     vs the dispatch backend with the same local worker count
     (``after_s``).  The tasks sleep a fixed 10ms so the entry measures
     orchestration overhead — queue files, leases, envelope streaming —
     not kernel arithmetic."""
-    if known is not None:
-        known.append(EXECUTOR_BENCH)
-    if name_filter is not None and name_filter not in EXECUTOR_BENCH:
+    if not selects(EXECUTOR_BENCH):
         return {}
     import tempfile
 
@@ -1144,56 +1170,62 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--filter",
         default=None,
-        metavar="SUBSTR",
-        help="only kernels/scaling entries whose name contains SUBSTR "
-        "(partial runs merge into the recorded baselines)",
+        metavar="NAME",
+        help="only the bench named NAME, or else the benches whose name "
+        "contains NAME (partial runs merge into the recorded baselines)",
     )
     args = parser.parse_args(argv)
 
     repeats = 3 if args.quick else 7
-    known: "list[str]" = []
-    print(f"timing hot-path kernels (n={N}, T={T}, batch={BATCH}) ...")
-    kernels = measure_kernels(repeats, args.filter, known)
-
     ns = SCALING_NS_QUICK if args.quick else SCALING_NS
-    print(
-        f"timing backend n-scaling (counterfactual_batch, batch={SCALING_BATCH}, "
-        f"topk={SCALING_TOPK}, n in {ns}) ..."
-    )
-    scaling = measure_scaling(repeats, ns, args.filter, known)
-
     benches = (
         LATENCY_BENCHES_QUICK
         if args.quick
         else LATENCY_BENCHES_QUICK + LATENCY_BENCHES
     )
+    pairs = kernel_pairs(repeats)
+    names = [
+        *(pair.name for pair in pairs),
+        *scaling_names(ns),
+        *map(latency_name, benches),
+        EXECUTOR_BENCH,
+        "bench_obs",
+    ]
+    selects = name_selector(args.filter, names)
+    if not any(map(selects, names)):
+        print(
+            f"--filter {args.filter!r} matched no bench; known names:",
+            file=sys.stderr,
+        )
+        for name in names:
+            print(f"  {name}", file=sys.stderr)
+        return 2
+
+    print(f"timing hot-path kernels (n={N}, T={T}, batch={BATCH}) ...")
+    kernels = measure_kernels(pairs, repeats, selects)
+
+    print(
+        f"timing backend n-scaling (counterfactual_batch, batch={SCALING_BATCH}, "
+        f"topk={SCALING_TOPK}, n in {ns}) ..."
+    )
+    scaling = measure_scaling(repeats, ns, selects)
+
     print(
         f"timing latency slot-loop kernels (rayleigh, repeats={LATENCY_REPEATS}, "
         f"{len(benches)} configs) ..."
     )
-    kernels.update(measure_latency(repeats, benches, args.filter, known))
+    kernels.update(measure_latency(repeats, benches, selects))
 
     print(
         f"timing executor throughput (pool vs dispatch, {EXECUTOR_TASKS} tasks, "
         f"{EXECUTOR_JOBS} workers) ..."
     )
-    kernels.update(measure_executor(repeats, args.filter, known))
+    kernels.update(measure_executor(repeats, selects))
 
-    known.append("bench_obs")
-    run_obs = args.filter is None or args.filter in "bench_obs"
     obs_results = None
-    if run_obs:
+    if selects("bench_obs"):
         print("timing telemetry overhead (bench_obs) ...")
         obs_results = bench_obs.measure_overhead(repeats)
-
-    if args.filter is not None and not kernels and not scaling and obs_results is None:
-        print(
-            f"--filter {args.filter!r} matched no bench; known names:",
-            file=sys.stderr,
-        )
-        for name in known:
-            print(f"  {name}", file=sys.stderr)
-        return 2
 
     summary = {
         "config": {"n": N, "T": T, "batch": BATCH, "beta": BETA,

@@ -228,10 +228,14 @@ class BlockFadingChannel(Channel):
         Slot by slot, the generator calls are those of a loop of
         ``pattern = rng.random(n) < q`` then ``realize(pattern, rng)``:
         the pattern draw, then the block redraw at block boundaries.
-        Uniforms and draw matrices are staged for as many whole steps as
-        fit in :data:`STEP_BUFFER_BYTES` (at least one step) and
-        evaluated by one SINR kernel call per buffer, so masks, clock and
-        redraw counts equal the loop's.
+        The walk goes block by block in that order — the block's first
+        pattern row, its draw matrix, then its other pattern rows in one
+        call — staging as many blocks as fit in
+        :data:`STEP_BUFFER_BYTES` (at least one).  One SINR kernel call
+        per staged group evaluates every slot against its block's draw,
+        so masks, clock and redraw counts equal the loop's.  A walk that
+        enters mid-block evaluates the head of the run against the held
+        draw, and one that ends mid-block leaves its last draw held.
         """
         if num_steps < 1:
             raise ValueError(f"num_steps must be positive, got {num_steps}")
@@ -239,21 +243,51 @@ class BlockFadingChannel(Channel):
             raise ValueError(f"repeats must be positive, got {repeats}")
         gen = as_generator(rng)
         qv = np.asarray(q, dtype=np.float64)
-        n = self.n
-        chunk = max(1, STEP_BUFFER_BYTES // (8 * n * n * repeats))
-        slots = min(chunk, num_steps) * repeats
-        uniforms = np.empty((slots, n), dtype=np.float64)
-        draws = np.empty((slots, n, n), dtype=np.float64)
-        out = np.empty((num_steps, n), dtype=bool)
-        for first in range(0, num_steps, chunk):
-            stop = min(first + chunk, num_steps)
-            k = (stop - first) * repeats
-            for s in range(k):
-                gen.random(out=uniforms[s])
-                draws[s] = self._step_draws(gen)
-            sinr = _sinr_from_draws(draws[:k], uniforms[:k] < qv, self.instance.noise)
-            out[first:stop] = (sinr >= self.beta).reshape(-1, repeats, n).any(axis=1)
-        return out
+        n, length, gains = self.n, self.block_length, self.instance.gains
+        total = num_steps * repeats
+        # Slots staged per block; a longer block is walked in pieces.
+        rows = min(length, total, max(1, STEP_BUFFER_BYTES // (8 * n)))
+        group = min(max(1, STEP_BUFFER_BYTES // (8 * n * (n + rows))), total // rows)
+        uniforms = np.empty((group * rows, n), dtype=np.float64)
+        draws = np.empty((group, n, n), dtype=np.float64)
+        hits = np.empty((total, n), dtype=bool)
+        unit_gains = self.model.unit_gains
+        held, redraws, done = self._draws, 0, 0
+        while done < total:
+            # A group is up to `group` whole blocks, or one piece of a
+            # block: entered mid-way, cut by the run's end, or too long.
+            phase = self._t % length
+            fresh = held is None or phase == 0
+            size = min(length - phase, total - done, rows)
+            count = min(group, (total - done) // length) if fresh and size == length else 1
+            slots = count * size
+            u = uniforms[:slots]
+            gen.random(out=u[0])
+            if fresh:
+                for k in range(count):
+                    # FadingModel.sample's product, written into the buffer.
+                    np.multiply(unit_gains(gen, gains.shape), gains, out=draws[k])
+                    # This block's other rows and the next block's first.
+                    rest = u[k * size + 1 : (k + 1) * size + 1]
+                    if len(rest):
+                        gen.random(out=rest)
+                redraws += count
+                staged = draws[:count]
+                held = staged[-1]
+            else:
+                if size > 1:
+                    gen.random(out=u[1:])
+                staged = held[None]
+            sinr = _sinr_from_draws(
+                staged[:, None], (u < qv).reshape(count, size, n), self.instance.noise
+            )
+            hits[done : done + slots] = (sinr >= self.beta).reshape(slots, n)
+            self._t += slots
+            done += slots
+        if redraws:
+            _metrics.add("channel.block_redraws", redraws)
+            self._draws = held.copy()
+        return hits.reshape(num_steps, repeats, n).any(axis=1)
 
     def expected_successes(self, subset, rng=None) -> float:
         """Single-slot expectation by Monte Carlo (coherence is temporal

@@ -138,9 +138,16 @@ class TaskEnvelope:
     captured: "obs.Captured"
 
 
-def execute_task(fn: "Callable[[Task], Any]", task: "Task", stage: str) -> Any:
+def execute_task(
+    fn: "Callable[[Task], Any]",
+    task: "Task",
+    stage: str,
+    experiment: "str | None" = None,
+) -> Any:
     """Run one task with chaos + telemetry instrumentation (executes in
-    the worker).  When the run is observed, the task runs under
+    the worker).  ``experiment`` is the id of the experiment whose
+    driver opened the stage, which chaos faults may name.  When the run
+    is observed, the task runs under
     :func:`repro.obs.capture` and a :class:`TaskEnvelope` ships the
     record back; a failed attempt ships nothing (only executions that
     produced a result are adopted, which keeps the merged totals
@@ -152,11 +159,11 @@ def execute_task(fn: "Callable[[Task], Any]", task: "Task", stage: str) -> Any:
     together with any spans the task function itself opened — for
     stitching, so distributed traces keep every worker's subtree.
     """
-    chaos.set_current_task(stage, task.index)
+    chaos.set_current_task(stage, task.index, experiment)
     try:
         with obs.capture(worker=_WORKER_NAME) if obs.observing() else nullcontext() as captured:
             obs_events.emit("task-start", stage=stage, index=task.index)
-            chaos.on_task_start(stage, task.index)
+            chaos.on_task_start(stage, task.index, experiment)
             if obs.current().tracer is None:
                 value = fn(task)
             else:
@@ -186,6 +193,9 @@ class RunState:
     #: Poison-task circuit breaker: after this many worker deaths
     #: (counting the journal's) a task is quarantined instead of re-issued.
     quarantine_after: int = 3
+    #: Id of the experiment whose driver opened the stage; it travels
+    #: with the stage to wherever a task runs (chaos faults may name it).
+    experiment: "str | None" = None
 
 
 def settle_success(state: RunState, task: "Task", outcome: Any) -> Any:

@@ -10,8 +10,9 @@ that mounts the same directory — steal tasks from it::
     <runs-root>/queues/<queue-id>/
         manifest.json        # queue announce: stage, status open|closed,
                              # task count, worker heartbeat period
-        bundle.pkl           # task function, stage, the stage's shared
-                             # context and the dispatcher's RunContext
+        bundle.pkl           # task function, stage, experiment id, the
+                             # stage's shared context and the
+                             # dispatcher's RunContext
         todo/task-NNNNNN-aK.pkl      # unclaimed work unit, attempt K
         claimed/task-NNNNNN-aK.pkl   # claimed by exactly one worker
         leases/lease-NNNNNN.json     # who holds it; mtime = heartbeat
@@ -255,6 +256,7 @@ class DispatchBackend(ExecutionBackend):
         bundle_doc = {
             "fn": state.fn,
             "stage": state.stage,
+            "experiment": state.experiment,
             "context": state.context,
             "run": shipped_run(),
         }
@@ -794,8 +796,8 @@ def _post(qdir: Path, stage: str, index: int, attempt: int, payload: bytes) -> N
             pass  # the pipe is full (a wake is pending) or the dispatcher is gone
 
 
-def _run_claimed(qdir: Path, fn, stage: str, worker: str, heartbeat: float,
-                 claimed: Path, head: int, attempt: int) -> None:
+def _run_claimed(qdir: Path, fn, stage: str, experiment: "str | None", worker: str,
+                 heartbeat: float, claimed: Path, head: int, attempt: int) -> None:
     """Execute one stolen work unit and stream one envelope per member
     task back.  Never raises: every failure becomes an envelope (or, for
     hard process death, a stale lease the dispatcher will notice).
@@ -825,7 +827,9 @@ def _run_claimed(qdir: Path, fn, stage: str, worker: str, heartbeat: float,
         tasks = payload_obj if isinstance(payload_obj, list) else [payload_obj]
         for task in tasks:
             try:
-                payload = _envelope(worker, attempt, execute_task(fn, task, stage))
+                payload = _envelope(
+                    worker, attempt, execute_task(fn, task, stage, experiment)
+                )
             except Exception as exc:
                 payload = _envelope(worker, attempt, error=exc)
             _post(qdir, stage, task.index, attempt, payload)
@@ -859,7 +863,7 @@ def _drain_queue(
     try:
         bundle_doc = pickle.loads((qdir / "bundle.pkl").read_bytes())
         adopt_run(bundle_doc["run"], bundle_doc["context"])
-        fn, stage = bundle_doc["fn"], bundle_doc["stage"]
+        fn, stage, experiment = bundle_doc["fn"], bundle_doc["stage"], bundle_doc["experiment"]
     except Exception:
         return 0  # half-removed queue, or a bundle this worker cannot load
     heartbeat = float(manifest.get("heartbeat", 1.0))
@@ -869,7 +873,7 @@ def _drain_queue(
         if stolen is None:
             return count
         claimed, head, attempt = stolen
-        _run_claimed(qdir, fn, stage, worker, heartbeat, claimed, head, attempt)
+        _run_claimed(qdir, fn, stage, experiment, worker, heartbeat, claimed, head, attempt)
         count += 1
         if pulse is not None:
             pulse.beat(tasks=done_before + count, worker=worker)

@@ -68,7 +68,7 @@ def _marker_path(marker_dir: str, index: int) -> str:
     return os.path.join(marker_dir, f"inflight-{int(index):06d}")
 
 
-def _execute_marked(marker_dir: str, fn, task, stage: str):
+def _execute_marked(marker_dir: str, fn, task, stage: str, experiment: "str | None"):
     """Run one task under an in-flight marker (executes in the worker).
 
     The marker (named for the task index, holding this worker's pid) is
@@ -85,7 +85,7 @@ def _execute_marked(marker_dir: str, fn, task, stage: str):
     except OSError:
         path = None
     try:
-        return execute_task(fn, task, stage)
+        return execute_task(fn, task, stage, experiment)
     finally:
         if path is not None:
             try:
@@ -135,7 +135,8 @@ class ProcessPoolBackend(ExecutionBackend):
                             initargs=(shipped_run(), state.context),
                         )
                     inflight[idx] = (run.issue(idx), pool.submit(
-                        _execute_marked, marker_dir, state.fn, run.tasks[idx], state.stage
+                        _execute_marked, marker_dir, state.fn, run.tasks[idx],
+                        state.stage, state.experiment,
                     ))
                 if not inflight:
                     time.sleep(max(0.0, run.next_due() - run.clock()))

@@ -42,7 +42,9 @@ def run_local(run: StageRun) -> None:
                     time.sleep(wait)
                 attempt = run.issue(idx)
                 try:
-                    outcome = execute_task(run.state.fn, run.tasks[idx], run.stage)
+                    outcome = execute_task(
+                        run.state.fn, run.tasks[idx], run.stage, run.state.experiment
+                    )
                 except Exception as exc:
                     run.raised(idx, attempt, exc)
                 else:

@@ -26,8 +26,9 @@ every recovery path of the engine exercisable on demand.  A
   :data:`FAULT_SITES`) raises ``OSError(ENOSPC)``, exercising the
   resource-exhaustion degradation ladder.
 
-Faults match on the executor stage name and task index (either may be
-``None`` = any), and are **once-only by default**: the first attempt
+Faults match on the executor stage name and task index, and optionally
+on the experiment whose driver opened the stage (each may be ``None`` =
+any), and are **once-only by default**: the first attempt
 that reaches the fault claims a marker file in ``state_dir`` (atomic
 ``O_CREAT | O_EXCL``, so the claim is race-free across worker
 processes) and later attempts run clean — exactly the transient-fault
@@ -69,6 +70,7 @@ import numpy as np
 
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
+from repro.obs.trace import current_experiment
 from repro.run_context import current_run
 
 __all__ = [
@@ -128,12 +130,16 @@ class Fault:
     """One injected fault.
 
     ``stage``/``index`` select the executor task (``None`` = any);
-    ``site``/``links`` select the kernel call site for ``nan`` faults.
+    ``experiment`` narrows that to the stages one experiment's driver
+    opens (an id such as ``"E7"``; ``None`` = any experiment), since
+    drivers share stage names; ``site``/``links`` select the kernel call
+    site for ``nan`` faults.
     """
 
     kind: str
     stage: "str | None" = None
     index: "int | None" = None
+    experiment: "str | None" = None
     site: "str | None" = None
     links: "tuple[int, ...]" = ()
     once: bool = True
@@ -152,9 +158,13 @@ class Fault:
                 + ")"
             )
 
-    def matches_task(self, stage: str, index: int) -> bool:
-        return (self.stage is None or self.stage == stage) and (
-            self.index is None or self.index == index
+    def matches_task(
+        self, stage: str, index: int, experiment: "str | None" = None
+    ) -> bool:
+        return (
+            (self.stage is None or self.stage == stage)
+            and (self.index is None or self.index == index)
+            and (self.experiment is None or self.experiment == experiment)
         )
 
     def to_dict(self) -> "dict[str, Any]":
@@ -162,6 +172,7 @@ class Fault:
             "kind": self.kind,
             "stage": self.stage,
             "index": self.index,
+            "experiment": self.experiment,
             "site": self.site,
             "links": list(self.links),
             "once": self.once,
@@ -185,6 +196,7 @@ class Fault:
             kind=doc["kind"],
             stage=doc.get("stage"),
             index=doc.get("index"),
+            experiment=doc.get("experiment"),
             site=doc.get("site"),
             links=tuple(int(x) for x in doc.get("links", ())),
             once=bool(doc.get("once", True)),
@@ -327,8 +339,9 @@ class ChaosPlan:
         )
 
 
-#: The (stage, index) of the task currently executing in this process.
-_CURRENT_TASK: "tuple[str, int] | None" = None
+#: The (stage, index, experiment) of the task currently executing in
+#: this process.
+_CURRENT_TASK: "tuple[str, int, str | None] | None" = None
 #: Whether this process declared itself a dispatch worker (``repro
 #: worker``) — the target population of ``worker-lost`` faults.
 _WORKER_PROCESS = False
@@ -396,10 +409,12 @@ def _should_fire(plan: ChaosPlan, fault: Fault, fault_pos: int, key: str) -> boo
     return _claim(plan, f"fault-{fault_pos}-{key}")
 
 
-def set_current_task(stage: "str | None", index: "int | None") -> None:
+def set_current_task(
+    stage: "str | None", index: "int | None", experiment: "str | None" = None
+) -> None:
     """Record which executor task this process is running (``None`` clears)."""
     global _CURRENT_TASK
-    _CURRENT_TASK = None if stage is None else (stage, int(index))
+    _CURRENT_TASK = None if stage is None else (stage, int(index), experiment)
 
 
 def _fire_task_fault(kind: str, stage: str, index: int,
@@ -438,19 +453,22 @@ def _fire_task_fault(kind: str, stage: str, index: int,
         )
 
 
-def on_task_start(stage: str, index: int) -> None:
+def on_task_start(stage: str, index: int, experiment: "str | None" = None) -> None:
     """Fire any crash/hang fault aimed at this task.
 
     Called by the executor at the top of every task execution (every
-    attempt), in the process that runs the task.  Hand-placed faults
-    fire first, then the plan's :class:`RandomSchedule` (always
-    once-only) draws for the task.
+    attempt), in the process that runs the task, with the id of the
+    experiment whose driver opened the stage.  Hand-placed faults fire
+    first, then the plan's :class:`RandomSchedule` (always once-only)
+    draws for the task.
     """
     plan = current_run().chaos
     if plan is None:
         return
     for pos, fault in enumerate(plan.faults):
-        if fault.kind in ("nan", "enospc") or not fault.matches_task(stage, index):
+        if fault.kind in ("nan", "enospc") or not fault.matches_task(
+            stage, index, experiment
+        ):
             continue
         if not _should_fire(plan, fault, pos, f"{fault.kind}-{stage}-{index}"):
             continue
@@ -473,23 +491,27 @@ def on_write(site: str, stage: "str | None" = None,
 
     Called by the journal and the dispatch queue protocol immediately
     before a write, with the site name (one of :data:`FAULT_SITES`) and
-    — where the write belongs to one task — the stage and index.
+    — where the write belongs to one task — the stage and index.  A
+    fault naming an experiment fires only where that experiment's driver
+    is running.
     Raises ``OSError(ENOSPC)`` when a fault fires, which the caller's
     degradation path then has to absorb; a no-op without a plan.
     """
     plan = current_run().chaos
     if plan is None:
         return
+    experiment = current_experiment()
     for pos, fault in enumerate(plan.faults):
         if fault.kind != "enospc":
             continue
         if fault.site is not None and fault.site != site:
             continue
-        if fault.stage is not None or fault.index is not None:
-            if stage is None or index is None:
-                continue
-            if not fault.matches_task(stage, index):
-                continue
+        if (fault.stage is not None or fault.index is not None) and (
+            stage is None or index is None
+        ):
+            continue
+        if not fault.matches_task(stage, index, experiment):
+            continue
         if not _should_fire(plan, fault, pos, f"enospc-{site}-{stage}-{index}"):
             continue
         _metrics.add("chaos.faults_fired")
@@ -528,7 +550,10 @@ def corrupt(site: str, arr: np.ndarray) -> np.ndarray:
             continue
         if _CURRENT_TASK is not None and not fault.matches_task(*_CURRENT_TASK):
             continue
-        if fault.stage is not None and _CURRENT_TASK is None:
+        if _CURRENT_TASK is None and (
+            fault.stage is not None
+            or fault.experiment not in (None, current_experiment())
+        ):
             continue
         key = f"nan-{site}" if _CURRENT_TASK is None else f"nan-{site}-{_CURRENT_TASK[0]}-{_CURRENT_TASK[1]}"
         if not _should_fire(plan, fault, pos, key):

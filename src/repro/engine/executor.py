@@ -259,6 +259,7 @@ def map_tasks(
             report=policy.report if policy else None,
             n_jobs=n_jobs,
             quarantine_after=int(quarantine_after),
+            experiment=obs_trace.current_experiment(),
         )
         backend = resolve_executor(executor, n_jobs, len(pending))
         obs_metrics.add("executor.tasks_executed", len(pending))

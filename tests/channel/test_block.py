@@ -5,8 +5,9 @@ import pytest
 
 from repro import obs
 from repro.channel import BlockFadingChannel, RayleighChannel
+from repro.channel import block as block_module
 from repro.channel.block import STEP_BUFFER_BYTES
-from repro.fading.models import NakagamiFading
+from repro.fading.models import NakagamiFading, RicianFading, _sinr_from_draws
 from repro.obs import Telemetry
 from repro.obs.metrics import MetricsRegistry
 
@@ -152,3 +153,91 @@ class TestTransformedSteps:
         with pytest.raises(ValueError):
             ch.transformed_step(q, 1, repeats=0)
         assert ch.time == 0
+
+
+def _walk_matches_loop(instance, L, num_steps, repeats, *, family=None, prelude=0, seed=0):
+    """Run ``prelude`` single-slot ``realize`` calls, then ``num_steps``
+    transformed steps, on two channels: the block walk on one, the slot
+    loop on the other.  Masks, clock, redraw counts and the following
+    ``realize`` must all agree."""
+    n = instance.n
+    q = np.linspace(0.1, 0.6, n)
+    mask = q > 0.3
+    walk_ch = BlockFadingChannel(instance, BETA, block_length=L, model=family)
+    loop_ch = BlockFadingChannel(instance, BETA, block_length=L, model=family)
+    walk_gen, loop_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+
+    def run(ch, gen, steps):
+        for _ in range(prelude):
+            ch.realize(mask, gen)
+        return steps(ch, gen)
+
+    walk, walk_redraws = _redraws(lambda: run(
+        walk_ch, walk_gen,
+        lambda ch, gen: ch.transformed_steps(q, num_steps, gen, repeats=repeats),
+    ))
+    loop, loop_redraws = _redraws(lambda: run(
+        loop_ch, loop_gen, lambda ch, gen: _step_loop(ch, q, num_steps, gen, repeats)
+    ))
+    np.testing.assert_array_equal(walk, loop)
+    assert walk_ch.time == loop_ch.time == prelude + num_steps * repeats
+    assert walk_redraws == loop_redraws > 0
+    np.testing.assert_array_equal(
+        walk_ch.realize(mask, walk_gen), loop_ch.realize(mask, loop_gen)
+    )
+    return walk_redraws
+
+
+class TestBlockWalk:
+    """The block walk against the slot loop where blocks and the run's
+    ends do not line up."""
+
+    @pytest.mark.parametrize("prelude", [1, 2, 5])
+    def test_clock_mid_block_on_entry(self, paper_instance, prelude):
+        # L = 7 leaves the clock 1, 2 or 5 slots into the first block, so
+        # the walk starts on the held draw; 13 steps of 3 end mid-block.
+        _walk_matches_loop(paper_instance, 7, 13, 3, prelude=prelude)
+
+    @pytest.mark.parametrize("prelude", [0, 3])
+    def test_block_longer_than_the_run(self, paper_instance, prelude):
+        redraws = _walk_matches_loop(paper_instance, 1000, 9, 4, prelude=prelude)
+        assert redraws == 1
+
+    def test_partial_last_block_after_whole_groups(self, paper_instance, monkeypatch):
+        # 97 steps of 4 slots are 388 slots: 77 whole blocks of 5, staged
+        # ten to a group, then a last block of 3 slots.
+        n = paper_instance.n
+        monkeypatch.setattr(block_module, "STEP_BUFFER_BYTES", 10 * 8 * n * (n + 5))
+        redraws = _walk_matches_loop(paper_instance, 5, 97, 4)
+        assert redraws == 78
+
+    def test_block_longer_than_the_staging_buffer(self, paper_instance, monkeypatch):
+        # Ten staged rows per piece: each 25-slot block is walked in three
+        # pieces against one draw, entering and leaving mid-block.
+        monkeypatch.setattr(block_module, "STEP_BUFFER_BYTES", 10 * 8 * paper_instance.n)
+        _walk_matches_loop(paper_instance, 25, 31, 3, prelude=4)
+
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_rician_draws_whole_fields(self, paper_instance, L):
+        assert RicianFading.elementwise_draws is False
+        _walk_matches_loop(
+            paper_instance, L, 41, 4, family=RicianFading(3.0), prelude=1
+        )
+
+
+class TestBroadcastSINR:
+    @pytest.mark.parametrize("n", [1, 2, 30, 127, 200])
+    @pytest.mark.parametrize("L", [1, 3, 8])
+    def test_block_draws_broadcast_bit_equal_to_per_slot(self, n, L):
+        """One kernel call with each block's draw broadcast over its slots
+        gives the bits of one call per slot."""
+        gen = np.random.default_rng(n * 31 + L)
+        blocks = 4
+        draws = gen.standard_exponential((blocks, n, n)) * 10.0 ** gen.uniform(-9, 1, (n, n))
+        masks = gen.random((blocks, L, n)) < 0.4
+        got = _sinr_from_draws(draws[:, None], masks, 4e-7)
+        assert got.shape == (blocks, L, n)
+        for b in range(blocks):
+            for slot in range(L):
+                ref = _sinr_from_draws(draws[b][None], masks[b, slot], 4e-7)[0]
+                np.testing.assert_array_equal(got[b, slot].view(np.uint64), ref.view(np.uint64))

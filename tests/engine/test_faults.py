@@ -15,8 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.sinr import SINRInstance
 from repro.engine import chaos, guards
+from repro.engine.backends import DispatchBackend
 from repro.engine.backends import RunState
 from repro.engine.backends import pool as pool_backend
 from repro.engine.backends.lifecycle import StageRun
@@ -473,3 +475,73 @@ class TestChaosPlanRoundTrip:
     def test_bad_fault_kind_rejected(self):
         with pytest.raises(ValueError, match="fault kind"):
             Fault(kind="meltdown")
+
+
+def _networks_sweep(experiment: str, executor) -> list:
+    """Three tasks of a stage named ``networks``, as E1's and E7's
+    drivers both open one, inside ``experiment``'s driver scope."""
+    with obs.experiment_scope(experiment):
+        return map_tasks(
+            _double, make_tasks([1, 2, 3]), jobs=2, stage="networks",
+            on_error="skip", executor=executor,
+        )
+
+
+class TestFaultsNamingAnExperiment:
+    """Drivers share stage names, so a fault may also name the experiment
+    whose stage it strikes; the id travels with the stage to wherever
+    the task runs."""
+
+    def test_plan_with_experiment_survives_json(self, tmp_path):
+        plan = ChaosPlan(
+            state_dir=str(tmp_path),
+            faults=(Fault(kind="worker-lost", stage="networks", index=3, experiment="E7"),),
+        )
+        assert ChaosPlan.from_dict(json.loads(json.dumps(plan.to_dict()))) == plan
+
+    def test_matches_only_its_experiment(self):
+        fault = Fault(kind="raise", stage="networks", experiment="E7")
+        assert fault.matches_task("networks", 0, "E7")
+        assert not fault.matches_task("networks", 0, "E1")
+        assert not fault.matches_task("networks", 0, None)
+        bare = Fault(kind="raise", stage="networks")
+        assert bare.matches_task("networks", 0, "E1") and bare.matches_task("networks", 0)
+
+    @pytest.mark.parametrize("executor", ["serial", "pool", "dispatch"])
+    def test_fault_naming_e7_leaves_e1_networks_clean(self, tmp_path, executor):
+        _install(tmp_path, Fault(kind="raise", stage="networks", index=1, experiment="E7"))
+        backend = (
+            DispatchBackend(tmp_path / "runs", local_workers=2, poll=0.02)
+            if executor == "dispatch" else executor
+        )
+        try:
+            e1 = _networks_sweep("E1", backend)
+            with pytest.warns(UserWarning, match="injected crash in task 1"):
+                e7 = _networks_sweep("E7", backend)
+        finally:
+            if executor == "dispatch":
+                backend.close()
+        assert e1 == [2, 4, 6]
+        assert e7[0] == 2 and e7[2] == 6
+        assert isinstance(e7[1], TaskFailure) and e7[1].stage == "networks"
+
+    def test_bare_stage_fault_strikes_the_first_experiment_to_reach_it(self, tmp_path):
+        _install(tmp_path, Fault(kind="raise", stage="networks", index=1))
+        with pytest.warns(UserWarning, match="injected crash in task 1"):
+            e1 = _networks_sweep("E1", "serial")
+        assert isinstance(e1[1], TaskFailure)
+        # Once-only: the marker E1 claimed leaves E7's task 1 clean.
+        assert _networks_sweep("E7", "serial") == [2, 4, 6]
+
+    def test_nan_fault_naming_an_experiment(self, tmp_path):
+        _install(
+            tmp_path,
+            Fault(kind="nan", site="theorem1.conditional", links=(2,), once=False,
+                  experiment="E7"),
+        )
+        kernel = Theorem1Kernel(_fresh_instance(), beta=1.0)
+        q = np.full(4, 0.5)
+        with obs.experiment_scope("E1"):
+            assert not np.isnan(kernel.conditional(q)).any()
+        with obs.experiment_scope("E7"):
+            assert np.isnan(kernel.conditional(q)[2])

@@ -12,6 +12,7 @@ from repro.fading.models import (
     NoFading,
     RayleighFading,
     RicianFading,
+    _sinr_quotient,
     expected_successes_with_model,
     simulate_slots,
 )
@@ -168,3 +169,36 @@ class TestSlotSimulation:
         assert out.shape == (300, instance.n)
         assert out[:, ~active].sum() == 0
         assert out.tobytes() == whole.tobytes()
+
+
+class TestSINRQuotient:
+    """The kernels' unmasked divide against the masked divide it replaced."""
+
+    SIGNALS = np.array([0.0, 1e-300, 0.7, 3.5, 1e300, np.inf])
+    DENOMS = np.array([0.0, 5e-324, 1e-300, 2.0, 1e300, np.inf, np.nan, -1e-20, -3.0])
+
+    @staticmethod
+    def _masked(signal, denom, where):
+        out = np.zeros(denom.shape, dtype=np.float64)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(signal, denom, out=out, where=where & (denom > 0.0))
+        out[where & (denom <= 0.0)] = np.inf
+        return out
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_bits_as_masked_divide(self, seed):
+        gen = np.random.default_rng(seed)
+        shape = (40, 25)
+        if seed % 2:
+            signal = gen.choice(self.SIGNALS, shape)
+        else:
+            signal = gen.random(shape) * 10.0 ** gen.integers(-300, 300, shape)
+        denom = gen.choice(self.DENOMS, shape)
+        where = gen.random(shape) < 0.4
+        # Interference plus noise is never negative at a silent link.
+        denom = np.where(where, denom, np.abs(denom))
+        got = _sinr_quotient(signal, denom, where, np.empty(shape))
+        want = self._masked(signal, denom, where)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))

@@ -8,7 +8,8 @@ annotated ``floor: None`` in ``KERNEL_EXPECTATIONS`` are exempt.  The
 telemetry gate (``benchmarks/bench_obs.py``) and the sparse-speedup
 floor are pinned on a fake clock: interleaved pairs cancel host drift,
 yet still catch a 6% overhead against the 5% budget and a top-k path
-under the 3x floor.
+under the 3x floor.  A ``--filter`` that names a bench in full selects
+that bench alone.
 """
 
 import contextlib
@@ -72,6 +73,32 @@ def test_enforced_latency_floors_present(run_all):
     assert run_all.KERNEL_EXPECTATIONS["latency_decay_n1000"]["floor"] >= 5.0
     assert run_all.KERNEL_EXPECTATIONS["latency_aloha_n300"]["floor"] >= 3.0
     assert run_all.KERNEL_EXPECTATIONS["latency_decay_n300"]["floor"] >= 3.0
+
+
+def test_filter_full_name_selects_that_entry_only(run_all):
+    names = [run_all.latency_name(b) for b in run_all.LATENCY_BENCHES]
+    aloha = ["latency_aloha_n100", "latency_aloha_n1000", "latency_aloha_n10000"]
+    assert aloha == [name for name in names if "aloha" in name]
+
+    def chosen(name_filter):
+        selects = run_all.name_selector(name_filter, names)
+        return [name for name in names if selects(name)]
+
+    assert chosen("latency_aloha_n100") == ["latency_aloha_n100"]
+    assert chosen("latency_aloha_n1000") == ["latency_aloha_n1000"]
+    # Partial names keep substring selection.
+    assert chosen("latency_aloha_n10") == aloha
+    assert chosen("aloha") == aloha
+    assert chosen(None) == names
+    assert chosen("no_such_bench") == []
+
+
+def test_filter_matching_nothing_exits_before_timing(run_all, capsys, monkeypatch):
+    monkeypatch.setattr(run_all, "measure_kernels", None)  # must not be reached
+    assert run_all.main(["--quick", "--filter", "no_such_bench"]) == 2
+    err = capsys.readouterr().err
+    assert "matched no bench" in err
+    assert "block_transformed_steps_n60" in err and "latency_aloha_n300" in err
 
 
 # -- telemetry-overhead gate (benchmarks/bench_obs.py) -------------------

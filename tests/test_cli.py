@@ -459,6 +459,32 @@ class TestWholeExperiments:
         assert e13["faults"]["failures"][0]["kind"] == "quarantined"
         assert e13["faults"]["events"][0]["kind"] == "pool-broken"
 
+    def test_fault_naming_e7_strikes_only_e7s_networks_stage(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # E1 and E7 both sweep a stage named "networks"; at --jobs 2 each
+        # runs whole on its own worker, at the same time.
+        outcomes = {}
+        for jobs in (1, 2):
+            _use_plan(
+                tmp_path / f"chaos{jobs}", monkeypatch,
+                Fault(kind="raise", stage="networks", index=0, experiment="E7"),
+            )
+            out = tmp_path / f"out{jobs}"
+            code = main(
+                ["run", "E1,E7", "--jobs", str(jobs), "--on-error", "skip",
+                 "--out", str(out)]
+            )
+            assert "INCOMPLETE: E7" in capsys.readouterr().err
+            failures = [
+                (entry["experiment_id"], f["stage"], f["index"])
+                for entry in _summary(out)["experiments"]
+                for f in entry.get("faults", {}).get("failures", [])
+            ]
+            outcomes[jobs] = (code, failures, (out / "E1.json").read_bytes())
+        assert outcomes[2] == outcomes[1]
+        assert outcomes[2][1] == [("E7", "networks", 0)]
+
     def test_driver_error_matches_jobs_1(self, tmp_path, monkeypatch):
         messages, written = {}, {}
         for jobs in (1, 2):
