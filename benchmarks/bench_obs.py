@@ -79,7 +79,7 @@ PAIRS_PER_REPEAT = 5
 DISPATCH_TASKS = 24
 DISPATCH_WORKERS = 2
 DISPATCH_SLEEP = 0.005
-#: Dispatch wall-clock is dominated by queue/lease file churn and worker
+#: Dispatch wall-clock is dominated by queue file churn and worker
 #: polling, which jitter far beyond the kernel floor; the entry carries
 #: its own absolute floor so only a real regression can fail ``--check``.
 DISPATCH_FLOOR_S = 0.15
@@ -172,8 +172,8 @@ def measure_dispatch_overhead(repeats: int = 7) -> dict:
     ``repro run --executor dispatch --monitor --trace --metrics``
     invocation would: a metrics registry, a tracer (so workers buffer
     task spans and the dispatcher stitches them), and an event bus under
-    the runs root (task lifecycle, leases, heartbeats from dispatcher
-    and workers).  One warm backend serves both measurements so worker
+    the runs root (task lifecycle, heartbeats from dispatcher and
+    workers).  One warm backend serves both measurements so worker
     spawn/import cost cancels out.
     """
     import tempfile
@@ -190,7 +190,7 @@ def measure_dispatch_overhead(repeats: int = 7) -> dict:
     reps = max(2, repeats // 2)
     with tempfile.TemporaryDirectory() as root:
         backend = DispatchBackend(
-            root, local_workers=DISPATCH_WORKERS, lease_timeout=10.0, poll=0.005
+            root, local_workers=DISPATCH_WORKERS, poll=0.005
         )
         scopes = itertools.count()
 

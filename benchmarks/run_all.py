@@ -210,9 +210,9 @@ KERNEL_EXPECTATIONS: "dict[str, dict]" = {
     "executor_dispatch_vs_pool_32tasks": {
         "floor": None,
         "note": "overhead tradeoff: the file-queue dispatch backend pays "
-        "claim/lease/envelope costs the in-process pool does not; it buys "
-        "multi-host scale, not single-host speed (0.8x-1.0x over ten "
-        "--quick runs since local workers fork and wake the dispatcher, "
+        "claim/envelope file costs the in-process pool does not, and "
+        "no experiment needs it for speed (0.8x-1.0x over ten --quick "
+        "runs since local workers fork and wake the dispatcher, "
         "0.4x-1.2x and mostly 0.6x-0.8x before)",
     },
     "algorithm1_trials_e6_sizes": {
@@ -1052,7 +1052,7 @@ def measure_executor(
     """One identical sweep end-to-end on the process pool (``before_s``)
     vs the dispatch backend with the same local worker count
     (``after_s``).  The tasks sleep a fixed 10ms so the entry measures
-    orchestration overhead — queue files, leases, envelope streaming —
+    orchestration overhead — queue files, claims, envelope streaming —
     not kernel arithmetic."""
     if not selects(EXECUTOR_BENCH):
         return {}
@@ -1076,7 +1076,7 @@ def measure_executor(
     )
     with tempfile.TemporaryDirectory() as root:
         backend = DispatchBackend(
-            root, local_workers=EXECUTOR_JOBS, lease_timeout=10.0, poll=0.005
+            root, local_workers=EXECUTOR_JOBS, poll=0.005
         )
         try:
             # Warm-up: spawns the local workers and pays their import cost

@@ -4,10 +4,10 @@
 Runs a multi-stage workload under a seeded :class:`RandomSchedule`
 (probabilistic raise / hang / worker-lost / exit faults per task, plus
 ENOSPC injection into journal checkpoint writes) on every execution
-backend, with dispatch workers joining as chaos kills their peers —
-and asserts the one invariant the whole engine is built around: the
-final aggregate bytes are identical to a clean serial run, at every
-``--jobs`` / worker count.
+backend — the dispatch backend's fleet forks a new worker for each one
+chaos kills — and asserts the one invariant the whole engine is built
+around: the final aggregate bytes are identical to a clean serial run,
+at every ``--jobs`` / worker count.
 
 .. code-block:: console
 
@@ -23,20 +23,17 @@ Every schedule fault is once-only and the workload runs under
 ``on_error="retry"``, so every injected fault is recoverable by design;
 task randomness rides on spawned task seeds, so recovery re-derives
 identical numbers.  The harness therefore proves the *machinery*
-(retry, pool rebuild, lease re-issue, run-context shipping, degradation
-ladder) — the math needs no luck.
+(retry, pool rebuild, re-issue after a lost worker, run-context
+shipping, degradation ladder) — the math needs no luck.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import shutil
-import subprocess
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -98,67 +95,6 @@ def _schedule(seed: int, quick: bool) -> chaos.RandomSchedule:
         p_enospc=0.20,
         hang_seconds=0.3 if quick else 1.0,
     )
-
-
-class WorkerFleet:
-    """Dispatch workers that keep joining as chaos kills their peers."""
-
-    def __init__(self, root: Path, size: int):
-        self.root = root
-        self.size = size
-        self.procs: "list[subprocess.Popen]" = []
-        self.spawned = 0
-        self.deaths = 0
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._tend, daemon=True)
-
-    def _spawn(self) -> subprocess.Popen:
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        env.pop(chaos.CHAOS_ENV, None)  # plans ship in the queue's run context
-        self.spawned += 1
-        return subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "worker", str(self.root),
-                "--name", f"soak-{self.spawned}", "--poll", "0.02",
-                "--max-idle", "120",
-            ],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-
-    def _tend(self) -> None:
-        while not self._stop.wait(0.2):
-            alive = []
-            for proc in self.procs:
-                if proc.poll() is None:
-                    alive.append(proc)
-                else:
-                    self.deaths += 1
-            while len(alive) < self.size:
-                alive.append(self._spawn())  # a fresh worker joins
-            self.procs = alive
-
-    def __enter__(self) -> "WorkerFleet":
-        self.procs = [self._spawn() for _ in range(self.size)]
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5)
-        for proc in self.procs:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in self.procs:
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
 
 
 def _chaos_phase(name: str, seed: int, quick: bool, work_dir: Path):
@@ -224,23 +160,21 @@ def main(argv=None) -> int:
             name = f"dispatch-w{size}"
             plan, journal = _chaos_phase(name, args.seed, args.quick, work_dir)
             backend = DispatchBackend(
-                work_dir / f"queue-{name}", lease_timeout=1.5, poll=0.02
+                work_dir / f"queue-{name}", local_workers=size, poll=0.02
             )
             t0 = time.monotonic()
-            with WorkerFleet(work_dir / f"queue-{name}", size) as fleet:
-                try:
-                    with run_scope(chaos=plan):
-                        got = _aggregate(
-                            tasks_per_stage, n, 1, _policy(journal), backend
-                        )
-                finally:
-                    backend.close()
+            spawned = 0
+            try:
+                with run_scope(chaos=plan):
+                    got = _aggregate(tasks_per_stage, n, 1, _policy(journal), backend)
+                spawned = sum(backend._fleet.starts) if backend._fleet else 0
+            finally:
+                backend.close()
             phases[name] = got
             ok = got == reference
             failures += not ok
             print(f"{name}: {'OK' if ok else 'BYTE MISMATCH'} "
-                  f"({time.monotonic() - t0:.1f}s, {fleet.spawned} worker(s) "
-                  f"spawned, {fleet.deaths} died, "
+                  f"({time.monotonic() - t0:.1f}s, {spawned} worker(s) forked, "
                   f"{journal.degraded_writes} degraded write(s))")
 
         if out_dir is not None:

@@ -14,10 +14,9 @@
     python -m repro run E13 --resume nightly  # replay journal, run the rest
     python -m repro run E6 --on-error retry --task-timeout 120
     python -m repro run E1 --out r/ --trace --metrics   # telemetry, same bytes
-    python -m repro run E1 --executor dispatch          # multi-host queue
-    python -m repro worker .repro-runs        # serve dispatch queues
+    python -m repro run E1 --executor dispatch --dispatch-workers 2  # file queue
     python -m repro run E1 --monitor --out r/ # live event bus + metrics.prom
-    python -m repro top .repro-runs           # live fleet dashboard (files only)
+    python -m repro top .repro-runs           # live dashboard (files only)
     python -m repro tail .repro-runs --follow # stream the event bus
     python -m repro stats r/                  # render a past run's telemetry
     python -m repro stats r/ --json           # machine-readable document
@@ -59,14 +58,14 @@ require.  Telemetry never changes result bytes, at any ``--jobs``.
 for the Prometheus text exposition of ``metrics.json``).
 
 Live observability (see DESIGN.md, "Live fleet observability"):
-``--monitor`` appends structured events (task lifecycle, leases,
-re-issues, quarantines, degraded writes, chaos faults, heartbeats) to
+``--monitor`` appends structured events (task lifecycle, re-issues,
+quarantines, degraded writes, chaos faults, heartbeats) to
 ``<runs-root>/events/`` and — when ``--out`` is given — refreshes a
 ``metrics.prom`` OpenMetrics snapshot during the run.  ``repro top
 <runs-root>`` is the refreshing files-only dashboard (stage progress,
 ETAs, worker health with stale-heartbeat warnings); ``repro tail
-<runs-root> --follow`` streams the merged event bus.  Both work from
-any host mounting the runs root.  Events never change result bytes.
+<runs-root> --follow`` streams the merged event bus.  Events never
+change result bytes.
 
 Array backend (see DESIGN.md, "Array backend & dtype policy"):
 ``--dtype float64|float32`` picks the compute precision of the
@@ -79,16 +78,12 @@ recorded in ``summary.json``.
 Execution backends (see DESIGN.md, "Execution backends"):
 ``--executor`` picks where sweep tasks run — ``auto`` (default: serial
 for ``--jobs 1``, a local process pool otherwise), ``serial``, ``pool``,
-or ``dispatch``, a multi-host work-stealing file queue under
-``--runs-root`` served by ``repro worker <runs-root>`` processes (on
-this host or on any host mounting the same directory).  On the pool, a
-run of at least as many experiments as workers (two or more) without
-``--task-timeout`` hands each experiment to a worker whole
-(:mod:`repro.engine.suite`).
-``--dispatch-workers N`` forks N local workers for single-host use;
-``--lease-timeout`` bounds how long a silent worker holds a task before
-it is re-issued.  Result bytes are identical on every backend at every
-worker count.
+or ``dispatch``, a file queue under ``--runs-root`` served by
+``--dispatch-workers`` processes (``--jobs`` by default) that the run
+forks and that exit with it.  On the pool, a run of at least as many
+experiments as workers (two or more) without ``--task-timeout`` hands
+each experiment to a worker whole (:mod:`repro.engine.suite`).  Result
+bytes are identical on every backend at every worker count.
 """
 
 from __future__ import annotations
@@ -102,7 +97,7 @@ from pathlib import Path
 
 from repro.backend import DTYPES, BackendConfig
 from repro.engine import chaos, guards
-from repro.engine.executor import resolve_jobs
+from repro.engine.executor import JOBS_CAP, resolve_jobs
 from repro.engine.faults import EXECUTOR_MODES, ON_ERROR_MODES, ExecutionPolicy, RetryPolicy
 from repro.engine.journal import JournalError, RunJournal
 from repro.engine.registry import ExperimentSpec, all_specs, get_spec
@@ -183,22 +178,16 @@ def _build_executor(args):
     by every stage of this invocation (so all stages publish to queues
     under one runs root and reuse the same local workers)."""
     if args.executor != "dispatch":
-        if args.dispatch_workers:
+        if args.dispatch_workers is not None:
             raise SystemExit("--dispatch-workers requires --executor dispatch")
-        if args.dispatch_chunk is not None:
-            raise SystemExit("--dispatch-chunk requires --executor dispatch")
         return args.executor
     from repro.engine.backends import DispatchBackend
 
-    try:
-        return DispatchBackend(
-            args.runs_root,
-            local_workers=args.dispatch_workers,
-            lease_timeout=args.lease_timeout,
-            chunk=args.dispatch_chunk,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+    workers = args.dispatch_workers
+    return DispatchBackend(
+        args.runs_root,
+        local_workers=resolve_jobs(args.jobs) if workers is None else workers,
+    )
 
 
 def _close_executor(policy: ExecutionPolicy) -> None:
@@ -348,10 +337,10 @@ def _cmd_run(args) -> int:
             "--trace/--metrics/--profile write their files into the run "
             "directory; pass --out DIR alongside them"
         )
-    # The event bus lives under the *runs root* (not --out) so that
-    # dispatch workers on other hosts append to the same directory and
-    # `repro top`/`repro tail` see the whole fleet.  --monitor with --out
-    # also collects metrics, for the live metrics.prom snapshot.
+    # The event bus lives under the *runs root* (not --out), next to the
+    # dispatch queues, where `repro top`/`repro tail` find every process
+    # of the run.  --monitor with --out also collects metrics, for the
+    # live metrics.prom snapshot.
     run = _build_run(
         args,
         metrics=bool(args.metrics or (args.monitor and out_dir is not None)),
@@ -458,29 +447,11 @@ def _cmd_run_scoped(args, run: RunContext, out_dir, journal, policy) -> int:
     return 0
 
 
-def _cmd_worker(args) -> int:
-    """Body of ``repro worker``: steal and execute dispatch tasks."""
-    from repro.engine.backends.dispatch import worker_loop
-
-    try:
-        return worker_loop(
-            args.runs_root,
-            name=args.name,
-            poll=args.poll,
-            max_idle=args.max_idle,
-            heartbeat=args.heartbeat,
-        )
-    except KeyboardInterrupt:
-        return 130
-
-
 def _cmd_doctor(args) -> int:
     """Body of ``repro doctor``: audit (and repair) a runs root."""
     from repro.engine.doctor import diagnose
 
-    report = diagnose(
-        args.runs_root, repair=args.repair, stale_after=args.stale_after
-    )
+    report = diagnose(args.runs_root, repair=args.repair)
     print(json.dumps(report, indent=2))
     return 1 if report["unrepaired"] else 0
 
@@ -566,59 +537,44 @@ def _cmd_report(args) -> int:
     return 1 if failures else 0
 
 
-def _jobs_arg(value: str) -> int:
-    try:
-        jobs = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"jobs must be an integer, got {value!r}")
-    try:
-        resolve_jobs(jobs)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return jobs
+# Argument types.  argparse names the flag in front of each message
+# ("argument --seed: must be >= 0, got -1"), so a message states only
+# the constraint.
 
 
-def _retries_arg(value: str) -> int:
-    try:
-        retries = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"retries must be an integer, got {value!r}")
-    if retries < 1:
-        raise argparse.ArgumentTypeError(f"retries must be >= 1, got {retries}")
-    return retries
+def _int_in(low: int, high: "int | None" = None, hint: str = ""):
+    """An argparse type: an integer in ``[low, high]`` (``high=None``: no
+    upper bound); ``hint`` follows the range in the error message."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {value!r}")
+        if number < low or (high is not None and number > high):
+            bound = f">= {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}{hint}, got {number}")
+        return number
+
+    return parse
 
 
-def _timeout_arg(value: str) -> float:
-    try:
-        seconds = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"timeout must be a number, got {value!r}")
-    if seconds <= 0:
-        raise argparse.ArgumentTypeError(f"timeout must be positive, got {value}")
-    return seconds
-
-
-def _period_arg(value: str) -> float:
-    """A seconds period where 0 means "disabled" (unlike _timeout_arg)."""
+def _positive_seconds(value: str) -> float:
     try:
         seconds = float(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"period must be a number, got {value!r}")
-    if seconds < 0:
-        raise argparse.ArgumentTypeError(
-            f"period must be >= 0 (0 disables), got {value}"
-        )
+        raise argparse.ArgumentTypeError(f"must be a number, got {value!r}")
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return seconds
 
 
-def _topk_arg(value: str) -> int:
-    try:
-        k = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"topk must be an integer, got {value!r}")
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"topk must be >= 1, got {k}")
-    return k
+_jobs_arg = _int_in(
+    0, JOBS_CAP, " (0 = every core; the sanity cap is max(64, 4 x CPU count))"
+)
+_count_arg = _int_in(1)
+_workers_arg = _int_in(1, JOBS_CAP)
+_seed_arg = _int_in(0)
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -627,7 +583,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         help="quick (default) or verbatim paper parameters",
     )
     parser.add_argument(
-        "--seed", type=int, default=None,
+        "--seed", type=_seed_arg, default=None,
         help="override the experiment's root seed",
     )
     parser.add_argument(
@@ -652,17 +608,17 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "skip, or retry with exponential backoff",
     )
     parser.add_argument(
-        "--retries", type=_retries_arg, default=3, metavar="N",
+        "--retries", type=_count_arg, default=3, metavar="N",
         help="max attempts per task under --on-error retry (default 3)",
     )
     parser.add_argument(
-        "--quarantine-after", type=_retries_arg, default=3, metavar="K",
+        "--quarantine-after", type=_count_arg, default=3, metavar="K",
         help="quarantine a task after it kills its worker K times "
         "(default 3): it settles as a structured failure instead of "
         "being re-issued forever, so the rest of the sweep completes",
     )
     parser.add_argument(
-        "--task-timeout", type=_timeout_arg, default=None, metavar="SECONDS",
+        "--task-timeout", type=_positive_seconds, default=None, metavar="SECONDS",
         help="wall-clock budget per sweep task (process backend only)",
     )
     parser.add_argument(
@@ -676,34 +632,21 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "exact; float32 trades documented tolerances for speed)",
     )
     parser.add_argument(
-        "--topk", type=_topk_arg, default=None, metavar="K",
+        "--topk", type=_count_arg, default=None, metavar="K",
         help="keep only the K strongest interferers per receiver (sparse "
         "gain matrices for large n; default dense/exact)",
     )
     parser.add_argument(
-        "--executor", choices=EXECUTOR_MODES, default="auto",
+        "--executor", choices=(*EXECUTOR_MODES, "dispatch"), default="auto",
         help="where sweep tasks run: auto (default; serial for --jobs 1, "
         "a local process pool otherwise), serial, pool, or dispatch — a "
-        "work-stealing queue under --runs-root served by 'repro worker' "
-        "processes, possibly on other hosts (identical result bytes on "
-        "every backend)",
+        "file queue under --runs-root served by worker processes this run "
+        "forks (identical result bytes on every backend)",
     )
     parser.add_argument(
-        "--dispatch-workers", type=int, default=0, metavar="N",
-        help="with --executor dispatch: also fork N local worker "
-        "processes from this one for the duration of the run (default 0 "
-        "= rely on externally started 'repro worker' processes)",
-    )
-    parser.add_argument(
-        "--dispatch-chunk", type=int, default=None, metavar="K",
-        help="with --executor dispatch: tasks per claimed work unit "
-        "(default: auto-sized from task and worker counts; results are "
-        "identical for every chunk size)",
-    )
-    parser.add_argument(
-        "--lease-timeout", type=_timeout_arg, default=10.0, metavar="SECONDS",
-        help="with --executor dispatch: re-issue a claimed task whose "
-        "worker has not heartbeat for this long (default 10)",
+        "--dispatch-workers", type=_workers_arg, default=None, metavar="N",
+        help="with --executor dispatch: the number of worker processes "
+        "to fork (default: --jobs); they exit with the run",
     )
     parser.add_argument(
         "--runs-root", default=DEFAULT_RUNS_ROOT, metavar="DIR",
@@ -747,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--monitor", action="store_true",
-        help="append live structured events (task lifecycle, leases, "
+        help="append live structured events (task lifecycle, "
         "heartbeats, faults) under <runs-root>/events/ for repro "
         "top/tail, and refresh a metrics.prom OpenMetrics snapshot in "
         "--out during the run; never changes result bytes",
@@ -761,38 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a journaled run's completed tasks and execute the rest",
     )
     run_p.set_defaults(func=_cmd_run)
-
-    worker_p = sub.add_parser(
-        "worker",
-        help="serve dispatch queues under a runs root (start one per "
-        "core, on any host sharing the directory)",
-    )
-    worker_p.add_argument(
-        "runs_root",
-        help="the shared --runs-root directory dispatch runs publish "
-        "their task queues under",
-    )
-    worker_p.add_argument(
-        "--name", default=None, metavar="NAME",
-        help="worker identity on leases and task spans "
-        "(default <hostname>-<pid>)",
-    )
-    worker_p.add_argument(
-        "--poll", type=_timeout_arg, default=0.1, metavar="SECONDS",
-        help="idle queue-scan interval (default 0.1)",
-    )
-    worker_p.add_argument(
-        "--max-idle", type=_timeout_arg, default=None, metavar="SECONDS",
-        help="exit after this long with no work (default: serve forever)",
-    )
-    worker_p.add_argument(
-        "--heartbeat", type=_period_arg,
-        default=obs_events.DEFAULT_HEARTBEAT_PERIOD, metavar="SECONDS",
-        help="period of liveness events (host/pid/RSS/tasks-per-second) "
-        "on the runs root's event bus, once a monitored run creates it "
-        f"(default {obs_events.DEFAULT_HEARTBEAT_PERIOD:g}; 0 disables)",
-    )
-    worker_p.set_defaults(func=_cmd_worker)
 
     top_p = sub.add_parser(
         "top",
@@ -808,11 +719,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a single frame and exit (for scripts and CI)",
     )
     top_p.add_argument(
-        "--interval", type=_timeout_arg, default=2.0, metavar="SECONDS",
+        "--interval", type=_positive_seconds, default=2.0, metavar="SECONDS",
         help="refresh period (default 2)",
     )
     top_p.add_argument(
-        "--stale-after", type=_timeout_arg, default=10.0, metavar="SECONDS",
+        "--stale-after", type=_positive_seconds, default=10.0, metavar="SECONDS",
         help="heartbeat silence before a worker is flagged STALE "
         "(default 10)",
     )
@@ -832,15 +743,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep polling for new events until interrupted",
     )
     tail_p.add_argument(
-        "--interval", type=_timeout_arg, default=0.5, metavar="SECONDS",
+        "--interval", type=_positive_seconds, default=0.5, metavar="SECONDS",
         help="poll period under --follow (default 0.5)",
     )
     tail_p.set_defaults(func=_cmd_tail)
 
     doc_p = sub.add_parser(
         "doctor",
-        help="audit a runs root for stale leases, orphaned claims, torn "
-        "records, and incomplete runs; --repair puts it right",
+        help="audit a runs root for dead dispatch queues, torn records, "
+        "and incomplete runs; --repair puts it right",
     )
     doc_p.add_argument(
         "runs_root", nargs="?", default=DEFAULT_RUNS_ROOT,
@@ -848,13 +759,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     doc_p.add_argument(
         "--repair", action="store_true",
-        help="release dead leases, re-queue orphaned claims, and "
-        "quarantine corrupt records into corrupt/ (default: report only)",
-    )
-    doc_p.add_argument(
-        "--stale-after", type=_timeout_arg, default=60.0, metavar="SECONDS",
-        help="age of heartbeat silence before a lease counts as stale "
-        "(default 60; keep it well above the run's --lease-timeout)",
+        help="delete dead dispatch queues and quarantine corrupt records "
+        "into corrupt/ (default: report only)",
     )
     doc_p.set_defaults(func=_cmd_doctor)
 

@@ -8,8 +8,8 @@ The engine is the layer between the experiment drivers and the CLI:
   hand-maintaining a table.
 * :mod:`repro.engine.executor` — a ``map_tasks`` abstraction over
   pluggable execution backends (:mod:`repro.engine.backends`): serial,
-  process-pool, and a multi-host work-stealing dispatcher served by
-  ``repro worker`` processes.  Each task carries a child
+  process-pool, and a file-queue dispatcher served by the worker
+  processes it forks.  Each task carries a child
   :class:`numpy.random.SeedSequence` spawned from the experiment's root
   seed, so every backend at every worker count produces bit-identical
   results.

@@ -9,20 +9,21 @@ the :class:`ExecutionBackend` protocol:
   reference implementation every other backend must match byte-for-byte;
 * :class:`ProcessPoolBackend` — a local
   :class:`~concurrent.futures.ProcessPoolExecutor` fleet;
-* :class:`DispatchBackend` — a multi-host work-stealing file queue
-  served by ``repro worker`` processes.
+* :class:`DispatchBackend` — a file queue served by worker processes
+  it forks itself.
 
-:func:`resolve_executor` maps the ``--executor`` vocabulary (``auto`` /
-``serial`` / ``pool`` / ``dispatch``, or an already-constructed backend
-instance) to a backend; ``auto`` preserves the historical behaviour of
-picking serial for ``jobs <= 1`` or single-task sweeps and the pool
-otherwise.
+:func:`resolve_executor` maps an executor mode (``auto`` / ``serial`` /
+``pool``) or an already-constructed backend instance to a backend;
+``auto`` preserves the historical behaviour of picking serial for
+``jobs <= 1`` or single-task sweeps and the pool otherwise.  Dispatch
+has no mode string: it is always a configured instance, which the CLI
+builds for ``--executor dispatch``.
 """
 
 from __future__ import annotations
 
 from repro.engine.backends.base import ExecutionBackend, RunState
-from repro.engine.backends.dispatch import DispatchBackend, worker_loop
+from repro.engine.backends.dispatch import DispatchBackend
 from repro.engine.backends.pool import ProcessPoolBackend
 from repro.engine.backends.serial import SerialBackend
 from repro.engine.faults import EXECUTOR_MODES
@@ -34,7 +35,6 @@ __all__ = [
     "RunState",
     "SerialBackend",
     "resolve_executor",
-    "worker_loop",
 ]
 
 
@@ -64,8 +64,7 @@ def resolve_executor(choice, n_jobs: int, n_pending: int) -> ExecutionBackend:
         return SerialBackend()
     if choice == "pool":
         return ProcessPoolBackend()
-    if choice == "dispatch":
-        return DispatchBackend()
     raise ValueError(
-        f"executor must be one of {EXECUTOR_MODES}, got {choice!r}"
+        f"executor must be one of {EXECUTOR_MODES} or an ExecutionBackend "
+        f"instance (such as a DispatchBackend), got {choice!r}"
     )

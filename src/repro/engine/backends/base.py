@@ -69,7 +69,7 @@ __all__ = [
 _WORKER_CONTEXT: Any = None
 
 #: Identity of this worker process on task spans (``None`` in the main
-#: process; ``pool-<pid>`` in pool workers; the ``repro worker`` name in
+#: process; ``pool-<pid>`` in pool workers; ``local-<pid>-<slot>`` in
 #: dispatch workers).
 _WORKER_NAME: "str | None" = None
 

@@ -8,16 +8,16 @@ every recovery path of the engine exercisable on demand.  A
 * ``kind="exit"`` — the worker process dies hard (``os._exit``),
   breaking the process pool (in the main process this downgrades to a
   :class:`ChaosError` so a serial fallback never kills the run itself,
-  and so it does in a declared dispatch worker, however it was started:
-  there the fault is a task error that a retry absorbs);
+  and so it does in a declared dispatch worker: there the fault is a
+  task error that a retry absorbs);
 * ``kind="hang"`` — the task sleeps past any reasonable wall-clock
   budget, exercising the executor's timeout path;
-* ``kind="worker-lost"`` — the process dies hard *while holding a task
-  lease*: in a dispatch worker (a process that called
-  :func:`declare_worker_process`, i.e. ``repro worker``) or a pool
-  worker this is ``os._exit``, leaving the claimed task's lease to go
-  stale so the dispatcher's re-issue path is exercised; in a main
-  process it downgrades to a :class:`ChaosError`;
+* ``kind="worker-lost"`` — the process dies hard *while holding a
+  task*: in a dispatch worker (a process that called
+  :func:`declare_worker_process`) or a pool worker this is
+  ``os._exit``, leaving its claim behind so that the dispatcher's or the
+  pool's re-issue path is exercised; in a main process it downgrades to
+  a :class:`ChaosError`;
 * ``kind="nan"`` — a numerical kernel's output array is corrupted with
   NaNs at chosen link positions, exercising the
   :mod:`~repro.engine.guards` layer;
@@ -110,7 +110,6 @@ FAULT_SITES = (
     "journal.status",
     "journal.failures",
     "journal.crashes",
-    "journal.lease",
     "dispatch.queue",
     "dispatch.todo",
     "dispatch.result",
@@ -342,8 +341,8 @@ class ChaosPlan:
 #: The (stage, index, experiment) of the task currently executing in
 #: this process.
 _CURRENT_TASK: "tuple[str, int, str | None] | None" = None
-#: Whether this process declared itself a dispatch worker (``repro
-#: worker``) — the target population of ``worker-lost`` faults.
+#: Whether this process declared itself a dispatch worker — the
+#: target population of ``worker-lost`` faults.
 _WORKER_PROCESS = False
 
 
@@ -431,9 +430,8 @@ def _fire_task_fault(kind: str, stage: str, index: int,
         if _WORKER_PROCESS or multiprocessing.parent_process() is None:
             # Hard-killing the main process would take the harness
             # down with the fault; degrade to an ordinary crash.  A
-            # dispatch worker gets the same treatment whether it runs
-            # as its own process or was forked by the dispatcher:
-            # ``worker-lost`` is the fault that kills it.
+            # dispatch worker gets the same treatment: ``worker-lost``
+            # is the fault that kills it.
             where = "a dispatch worker" if _WORKER_PROCESS else "the main process"
             raise ChaosError(
                 f"injected worker death in task {index} (stage {stage!r}) "
@@ -441,10 +439,8 @@ def _fire_task_fault(kind: str, stage: str, index: int,
             )
         os._exit(43)
     if kind == "worker-lost":
-        # Kill any kind of worker — a dispatch worker (its own
-        # top-level process, so ``exit`` would not reach it) dies
-        # holding its task lease, which is exactly the stale-lease
-        # shape the dispatcher's re-issue path recovers from.
+        # Kill any kind of worker: a dispatch worker dies holding its
+        # claim, which the dispatcher re-issues once it sees the exit.
         if _WORKER_PROCESS or multiprocessing.parent_process() is not None:
             os._exit(44)
         raise ChaosError(

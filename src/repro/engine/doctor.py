@@ -1,25 +1,23 @@
 """Run-state doctor — audit (and repair) a runs root after an incident.
 
-A messy multi-host incident — dispatch workers OOM-killed, a dispatcher
-host rebooted, a disk filled mid-checkpoint — leaves debris under the
-runs root: leases whose worker will never heartbeat again, claimed
-queue files no worker owns, torn journal records, stage directories
-holding indices the current config cannot produce, and runs whose
-``status.json`` never said "complete".  None of that debris is
+An incident — a dispatcher killed before it could close its queue, a
+disk filled mid-checkpoint — leaves debris under the runs root: dispatch
+queues that no worker will serve again, torn journal records, stage
+directories holding indices the current config cannot produce, and runs
+whose ``status.json`` never said "complete".  None of that debris is
 individually fatal (every reader tolerates it), but it hides real
 state: ``repro doctor <runs-root>`` makes it visible, and with
 ``--repair`` puts it right.
 
 Findings (each a ``{kind, path, detail, repaired}`` record):
 
-``stale-lease``
-    A ``lease-*.json`` whose mtime (the worker's heartbeat) is older
-    than ``--stale-after`` seconds.  Repair: delete the lease — the
-    worker is dead, and a fresh claim must not inherit its heartbeat.
-``orphaned-claim``
-    A claimed work unit with no live lease: its worker died between
-    claiming and heartbeating.  Repair: rename the unit back into
-    ``todo/`` so a live worker (or a future dispatcher) can steal it.
+``dead-queue``
+    A dispatch queue whose dispatcher process (the pid its
+    ``manifest.json`` records, or that leads the id of a queue still
+    without one) is gone.
+    Only the dispatcher's own workers serve a queue, and they exit with
+    it, so nothing will ever finish or close it.  Repair: delete the
+    queue.
 ``corrupt-record``
     A journal ``task-*.json`` that fails parsing or its SHA-256
     checksum (a torn write).  Repair: quarantine the file into the run
@@ -44,18 +42,13 @@ import base64
 import hashlib
 import json
 import os
-import time
+import shutil
 from pathlib import Path
 from typing import Any
 
 from repro.obs import metrics as _metrics
 
 __all__ = ["diagnose", "iter_jsonl", "read_json"]
-
-#: Default seconds of heartbeat silence before a lease counts as stale —
-#: generous next to the dispatcher's 10 s lease timeout, so the doctor
-#: never races a live run.
-DEFAULT_STALE_AFTER = 60.0
 
 _RECORD_FORMAT = "repro-journal-record"
 
@@ -199,68 +192,41 @@ def _audit_run(run_dir: Path, repair: bool) -> "list[dict[str, Any]]":
     return findings
 
 
-def _audit_queue(
-    qdir: Path, stale_after: float, repair: bool
-) -> "list[dict[str, Any]]":
-    findings: "list[dict[str, Any]]" = []
-    now = time.time()
-    stale: "set[int]" = set()
-    leases_dir = qdir / "leases"
-    if leases_dir.is_dir():
-        for lease in sorted(leases_dir.glob("lease-*.json")):
-            try:
-                age = now - lease.stat().st_mtime
-                index = int(lease.stem.split("-", 1)[1])
-            except (OSError, ValueError):
-                continue
-            if age <= stale_after:
-                continue
-            stale.add(index)
-            finding = _finding(
-                "stale-lease",
-                lease,
-                f"no heartbeat for {age:.0f}s (> {stale_after:g}s) — "
-                "its worker is gone",
-            )
-            if repair:
-                try:
-                    lease.unlink()
-                    finding["repaired"] = True
-                except OSError:
-                    pass
-            findings.append(finding)
-    claimed_dir = qdir / "claimed"
-    if claimed_dir.is_dir():
-        for claim in sorted(claimed_dir.glob("task-*.pkl")):
-            try:
-                head = int(claim.name.split("-")[1])
-            except (ValueError, IndexError):
-                continue
-            lease = leases_dir / f"lease-{head:06d}.json"
-            if lease.is_file() and head not in stale:
-                continue  # a live worker holds it
-            finding = _finding(
-                "orphaned-claim",
-                claim,
-                f"claimed work unit {head} has no live lease — its worker "
-                "died between claim and heartbeat",
-            )
-            if repair:
-                try:
-                    os.replace(claim, qdir / "todo" / claim.name)
-                    finding["repaired"] = True
-                except OSError:
-                    pass
-            findings.append(finding)
-    return findings
+def _alive(pid: Any) -> bool:
+    """Whether ``pid`` names a process that exists (a pid reused since
+    reads as alive, so a live queue is never taken for dead)."""
+    if not isinstance(pid, int) or pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:
+        pass  # it exists, under another user
+    return True
 
 
-def diagnose(
-    runs_root,
-    *,
-    repair: bool = False,
-    stale_after: float = DEFAULT_STALE_AFTER,
-) -> "dict[str, Any]":
+def _audit_queue(qdir: Path, repair: bool) -> "list[dict[str, Any]]":
+    # A queue still being published has no manifest yet; its id starts
+    # with the dispatcher's pid, so a live one is never taken for dead.
+    head = qdir.name.split("-", 1)[0]
+    pid = (read_json(qdir / "manifest.json") or {}).get(
+        "dispatcher", int(head) if head.isdigit() else None
+    )
+    if _alive(pid):
+        return []
+    finding = _finding(
+        "dead-queue",
+        qdir,
+        f"its dispatcher (pid {pid}) is gone; no worker will serve it again",
+    )
+    if repair:
+        shutil.rmtree(qdir, ignore_errors=True)
+        finding["repaired"] = not qdir.exists()
+    return [finding]
+
+
+def diagnose(runs_root, *, repair: bool = False) -> "dict[str, Any]":
     """Audit every run directory and dispatch queue under ``runs_root``.
 
     Returns the machine-readable report: scanned-entity counts, the
@@ -283,7 +249,7 @@ def diagnose(
         if queues_root.is_dir():
             for qdir in sorted(p for p in queues_root.iterdir() if p.is_dir()):
                 queues += 1
-                findings.extend(_audit_queue(qdir, stale_after, repair))
+                findings.extend(_audit_queue(qdir, repair))
     repairs = sum(1 for f in findings if f["repaired"])
     if repairs:
         _metrics.add("doctor.repairs", repairs)

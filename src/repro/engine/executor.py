@@ -8,8 +8,9 @@ list of :class:`Task` objects mapped through a pure task function with
 * **serial** — a plain loop in the calling process (the reference
   implementation);
 * **pool** — a local :class:`concurrent.futures.ProcessPoolExecutor`;
-* **dispatch** — a multi-host work-stealing file queue served by
-  ``repro worker`` processes sharing a runs root;
+* **dispatch** — a file queue under a runs root, served by worker
+  processes the backend forks (a configured
+  :class:`~repro.engine.backends.DispatchBackend` instance);
 * **auto** (the default) — serial for ``jobs <= 1`` or single-task
   sweeps, the pool otherwise (the historical behaviour).
 
@@ -20,8 +21,7 @@ seed) or streams re-derived inside the worker from seeds in the payload
 (e.g. via :class:`repro.utils.rng.RngFactory`).  Results are settled in
 task order regardless of completion order, and aggregation happens in
 that fixed order, so any backend at any worker count — including
-workers on other hosts, including workers that die mid-task — produces
-bit-identical results.
+workers that die mid-task — produces bit-identical results.
 
 Shared read-only state (a config, a generated network list, a channel
 spec) can be passed once per worker through ``map_tasks(..., context=...)``
@@ -171,9 +171,8 @@ def map_tasks(
     """Apply ``fn`` to every task, returning results in task order.
 
     ``fn`` must be a module-level function and each task payload
-    picklable when a process backend runs it (for the dispatch backend
-    ``fn`` must additionally be importable on the worker hosts — it is
-    pickled by reference).
+    picklable when a process backend runs it (``fn`` is pickled by
+    reference).
 
     ``context`` is shared read-only state shipped **once per worker**
     (with the run context) rather than pickled into every task;
@@ -183,8 +182,9 @@ def map_tasks(
 
     ``executor`` picks the backend: one of the
     :data:`~repro.engine.faults.EXECUTOR_MODES` strings (``"auto"``,
-    ``"serial"``, ``"pool"``, ``"dispatch"``) or a configured
-    :class:`~repro.engine.backends.ExecutionBackend` instance.  The
+    ``"serial"``, ``"pool"``) or a configured
+    :class:`~repro.engine.backends.ExecutionBackend` instance such as a
+    :class:`~repro.engine.backends.DispatchBackend`.  The
     default defers to the ambient policy and falls back to ``"auto"``
     — serial for ``jobs <= 1`` or single-task sweeps, the process pool
     otherwise.

@@ -46,11 +46,12 @@ __all__ = [
 #: Valid ``on_error`` settings for :func:`~repro.engine.executor.map_tasks`.
 ON_ERROR_MODES = ("raise", "skip", "retry")
 
-#: Valid ``--executor`` mode strings (``auto`` keeps the historical
-#: jobs-based choice between serial and pool).  Lives here rather than
-#: in :mod:`repro.engine.backends` so the policy layer never imports
+#: Valid executor mode strings (``auto`` keeps the historical jobs-based
+#: choice between serial and pool).  The dispatch backend has none: it
+#: is always a configured instance.  Lives here rather than in
+#: :mod:`repro.engine.backends` so the policy layer never imports
 #: backend machinery.
-EXECUTOR_MODES = ("auto", "serial", "pool", "dispatch")
+EXECUTOR_MODES = ("auto", "serial", "pool")
 
 
 @dataclass(frozen=True)
@@ -205,8 +206,9 @@ class ExecutionPolicy:
     journal: "RunJournal | None" = None
     report: RunReport = field(default_factory=RunReport)
     #: ``--executor`` choice: a mode string from :data:`EXECUTOR_MODES`,
-    #: or a configured ExecutionBackend instance (e.g. one
-    #: DispatchBackend shared by every stage of a run).
+    #: or a configured ExecutionBackend instance (e.g. the one
+    #: DispatchBackend shared by every stage of a ``--executor dispatch``
+    #: run).
     executor: Any = "auto"
     #: Poison-task circuit breaker (``--quarantine-after``): a task that
     #: kills its worker this many times is quarantined — settled as a

@@ -23,17 +23,6 @@ id, stage = the driver's ``map_tasks`` stage name), which is what makes
 the journal valid only for the exact sweep shape it was created with;
 :meth:`RunJournal.load_stage` rejects records beyond the current task
 count rather than silently mixing two configurations.
-
-Since the dispatch backend, the journal module is also the home of the
-dispatcher's *shared ledger* of in-flight work: a :class:`LeaseLedger`
-holds one lease record per claimed task (who claimed it, which attempt)
-whose file mtime doubles as the worker's heartbeat.  Workers — possibly
-on other hosts sharing the runs root — touch their lease while a task
-executes; the dispatcher watches for heartbeats that stop moving and
-re-issues a dead worker's tasks.  Lease records live next to the
-journal's checkpoint records, so one run directory tells the whole
-story: what finished (``stages/``), what failed (``failures.jsonl``),
-and what was in flight when a worker disappeared (``leases/``).
 """
 
 from __future__ import annotations
@@ -41,7 +30,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import os
 import pickle
 import re
 import warnings
@@ -57,7 +45,7 @@ from repro.utils.atomic import atomic_write_text, exhaustion_kind
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.faults import TaskFailure
 
-__all__ = ["JournalError", "LeaseLedger", "RunJournal"]
+__all__ = ["JournalError", "RunJournal"]
 
 _RECORD_FORMAT = "repro-journal-record"
 _RECORD_VERSION = 1
@@ -73,87 +61,6 @@ def _sanitize(name: str) -> str:
     if not safe:
         raise JournalError(f"unusable stage/run name {name!r}")
     return safe
-
-
-class LeaseLedger:
-    """Lease + heartbeat records for tasks claimed by dispatch workers.
-
-    One JSON file per in-flight task index, written atomically by the
-    claiming worker and removed when the task's result lands.  The
-    file's **mtime is the heartbeat**: the worker touches its lease
-    every few seconds while the task executes, and the dispatcher —
-    which never trusts cross-host clocks — re-issues a task whose lease
-    mtime has not moved for the lease timeout (measured on the
-    dispatcher's own monotonic clock).
-    """
-
-    def __init__(self, directory):
-        self.directory = Path(directory)
-        self._degraded = _events.DegradedWrites("journal.degraded_writes")
-
-    def _path(self, index: int) -> Path:
-        return self.directory / f"lease-{int(index):06d}.json"
-
-    def claim(self, index: int, attempt: int, worker: str) -> None:
-        """Record that ``worker`` holds attempt ``attempt`` of a task.
-
-        Best effort: a claim that cannot be written (full disk,
-        read-only filesystem) degrades to a warning instead of killing
-        the worker — the dispatcher then sees no heartbeat and recovers
-        through its ordinary re-issue path, which is strictly better
-        than losing the worker process to an ``ENOSPC``.
-        """
-        doc = {"index": int(index), "attempt": int(attempt), "worker": str(worker)}
-        try:
-            chaos.on_write("journal.lease", index=index)
-            self.directory.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(self._path(index), json.dumps(doc))
-        except OSError as exc:
-            self._degraded.absorb(
-                exc,
-                f"cannot write lease records under {self.directory} "
-                f"({exc}); continuing without leases — tasks will be "
-                "recovered via re-issue instead of heartbeats",
-                what="lease",
-                stacklevel=2,
-            )
-            return
-        _metrics.add("journal.leases")
-        _events.emit("lease-claim", index=int(index), attempt=int(attempt),
-                     worker=str(worker))
-
-    def heartbeat(self, index: int) -> None:
-        """Touch the lease so its mtime shows the worker is alive."""
-        try:
-            os.utime(self._path(index))
-        except OSError:  # released concurrently; nothing to prove
-            pass
-
-    def release(self, index: int) -> None:
-        """Remove the lease record (the task settled or was re-issued)."""
-        try:
-            self._path(index).unlink()
-        except OSError:
-            pass
-
-    def load(self, index: int) -> "dict[str, Any] | None":
-        """The lease record of a task, or ``None`` when unclaimed.
-
-        A torn or garbled lease (the writer died mid-rename, the disk
-        filled, cosmic rays) reads as "unclaimed" — ``ValueError``
-        covers both bad JSON and bytes that are not UTF-8 at all.
-        """
-        try:
-            return json.loads(self._path(index).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-
-    def mtime(self, index: int) -> "float | None":
-        """The lease file's mtime (the last heartbeat), or ``None``."""
-        try:
-            return self._path(index).stat().st_mtime
-        except OSError:
-            return None
 
 
 class RunJournal:

@@ -11,8 +11,8 @@ are sinks a run writes into:
 * :mod:`repro.obs.profile` — optional per-stage cProfile dumps.
 * :mod:`repro.obs.events` — the live JSONL event bus a monitored run
   (``--monitor``) appends under ``<runs-root>/events/``: task
-  lifecycle, lease grants, re-issues, quarantines, degraded writes,
-  chaos faults, worker heartbeats.
+  lifecycle, re-issues, quarantines, degraded writes, chaos faults,
+  worker heartbeats.
 
 Three read what a run left behind:
 
@@ -42,7 +42,6 @@ bytes to keep it that way.
 
 from __future__ import annotations
 
-import socket
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -79,10 +78,6 @@ __all__ = [
 #: File names a telemetry-enabled run writes into its run directory.
 TRACE_FILENAME = "trace.jsonl"
 METRICS_FILENAME = "metrics.json"
-
-#: This host: spans captured on it were timed on this ``perf_counter``
-#: clock, so they are stitched in at their measured times.
-HOST = socket.gethostname()
 
 
 @dataclass
@@ -145,7 +140,7 @@ def current() -> Telemetry:
 
 def shed() -> None:
     """Drop what a forked worker inherited from the process it was
-    forked from, so it starts as a freshly started ``repro worker``:
+    forked from, so that it starts as a fresh process would:
 
     * the event bus: its writes would land in the parent's file under
       the parent's identity;
@@ -209,24 +204,23 @@ class Captured:
     #: A :class:`~repro.obs.trace.SpanCollector` buffer (empty when the
     #: spans were emitted in place, or nothing traced them).
     spans: "list[dict[str, Any]]" = field(default_factory=list)
-    #: The collector's epoch, on the ``perf_counter`` clock of ``host``.
+    #: The collector's epoch, on the ``perf_counter`` clock that every
+    #: process on the host shares.
     epoch: float = 0.0
     seconds: float = 0.0
     worker: "str | None" = None
     #: Profile dumps written into the installed directory.
     profiles: "list[str]" = field(default_factory=list)
-    host: str = HOST
 
     def adopt(self) -> None:
         """Fold this record into this process's sinks: merge the metrics
         under the current prefix, stitch the spans under the open span
-        (at their measured times when they were measured on this host),
-        and count the profile dumps."""
+        at their measured times, and count the profile dumps."""
         registry = _metrics._REGISTRY
         if registry is not None and self.metrics is not None:
             registry.merge(self.metrics, _metrics._PREFIX.rstrip("/"))
         if self.spans:
-            _trace.emit_subtree(self.spans, self.epoch if self.host == HOST else None)
+            _trace.emit_subtree(self.spans, self.epoch)
         _profile._DUMPED.extend(self.profiles)
 
 

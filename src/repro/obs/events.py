@@ -2,20 +2,21 @@
 
 Spans and metrics (PR 5) answer questions *after* a run; the event bus
 answers them *while* the run is alive.  Every interesting state change —
-task lifecycle, lease grants, re-issues, quarantines, degraded writes,
-chaos faults, worker heartbeats — is appended as one JSON line to a
-file under ``<runs-root>/events/``::
+task lifecycle, re-issues, quarantines, degraded writes, chaos faults,
+worker heartbeats — is appended as one JSON line to a file under
+``<runs-root>/events/``::
 
     <runs-root>/events/run-<host>-<pid>.jsonl      # dispatcher / CLI
-    <runs-root>/events/worker-<name>.jsonl         # each repro worker
+    <runs-root>/events/worker-<name>.jsonl         # each dispatch worker
+    <runs-root>/events/worker-<host>-<pid>.jsonl   # each pool worker
 
 Each *process* owns exactly one file (append-only, one ``write()`` per
 line), so no cross-process interleaving can tear a record; readers
 (``repro top``, ``repro tail``) merge the per-source files by the
 ``ts`` wall-clock field and tolerate a torn final line, exactly like
-the doctor's journal readers.  There are no sockets and no server —
-any host that mounts the runs root can both write and watch, which is
-the same multi-host contract as the dispatch queue itself.
+the doctor's journal readers.  There are no sockets and no server:
+every process of a run writes, and any process can watch, through the
+files alone.
 
 The layer inherits the obs invariants wholesale:
 
@@ -25,13 +26,12 @@ The layer inherits the obs invariants wholesale:
 * **Never takes the run down.**  A full or read-only filesystem
   degrades event writes to a once-warned counter
   (``events.degraded_writes``), the same :class:`DegradedWrites` policy
-  the trace writer, the journal, its leases and the ``metrics.prom``
-  snapshot follow.
+  the trace writer, the journal and the ``metrics.prom`` snapshot
+  follow.
 
 Wall-clock timestamps are deliberate: events are *not* trace spans, and
-operators correlating a fleet need "when" in human time.  Cross-host
-clock skew therefore skews ``repro tail`` ordering at worst — never
-correctness, because nothing in the engine consumes event timestamps.
+an operator reading ``repro tail`` needs "when" in human time.  Nothing
+in the engine consumes event timestamps.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class DegradedWrites:
     read-only filesystem must not take a run, a worker or the dispatcher
     down; ``repro stats`` sums the counters.  A write that names
     ``what`` it lost also emits a ``degraded-write`` event — the journal
-    and its leases do; the event bus's own file never does, so a failing
+    does; the event bus's own file never does, so a failing
     bus does not write about itself.  A writer on a thread of its own
     passes the ``registry`` it serves: the installed one follows what
     the main thread runs (an experiment's prefix, a task's capture).
@@ -248,10 +248,10 @@ def ensure_bus(directory, role: str = "proc") -> EventBus:
     """Idempotently give this process a bus under ``directory``.
 
     Used by :func:`~repro.engine.backends.base.adopt_run`:
-    a dispatch worker that already opened its own named bus (in
-    ``worker_loop``) keeps it; a pool worker gets a fresh one keyed by
-    its pid.  Re-installing for the same directory is a no-op, so one
-    worker serving many queues of one run keeps appending to one file.
+    a dispatch worker that already opened its own named bus keeps it; a
+    pool worker gets a fresh one keyed by its pid.  Re-installing for
+    the same directory is a no-op, so one worker serving many queues of
+    one run keeps appending to one file.
     The pid check unmasks *fork inheritance*: a bus installed by
     another process (a forked worker that did not shed it) would
     interleave two processes into one file under one identity — such

@@ -4,8 +4,7 @@ Both commands watch a runs root the way the rest of the engine does:
 **files only**.  They merge the per-process event files under
 ``<runs-root>/events/`` (written by :mod:`repro.obs.events`), peek at
 open dispatch-queue directories, and render — no sockets, no server,
-so any host that mounts the shared directory can watch a multi-host
-campaign exactly as it can serve one.
+and nothing shared with the run but its directory.
 
 ``repro top`` is the refreshing dashboard: per-stage progress bars with
 task rates and ETAs, per-worker health (host/pid/RSS/tasks-per-second

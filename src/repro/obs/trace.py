@@ -124,10 +124,10 @@ class SpanCollector:
     *relative to the collector's epoch*, travel back on the
     :class:`~repro.obs.Captured` record, and :func:`emit_subtree`
     re-emits them into the real trace with fresh ids and cross-process
-    parent links.  That is what makes ``--trace`` complete under
-    ``--executor dispatch``: every worker's task spans — persisted
-    per-attempt in the queue's result files — get stitched into one
-    coherent run trace.
+    parent links.  That is what makes ``--trace`` complete on the pool
+    and under ``--executor dispatch``: every worker's task spans —
+    shipped back with each result — get stitched into one coherent run
+    trace.
     """
 
     def __init__(self) -> None:
@@ -154,9 +154,7 @@ _STACK: "list[Span]" = []
 _NEXT_ID = 1
 
 
-def emit_subtree(
-    records: "list[dict[str, Any]]", epoch: "float | None" = None
-) -> None:
+def emit_subtree(records: "list[dict[str, Any]]", epoch: float) -> None:
     """Stitch a worker's collected span subtree into the local trace.
 
     ``records`` is a :class:`SpanCollector` buffer shipped back on a
@@ -164,11 +162,10 @@ def emit_subtree(
     this process's id counter (two workers may both have used id 7),
     and spans whose parent is not in the subtree are grafted under the
     currently open span (the stage span, since settling happens inside
-    the driver's stage block).  Given the collector's ``epoch``, spans
-    are placed at the times they were measured, which holds for a
-    worker on this host: it reads the same ``perf_counter`` clock.
-    Without one (a worker on another host) the subtree is placed so it
-    *ends* at the moment of settling.  No-op untraced.
+    the driver's stage block).  Spans are placed at the times they were
+    measured: the collector's ``epoch`` was read from the
+    ``perf_counter`` clock that every process on the host shares.
+    No-op untraced.
     """
     global _NEXT_ID
     tracer = _TRACER
@@ -179,8 +176,6 @@ def emit_subtree(
     for rec in records:
         idmap[rec["id"]] = _NEXT_ID
         _NEXT_ID += 1
-    if epoch is None:
-        epoch = perf_counter() - max(rec["rel"] + rec["dur"] for rec in records)
     for rec in records:
         parent = rec.get("parent")
         sp = Span(

@@ -11,7 +11,7 @@ temporary alongside the target guarantees.
 :func:`exhaustion_kind` is the shared classifier for the *resource
 exhaustion* family of ``OSError`` — full disk, quota, read-only
 filesystem — which callers that can degrade (journal checkpoints,
-telemetry, lease heartbeats) treat as "warn and carry on" rather than
+telemetry, the dispatch queue) treat as "warn and carry on" rather than
 as fatal: the computation is still correct, it is merely no longer
 being checkpointed.
 """

@@ -66,7 +66,8 @@ class TestResolveExecutor:
     def test_mode_strings(self):
         assert isinstance(resolve_executor("serial", 8, 8), SerialBackend)
         assert isinstance(resolve_executor("pool", 1, 1), ProcessPoolBackend)
-        assert isinstance(resolve_executor("dispatch", 1, 1), DispatchBackend)
+        with pytest.raises(ValueError, match="DispatchBackend"):
+            resolve_executor("dispatch", 1, 1)  # dispatch is always an instance
 
     def test_auto_keeps_the_historical_choice(self):
         assert isinstance(resolve_executor("auto", 1, 8), SerialBackend)
@@ -118,7 +119,7 @@ class TestExecutorSelection:
 
 def _dispatch_backend(tmp_path) -> DispatchBackend:
     return DispatchBackend(
-        tmp_path / "runs", local_workers=2, lease_timeout=5.0, poll=0.02
+        tmp_path / "runs", local_workers=2, poll=0.02
     )
 
 
@@ -206,7 +207,7 @@ class TestCrossBackendParity:
 
         pool_out, pool_counters = leg("pool", "cs-pool", jobs=2)
         backend = DispatchBackend(
-            tmp_path / "runs", local_workers=2, lease_timeout=10.0, poll=0.02
+            tmp_path / "runs", local_workers=2, poll=0.02
         )
         try:
             disp_out, disp_counters = leg(backend, "cs-dispatch")

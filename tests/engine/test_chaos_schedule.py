@@ -30,7 +30,7 @@ from repro.engine.chaos import (
 )
 from repro.engine.executor import Task, make_tasks, map_tasks
 from repro.engine.faults import RetryPolicy
-from repro.engine.journal import LeaseLedger, RunJournal
+from repro.engine.journal import RunJournal
 from repro.obs import Telemetry
 from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
@@ -189,28 +189,30 @@ class TestEnospcDegradation:
         resumed = RunJournal.open(tmp_path / "runs", "r")
         assert resumed.load_stage("e", 4) == {}
 
-    def test_lease_claim_enospc_degrades_with_one_warning(self, tmp_path):
+    def test_degraded_writes_warn_once_and_emit_an_event_each(self, tmp_path):
         _use_chaos(ChaosPlan(
             state_dir=str(tmp_path / "state"),
-            faults=(Fault(kind="enospc", site="journal.lease", once=False),),
+            faults=(Fault(kind="enospc", site="journal.crashes", once=False),),
         ))
-        reg, bus = MetricsRegistry(), EventBus(tmp_path / "events", "lease-test")
+        reg, bus = MetricsRegistry(), EventBus(tmp_path / "events", "crash-test")
         previous = obs.install(Telemetry(metrics=reg, events=bus))
-        ledger = LeaseLedger(tmp_path / "leases")
+        journal = RunJournal.create(tmp_path / "runs", "r", {})
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                ledger.claim(0, 1, "w0")  # neither claim raises
-                ledger.claim(1, 1, "w0")
+                # Neither write raises, and the count is kept in memory.
+                assert journal.record_crash("s", 0) == 1
+                assert journal.record_crash("s", 1) == 1
         finally:
             obs.install(previous)
             bus.close()
-        assert len(caught) == 1 and "lease records" in str(caught[0].message)
+        assert len(caught) == 1 and "no-space" in str(caught[0].message)
         assert reg.grouped_counters()["run"]["journal.degraded_writes"] == 2
         events = [json.loads(line) for line in bus.path.read_text().splitlines()]
         degraded = [e for e in events if e["kind"] == "degraded-write"]
-        assert [(e["what"], e["cause"]) for e in degraded] == [("lease", "no-space")] * 2
-        assert ledger.load(0) is None and ledger.load(1) is None
+        assert [e["cause"] for e in degraded] == ["no-space"] * 2
+        assert all(e["what"].startswith("crash count of task") for e in degraded)
+        assert journal.crash_counts("s") == {}
 
     def test_status_write_enospc_absorbed(self, tmp_path):
         _use_chaos(ChaosPlan(

@@ -1,11 +1,8 @@
-"""Dispatch-backend tests: the file-queue protocol, external ``repro
-worker`` processes, lease heartbeats, and worker-loss recovery.
+"""Dispatch-backend tests: the file-queue protocol, the local workers the
+backend forks, and worker-loss recovery.
 
-Workers here are real subprocesses (``python -m repro worker``, the
-entry a second host runs — minus the network filesystem) or the
-backend's own ``local_workers``, which are forked from the dispatcher
-and call ``worker_loop`` directly, so they do not exercise the
-``python -m repro worker`` entry; the external-worker tests do.
+Workers are the backend's own ``local_workers``, forked from the
+dispatcher.  The tests that kill a dispatcher run it in a subprocess.
 """
 
 import json
@@ -32,11 +29,13 @@ from repro.engine.backends.dispatch import (
     sleep_echo_task,
 )
 from repro.engine.chaos import ChaosPlan, Fault
-from repro.engine.executor import Task, make_tasks, map_tasks
-from repro.engine.faults import RetryPolicy, is_failure
+from repro.engine.executor import JOBS_CAP, Task, make_tasks, map_tasks
+from repro.engine.faults import ExecutionPolicy, RetryPolicy, is_failure
 from repro.obs import Telemetry
 from repro.obs import metrics as obs_metrics
 from repro.run_context import RunContext, current_run, install_run, run_scope
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def _use_chaos(plan) -> None:
@@ -59,36 +58,40 @@ def _boom_on_three(task: Task) -> int:
 
 
 def _current_run(task: Task) -> RunContext:
-    """The run context of the process executing the task (module-level,
-    so an external worker can import it)."""
+    """The run context of the process executing the task."""
     return current_run()
 
 
-def _spawn_worker(root, name: str) -> subprocess.Popen:
-    """A real external worker: the exact process a second host would run."""
+def _dispatcher(script: str, root, **popen) -> subprocess.Popen:
+    """A dispatcher in a process of its own, running ``script`` with the
+    runs root as ``sys.argv[1]``."""
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "worker", str(root),
-            "--name", name, "--poll", "0.02", "--max-idle", "60",
-        ],
-        env=env,
-        cwd=str(Path(__file__).resolve().parents[2]),
+        [sys.executable, "-c", script, str(root)], env=env, cwd=str(REPO), **popen
     )
+
+
+def _wait_for(predicate, seconds: float = 30.0) -> None:
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.02)
 
 
 class TestTaskNames:
     def test_round_trip(self):
-        assert _parse_task_name(_task_name(7, 2)) == (7, 2)
-        assert _parse_task_name(_task_name(123456, 11)) == (123456, 11)
+        assert _parse_task_name(_task_name(7, 2)) == (7, 2, None)
+        assert _parse_task_name(_task_name(123456, 11, "local-9-1.2")) == (
+            123456, 11, "local-9-1.2"
+        )
 
     def test_garbage_rejected(self):
         assert _parse_task_name("task-xx-a1.pkl") is None
         assert _parse_task_name("lease-000001.json") is None
+        assert _parse_task_name("task-000001-a1@.pkl") is None
 
 
 class TestDispatchBasics:
@@ -102,21 +105,6 @@ class TestDispatchBasics:
         assert out == [6, 2, 4]
         assert list((root / "queues").iterdir()) == []
 
-    def test_external_worker_serves_queue(self, tmp_path):
-        root = tmp_path / "runs"
-        worker = _spawn_worker(root, "ext-1")
-        backend = DispatchBackend(root, poll=0.02)
-        try:
-            out = map_tasks(
-                sleep_echo_task, make_tasks([{"v": i} for i in range(6)]),
-                executor=backend,
-            )
-        finally:
-            backend.close()
-            worker.terminate()
-            worker.wait(timeout=10)
-        assert out == [{"v": i} for i in range(6)]
-
     def test_backend_reused_across_stages(self, tmp_path):
         backend = DispatchBackend(tmp_path / "runs", local_workers=2, poll=0.02)
         try:
@@ -128,67 +116,71 @@ class TestDispatchBasics:
             backend.close()
         assert (first, second) == ([2, 4], [10])
 
-    def test_rejects_nonpositive_lease_timeout(self, tmp_path):
-        with pytest.raises(ValueError, match="lease_timeout"):
-            DispatchBackend(tmp_path, lease_timeout=0.0)
+    def test_rejects_worker_count_outside_one_to_jobs_cap(self, tmp_path):
+        for workers in (0, -2, JOBS_CAP + 1):
+            with pytest.raises(ValueError, match="local_workers"):
+                DispatchBackend(tmp_path, local_workers=workers)
 
-    def test_external_worker_installs_the_whole_run_context(self, tmp_path):
-        """A fresh ``repro worker`` interpreter inherits nothing from the
-        dispatcher, so every setting it computes under must arrive in
-        the queue's bundle: here a non-default backend, strict guards, a
-        chaos plan whose fault never fires, and both telemetry switches."""
-        root = tmp_path / "runs"
+    def test_forked_workers_install_each_stages_run_context(self, tmp_path):
+        """Workers forked once serve every stage, so each stage's settings
+        must arrive in its queue's bundle: a non-default backend, strict
+        guards, a chaos plan whose fault never fires and both telemetry
+        switches for the first stage, the defaults for the second."""
         plan = ChaosPlan(
             state_dir=str(tmp_path / "chaos"),
             faults=(Fault(kind="raise", stage="never-run", index=0),),
         )
-        worker = _spawn_worker(root, "ctx")
-        backend = DispatchBackend(root, poll=0.02)
+        backend = DispatchBackend(tmp_path / "runs", local_workers=2, poll=0.02)
         try:
             with run_scope(
                 backend=BackendConfig(dtype="float32", topk=4), guards="strict",
                 chaos=plan, metrics=True, spans=True,
-            ) as run:
-                out = _run_with_deadline(60.0, lambda: map_tasks(
-                    _current_run, make_tasks(range(3)), executor=backend, stage="ctx",
-                ))
+            ) as tuned:
+                first = map_tasks(
+                    _current_run, make_tasks(range(3)), executor=backend, stage="tuned",
+                )
+            pids = [proc.pid for proc in backend._fleet.procs]
+            plain = current_run()
+            second = map_tasks(
+                _current_run, make_tasks(range(3)), executor=backend, stage="plain",
+            )
+            assert [proc.pid for proc in backend._fleet.procs] == pids
         finally:
             backend.close()
-            worker.terminate()
-            worker.wait(timeout=10)
-        assert out == [run] * 3
+        assert tuned != plain
+        assert first == [tuned] * 3
+        assert second == [plain] * 3
         assert not list((tmp_path / "chaos").glob("*"))  # the fault never fired
 
-    def test_resolve_executor_dispatch_uses_env_root(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH_ROOT", str(tmp_path / "env-root"))
-        backend = resolve_executor("dispatch", 1, 1)
-        assert backend.root == tmp_path / "env-root"
+    def test_resolve_executor_refuses_the_bare_dispatch_string(self):
+        with pytest.raises(ValueError, match="DispatchBackend"):
+            resolve_executor("dispatch", 1, 1)
+        with pytest.raises(ValueError, match="executor"):
+            ExecutionPolicy(executor="dispatch")
 
 
 class TestDispatchChunking:
-    """Per-claim task chunking: workers claim work units of consecutive
-    tasks, stream one envelope per member, and results stay byte-
-    identical to the serial backend at every chunk size."""
+    """Work units of consecutive tasks, sized from the task and worker
+    counts: workers claim whole units, stream one envelope per member,
+    and results stay byte-identical to the serial backend at every
+    unit size."""
 
-    def test_rejects_chunk_below_one(self, tmp_path):
-        with pytest.raises(ValueError, match="chunk"):
-            DispatchBackend(tmp_path, chunk=0)
+    #: Task counts the sizing rule maps to each unit size on 2 workers.
+    TASKS_FOR_CHUNK = {1: 10, 3: 24, 16: 128}
 
     def test_auto_chunk_scales_with_tasks_and_workers(self, tmp_path):
-        auto = DispatchBackend(tmp_path, local_workers=2)
-        assert auto._resolve_chunk(4) == 1  # fewer tasks than 4x workers
-        assert auto._resolve_chunk(64) == 8
-        assert auto._resolve_chunk(10_000) == 16  # clamped
-        explicit = DispatchBackend(tmp_path, chunk=5)
-        assert explicit._resolve_chunk(10_000) == 5
+        two = DispatchBackend(tmp_path, local_workers=2)
+        assert two._chunk(4) == 1  # fewer tasks than 4x workers
+        assert two._chunk(64) == 8
+        assert two._chunk(10_000) == 16  # clamped
+        assert DispatchBackend(tmp_path, local_workers=1)._chunk(16) == 4
 
-    @pytest.mark.parametrize("chunk", [1, 3, 16, None])
+    @pytest.mark.parametrize("chunk", [1, 3, 16])
     def test_results_byte_identical_to_serial(self, tmp_path, chunk):
-        tasks = make_tasks(range(10), root_seed=7)
+        tasks = make_tasks(range(self.TASKS_FOR_CHUNK[chunk]), root_seed=7)
         expected = map_tasks(_double, tasks, executor="serial", stage="chunked")
-        backend = DispatchBackend(
-            tmp_path / "runs", local_workers=2, poll=0.02, chunk=chunk
-        )
+        backend = DispatchBackend(tmp_path / "runs", local_workers=2, poll=0.02)
+        assert backend._chunk(len(tasks)) == chunk
         try:
             out = map_tasks(_double, tasks, executor=backend, stage="chunked")
         finally:
@@ -196,14 +188,14 @@ class TestDispatchChunking:
         assert pickle.dumps(out) == pickle.dumps(expected)
 
     def test_failed_member_does_not_poison_unit_siblings(self, tmp_path):
-        # Index 3 fails inside a 4-task unit; its siblings' envelopes
-        # settle normally and only index 3 carries a failure.
-        backend = DispatchBackend(
-            tmp_path / "runs", local_workers=1, poll=0.02, chunk=4
-        )
+        # 16 tasks on one worker make units of 4: index 3 fails inside
+        # the first; its siblings' envelopes settle normally and only
+        # index 3 carries a failure.
+        backend = DispatchBackend(tmp_path / "runs", local_workers=1, poll=0.02)
+        assert backend._chunk(16) == 4
         try:
             out = map_tasks(
-                _boom_on_three, make_tasks(range(6)), executor=backend,
+                _boom_on_three, make_tasks(range(16)), executor=backend,
                 on_error="skip",
             )
         finally:
@@ -215,7 +207,7 @@ class TestDispatchChunking:
         """Kill a worker mid-unit: already-streamed member envelopes
         stand, the unfinished members are re-issued as singleton units,
         and the sweep still matches serial bytes."""
-        tasks = make_tasks(range(5), root_seed=13)
+        tasks = make_tasks(range(24), root_seed=13)  # units of 3
         expected = map_tasks(_double, tasks, executor="serial", stage="clean")
         _use_chaos(
             ChaosPlan(
@@ -223,12 +215,9 @@ class TestDispatchChunking:
                 faults=(Fault(kind="worker-lost", stage="wl-chunk", index=2),),
             )
         )
-        backend = DispatchBackend(
-            tmp_path / "runs", local_workers=2, lease_timeout=0.8, poll=0.02,
-            chunk=3,
-        )
+        backend = DispatchBackend(tmp_path / "runs", local_workers=2, poll=0.02)
         try:
-            with pytest.warns(UserWarning, match="stopped heartbeating"):
+            with pytest.warns(UserWarning, match="exited holding it"):
                 out = map_tasks(_double, tasks, executor=backend,
                                 stage="wl-chunk")
         finally:
@@ -278,7 +267,7 @@ class TestDispatchFaults:
         assert is_failure(out[1]) and out[1].kind == "timeout"
 
     def test_chaos_worker_lost_reissues_and_matches_serial(self, tmp_path):
-        """A worker hard-killed *while holding a lease* (the chaos
+        """A worker hard-killed *while holding a claim* (the chaos
         ``worker-lost`` fault) must not lose the task or change bytes:
         the dispatcher re-issues it to a surviving worker."""
         tasks = make_tasks(range(5), root_seed=13)
@@ -289,61 +278,82 @@ class TestDispatchFaults:
                 faults=(Fault(kind="worker-lost", stage="wl", index=2),),
             )
         )
-        backend = DispatchBackend(
-            tmp_path / "runs", local_workers=2, lease_timeout=0.8, poll=0.02
-        )
+        backend = DispatchBackend(tmp_path / "runs", local_workers=2, poll=0.02)
         try:
-            with pytest.warns(UserWarning, match="stopped heartbeating"):
+            with pytest.warns(UserWarning, match="exited holding it"):
                 out = map_tasks(_double, tasks, executor=backend, stage="wl")
         finally:
             backend.close()
             _use_chaos(None)
         assert out == expected
 
-    def test_sigkilled_external_worker_task_reissued(self, tmp_path):
-        """The literal multi-host failure: SIGKILL an external worker
-        mid-task.  Its lease goes stale, the dispatcher re-issues, and a
-        second worker finishes the sweep with identical results."""
-        root = tmp_path / "runs"
-        first = _spawn_worker(root, "victim")
-        second_started = threading.Event()
+    def test_sigkilled_local_worker_task_reissued_at_once(self, tmp_path):
+        """SIGKILL one of two workers during 8 tasks of 0.5 s: its unit is
+        re-issued as soon as the fleet sees the exit, so the stage takes
+        about one task longer than the clean 2 s, not a timeout longer."""
+        backend = DispatchBackend(tmp_path / "runs", local_workers=2, poll=0.02)
+        payloads = [{"v": i, "sleep": 0.5} for i in range(8)]
 
-        def kill_first_then_start_second():
-            # Wait until the victim holds the lease of the slow task.
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                leases = list(root.glob("queues/*/leases/lease-*.json"))
-                held = [
-                    doc for doc in (json.loads(p.read_text()) for p in leases
-                                    if p.exists())
-                    if doc.get("worker") == "victim"
-                ]
-                if held:
-                    break
-                time.sleep(0.02)
-            os.kill(first.pid, signal.SIGKILL)
-            kill_first_then_start_second.worker = _spawn_worker(root, "rescuer")
-            second_started.set()
+        def kill_one_worker():
+            _wait_for(lambda: backend._fleet is not None)
+            time.sleep(1.2)
+            os.kill(backend._fleet.procs[0].pid, signal.SIGKILL)
 
-        killer = threading.Thread(target=kill_first_then_start_second)
+        killer = threading.Thread(target=kill_one_worker)
         killer.start()
-        backend = DispatchBackend(root, lease_timeout=1.0, poll=0.02)
-        payloads = [{"v": 0, "sleep": 1.5}, {"v": 1, "sleep": 1.5},
-                    {"v": 2}, {"v": 3}]
+        start = time.monotonic()
         try:
-            out = map_tasks(
-                sleep_echo_task, make_tasks(payloads), executor=backend,
-                stage="killed",
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = map_tasks(
+                    sleep_echo_task, make_tasks(payloads), executor=backend,
+                    stage="killed",
+                )
+            elapsed = time.monotonic() - start
+        finally:
+            killer.join(timeout=30)
+            backend.close()
+        assert out == payloads
+        assert any("worker-lost" in str(w.message) for w in caught)
+        assert elapsed < 6.0
+
+    def test_result_write_failure_reissues_the_task(self, tmp_path):
+        """A result envelope that cannot be written (a full disk) leaves a
+        claim that vanished without its result: the task is re-issued."""
+        tasks = make_tasks(range(6), root_seed=5)
+        expected = map_tasks(_double, tasks, executor="serial", stage="clean")
+        _use_chaos(
+            ChaosPlan(
+                state_dir=str(tmp_path / "chaos"),
+                faults=(Fault(kind="enospc", site="dispatch.result", stage="full",
+                              index=4),),
             )
+        )
+        backend = DispatchBackend(tmp_path / "runs", local_workers=2, poll=0.02)
+        try:
+            with pytest.warns(UserWarning, match="vanished without its results"):
+                out = map_tasks(_double, tasks, executor=backend, stage="full")
         finally:
             backend.close()
-            killer.join(timeout=30)
-            first.wait(timeout=10)
-            if second_started.is_set():
-                rescuer = kill_first_then_start_second.worker
-                rescuer.terminate()
-                rescuer.wait(timeout=10)
-        assert out == payloads
+            _use_chaos(None)
+        assert pickle.dumps(out) == pickle.dumps(expected)
+
+    def test_unpublishable_queue_runs_in_the_dispatcher(self, tmp_path):
+        _use_chaos(
+            ChaosPlan(
+                state_dir=str(tmp_path / "chaos"),
+                faults=(Fault(kind="enospc", site="dispatch.queue"),),
+            )
+        )
+        backend = DispatchBackend(tmp_path / "runs", local_workers=2, poll=0.02)
+        try:
+            with pytest.warns(UserWarning, match="degraded-serial"):
+                out = map_tasks(_double, make_tasks(range(4)), executor=backend)
+        finally:
+            backend.close()
+            _use_chaos(None)
+        assert out == [0, 2, 4, 6]
+        assert backend._fleet is None  # nothing was published, so none forked
 
 
 def _run_with_deadline(seconds: float, call):
@@ -385,7 +395,8 @@ def _alive(pid: int) -> bool:
 class TestLocalWorkers:
     """The backend's forked local workers: restarted when they die,
     waking the dispatcher on each result, keeping a dispatch worker's
-    chaos semantics, and never outliving the dispatcher."""
+    chaos semantics, serving only their own dispatcher, and never
+    outliving it."""
 
     def test_dead_local_worker_is_restarted(self, tmp_path):
         # The only local worker dies holding task 0; without a restart
@@ -398,9 +409,7 @@ class TestLocalWorkers:
         )
         registry = obs_metrics.MetricsRegistry()
         obs.install(Telemetry(metrics=registry))
-        backend = DispatchBackend(
-            tmp_path / "runs", local_workers=1, lease_timeout=0.6, poll=0.02
-        )
+        backend = DispatchBackend(tmp_path / "runs", local_workers=1, poll=0.02)
         try:
             out = _run_with_deadline(30.0, lambda: map_tasks(
                 _double, make_tasks(range(3)), executor=backend,
@@ -418,10 +427,10 @@ class TestLocalWorkers:
     ):
         monkeypatch.setattr(dispatch, "_local_worker", _die_at_once)
         queue = SimpleNamespace(
-            posted_by=set(), leased_to=lambda worker: False,
+            worker_exited=lambda worker: False,
             state=SimpleNamespace(stage="barren"),
         )
-        fleet = dispatch._LocalFleet(tmp_path / "runs", 2)
+        fleet = dispatch._LocalFleet(tmp_path / "runs", 2, "barren-")
         try:
             for _ in range(2 * dispatch._BARREN_EXITS):
                 for proc in fleet.procs:
@@ -432,29 +441,28 @@ class TestLocalWorkers:
         finally:
             fleet.close()
 
-    def test_idle_exit_does_not_count_towards_the_restart_bound(
+    def test_exhausted_fleet_runs_the_rest_in_the_dispatcher(
         self, tmp_path, monkeypatch
     ):
-        # A worker past its max_idle between stages exits 0; the next
-        # stage must get a new one however often that happens.
-        monkeypatch.setattr(dispatch, "_local_worker", _idle_out)
-        queue = SimpleNamespace(
-            posted_by=set(), leased_to=lambda worker: False,
-            state=SimpleNamespace(stage="idle"),
-        )
-        fleet = dispatch._LocalFleet(tmp_path / "runs", 1)
+        # Every worker dies before claiming, so every slot reaches its
+        # restart bound; the stage then completes in this process.
+        monkeypatch.setattr(dispatch, "_local_worker", _die_at_once)
+        registry = obs_metrics.MetricsRegistry()
+        obs.install(Telemetry(metrics=registry))
+        backend = DispatchBackend(tmp_path / "runs", local_workers=2, poll=0.02)
         try:
-            for _ in range(2 * dispatch._BARREN_EXITS):
-                fleet.procs[0].join(timeout=10)
-                fleet.revive(queue)
-            assert fleet.starts == [2 * dispatch._BARREN_EXITS + 1]
-            assert not fleet.exhausted()
+            out = _run_with_deadline(30.0, lambda: map_tasks(
+                _double, make_tasks(range(5)), executor=backend, stage="exhausted",
+            ))
         finally:
-            fleet.close()
+            backend.close()
+            obs.install(None)
+        assert out == [0, 2, 4, 6, 8]
+        assert registry.counters["executor.events.degraded-serial"] == 1
 
     def test_exit_fault_is_a_task_error_that_a_retry_absorbs(self, tmp_path):
-        # A declared dispatch worker downgrades ``exit`` to an exception
-        # however it was started; only ``worker-lost`` kills it.
+        # A declared dispatch worker downgrades ``exit`` to an exception;
+        # only ``worker-lost`` kills it.
         tasks = make_tasks(range(4), root_seed=3)
         expected = map_tasks(_double, tasks, executor="serial", stage="clean")
         _use_chaos(
@@ -556,30 +564,82 @@ class TestLocalWorkers:
             "finally:\n"
             "    print(*[p.pid for p in backend._fleet.procs], flush=True)\n"
         )
-        env = dict(os.environ)
-        repo = Path(__file__).resolve().parents[2]
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p
+        proc = _dispatcher(
+            script, tmp_path / "runs",
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "runs")],
-            env=env, cwd=str(repo), capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode != 0 and "rejected payload 4" in proc.stderr
-        pids = [int(pid) for pid in proc.stdout.split()]
+        stdout, stderr = proc.communicate(timeout=60)
+        assert proc.returncode != 0 and "rejected payload 4" in stderr
+        pids = [int(pid) for pid in stdout.split()]
         assert len(pids) == 2
-        deadline = time.monotonic() + 10.0
-        while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not any(_alive(pid) for pid in pids)
+        _wait_for(lambda: not any(_alive(pid) for pid in pids), 10.0)
+
+    def test_workers_exit_with_a_terminated_dispatcher(self, tmp_path):
+        # SIGTERM runs no cleanup in the dispatcher, so its workers must
+        # notice on their own that it is gone.
+        script = (
+            "import sys, threading, time\n"
+            "from repro.engine.backends import DispatchBackend\n"
+            "from repro.engine.backends.dispatch import sleep_echo_task\n"
+            "from repro.engine.executor import make_tasks, map_tasks\n"
+            "backend = DispatchBackend(sys.argv[1], local_workers=2, poll=0.02)\n"
+            "def report():\n"
+            "    while backend._fleet is None:\n"
+            "        time.sleep(0.01)\n"
+            "    print(*[p.pid for p in backend._fleet.procs], flush=True)\n"
+            "threading.Thread(target=report, daemon=True).start()\n"
+            "map_tasks(sleep_echo_task, make_tasks([{'sleep': 0.2}] * 100),\n"
+            "          executor=backend)\n"
+        )
+        proc = _dispatcher(script, tmp_path / "runs", stdout=subprocess.PIPE, text=True)
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(pids) == 2 and all(_alive(pid) for pid in pids)
+            proc.terminate()
+            proc.wait(timeout=10)
+            time.sleep(3.0)
+            assert not any(_alive(pid) for pid in pids)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
+    def test_workers_serve_only_their_own_dispatchers_queues(self, tmp_path):
+        # A dispatcher and its worker are SIGKILLed with one-second units
+        # still queued; a new dispatcher on the same root must leave that
+        # queue alone.
+        root = tmp_path / "runs"
+        script = (
+            "import sys\n"
+            "from repro.engine.backends import DispatchBackend\n"
+            "from repro.engine.backends.dispatch import sleep_echo_task\n"
+            "from repro.engine.executor import make_tasks, map_tasks\n"
+            "backend = DispatchBackend(sys.argv[1], local_workers=1, poll=0.02)\n"
+            "map_tasks(sleep_echo_task, make_tasks([{'sleep': 1.0}] * 6),\n"
+            "          executor=backend)\n"
+        )
+        proc = _dispatcher(script, root, start_new_session=True)
+        try:
+            _wait_for(lambda: list(root.glob("queues/*/claimed/*.pkl")))
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        (dead,) = list((root / "queues").iterdir())
+        todo = sorted(p.name for p in (dead / "todo").iterdir())
+        assert len(todo) == 5
+
+        backend = DispatchBackend(root, local_workers=1, poll=0.02)
+        start = time.monotonic()
+        try:
+            out = map_tasks(_double, make_tasks(range(4)), executor=backend)
+        finally:
+            backend.close()
+        assert out == [0, 2, 4, 6]
+        assert time.monotonic() - start < 4.0
+        assert sorted(p.name for p in (dead / "todo").iterdir()) == todo
+        assert list((dead / "results").iterdir()) == []
 
 
-def _die_at_once(root, name, wake_r, wake_w) -> None:
+def _die_at_once(*args) -> None:
     """A local worker body that exits before claiming anything."""
     os._exit(3)
-
-
-def _idle_out(root, name, wake_r, wake_w) -> None:
-    """A local worker body that exits as ``worker_loop`` does after
-    ``max_idle`` seconds without work."""
-    os._exit(0)

@@ -1,14 +1,15 @@
 """``repro doctor`` — offline audit and repair of a runs root.
 
 Each test stages one species of post-incident debris (torn record,
-foreign-config record, dead lease, orphaned claim, never-finished run)
+foreign-config record, a killed dispatcher's queue, never-finished run)
 and asserts that :func:`repro.engine.doctor.diagnose` reports it, that
 ``--repair`` puts it right, and that the repaired state is one the
-normal readers (``load_stage``, the dispatch claim loop) accept.
+normal readers (``load_stage``) accept.
 """
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -92,54 +93,78 @@ class TestRunAudit:
         assert all("--resume" in f["detail"] for f in report["findings"])
 
 
+def _dead_pid() -> int:
+    """The pid of a process that has exited and been reaped."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os; print(os.getpid())"],
+        capture_output=True, text=True, check=True,
+    )
+    return int(proc.stdout)
+
+
 class TestQueueAudit:
-    def _make_queue(self, root, name="q1"):
+    def _make_queue(self, root, name, dispatcher=None):
         qdir = root / "queues" / name
-        for sub in ("todo", "claimed", "leases"):
+        for sub in ("todo", "claimed", "results"):
             (qdir / sub).mkdir(parents=True)
+        (qdir / "todo" / "task-000004-a1.pkl").write_bytes(b"unit")
+        if dispatcher is not None:
+            manifest = {"status": "open", "dispatcher": dispatcher}
+            (qdir / "manifest.json").write_text(json.dumps(manifest))
         return qdir
 
-    def test_stale_lease_released(self, tmp_path):
-        qdir = self._make_queue(tmp_path)
-        lease = qdir / "leases" / "lease-000002.json"
-        lease.write_text(json.dumps({"index": 2, "worker": "w0"}))
-        old = time.time() - 3600
-        os.utime(lease, (old, old))
-        fresh = qdir / "leases" / "lease-000005.json"
-        fresh.write_text(json.dumps({"index": 5, "worker": "w1"}))
-
-        report = diagnose(tmp_path, stale_after=60.0)
-        assert _kinds(report) == ["stale-lease"]
-        diagnose(tmp_path, repair=True, stale_after=60.0)
-        assert not lease.exists()
-        assert fresh.exists()  # the live worker keeps its lease
-
-    def test_orphaned_claim_returned_to_todo(self, tmp_path):
-        qdir = self._make_queue(tmp_path)
-        claim = qdir / "claimed" / "task-000004-a1.pkl"
-        claim.write_bytes(b"payload")  # claimed, but no lease at all
+    def test_dead_queue_found_then_removed(self, tmp_path):
+        dead = self._make_queue(tmp_path, "q-dead", dispatcher=_dead_pid())
+        live = self._make_queue(tmp_path, "q-live", dispatcher=os.getpid())
 
         report = diagnose(tmp_path)
-        assert _kinds(report) == ["orphaned-claim"]
+        assert _kinds(report) == ["dead-queue"]
+        assert report["findings"][0]["path"] == str(dead)
+        assert report["queues"] == 2
         repaired = diagnose(tmp_path, repair=True)
-        assert repaired["repairs"] == 1
-        assert not claim.exists()
-        assert (qdir / "todo" / "task-000004-a1.pkl").read_bytes() == b"payload"
+        assert repaired["repairs"] == 1 and repaired["unrepaired"] == 0
+        assert not dead.exists()
+        assert live.is_dir()  # a live dispatcher's queue is left alone
 
-    def test_stale_lease_plus_claim_both_repaired(self, tmp_path):
-        qdir = self._make_queue(tmp_path)
-        claim = qdir / "claimed" / "task-000001-a2.pkl"
-        claim.write_bytes(b"unit")
-        lease = qdir / "leases" / "lease-000001.json"
-        lease.write_text(json.dumps({"index": 1, "worker": "w9"}))
-        old = time.time() - 3600
-        os.utime(lease, (old, old))
-
+    def test_queue_without_a_manifest_is_judged_by_its_id(self, tmp_path):
+        torn = self._make_queue(tmp_path, "q-torn")
+        dead = self._make_queue(tmp_path, f"{_dead_pid()}-0a1b2c3d-001-sweep")
+        publishing = self._make_queue(tmp_path, f"{os.getpid()}-0a1b2c3d-001-sweep")
         report = diagnose(tmp_path, repair=True)
-        assert _kinds(report) == ["orphaned-claim", "stale-lease"]
-        assert report["repairs"] == 2
-        assert not lease.exists() and not claim.exists()
-        assert (qdir / "todo" / "task-000001-a2.pkl").is_file()
+        assert _kinds(report) == ["dead-queue", "dead-queue"]
+        assert not torn.exists() and not dead.exists()
+        assert publishing.is_dir()  # a live dispatcher may not have written it yet
+
+    def test_a_killed_dispatchers_queue_is_dead(self, tmp_path, capsys):
+        root = tmp_path / "runs"
+        script = (
+            "import sys\n"
+            "from repro.engine.backends import DispatchBackend\n"
+            "from repro.engine.backends.dispatch import sleep_echo_task\n"
+            "from repro.engine.executor import make_tasks, map_tasks\n"
+            "backend = DispatchBackend(sys.argv[1], local_workers=1, poll=0.02)\n"
+            "map_tasks(sleep_echo_task, make_tasks([{'sleep': 1.0}] * 4),\n"
+            "          executor=backend)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(root)], env=env, start_new_session=True
+        )
+        try:
+            deadline = time.monotonic() + 30.0
+            while not list(root.glob("queues/*/manifest.json")):
+                assert time.monotonic() < deadline, "no queue was published"
+                time.sleep(0.02)
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert main(["doctor", str(root)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert _kinds(report) == ["dead-queue"]
+        assert f"pid {proc.pid}" in report["findings"][0]["detail"]
+        assert main(["doctor", str(root), "--repair"]) == 0
+        capsys.readouterr()
+        assert list((root / "queues").iterdir()) == []
 
 
 class TestDoctorCLI:

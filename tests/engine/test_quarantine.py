@@ -149,7 +149,7 @@ class TestDispatchQuarantine:
     def test_persistent_killer_quarantined_sweep_completes(self, tmp_path):
         _install_persistent_kill(tmp_path, "dq", 1)
         backend = DispatchBackend(
-            tmp_path / "runs", local_workers=2, lease_timeout=0.6, poll=0.02
+            tmp_path / "runs", local_workers=2, poll=0.02
         )
         journal = RunJournal.create(tmp_path / "journals", "dq1", {})
         try:
@@ -177,7 +177,7 @@ class TestDispatchQuarantine:
     def test_quarantine_raises_under_raise_mode(self, tmp_path):
         _install_persistent_kill(tmp_path, "dr", 0)
         backend = DispatchBackend(
-            tmp_path / "runs", local_workers=2, lease_timeout=0.6, poll=0.02
+            tmp_path / "runs", local_workers=2, poll=0.02
         )
         try:
             with pytest.warns(UserWarning, match="worker-lost"):
@@ -198,7 +198,7 @@ def _poison_run(tmp_path, executor: str, on_error: str, stage: str, poison: int 
     restarts lost local workers, so the run still completes."""
     _install_persistent_kill(tmp_path, stage, poison)
     backend = (
-        DispatchBackend(tmp_path / "runs", local_workers=2, lease_timeout=0.6, poll=0.02)
+        DispatchBackend(tmp_path / "runs", local_workers=2, poll=0.02)
         if executor == "dispatch" else executor
     )
     registry = obs_metrics.MetricsRegistry()

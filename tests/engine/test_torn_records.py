@@ -3,13 +3,10 @@
 A power cut or full disk can leave any on-disk record truncated at an
 arbitrary byte, or garbled by a partial overwrite.  Hypothesis drives
 both corruptions at arbitrary offsets into journal ``task-*.json``
-records and dispatch ``lease-*.json`` leases, and asserts the two
-durable-state readers hold their contract:
+records, and asserts the durable-state reader holds its contract:
 
 * ``RunJournal.load_stage`` never raises — a damaged record is skipped
   (counted, warned) and its task simply re-runs;
-* ``LeaseLedger.load`` never raises — a damaged lease reads as
-  "unclaimed";
 * a resumed sweep over a damaged journal still produces bytes
   identical to a clean run — damage costs re-execution, never
   correctness.
@@ -23,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.executor import make_tasks, map_tasks
-from repro.engine.journal import LeaseLedger, RunJournal
+from repro.engine.journal import RunJournal
 
 COUNT = 6
 
@@ -87,19 +84,6 @@ def test_damaged_record_skipped_and_resume_byte_identical(
         warnings.simplefilter("ignore")
         out = map_tasks(_norm, tasks, stage="s", journal=again)
     assert json.dumps(out, sort_keys=True) == _clean_bytes()
-
-
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(damage=_damage)
-def test_damaged_lease_reads_as_unclaimed(tmp_path_factory, damage):
-    ledger = LeaseLedger(tmp_path_factory.mktemp("torn-leases"))
-    ledger.claim(3, 1, "w0")
-    assert ledger.load(3) == {"index": 3, "attempt": 1, "worker": "w0"}
-
-    _apply(ledger.directory / "lease-000003.json", damage)
-    got = ledger.load(3)  # must not raise, whatever the bytes are
-    assert got is None or isinstance(got, dict)
 
 
 def test_empty_record_file_is_just_a_gap(tmp_path_factory):

@@ -37,13 +37,13 @@ def _instrumented_task(task: Task) -> int:
     return task.payload * 3
 
 
-def _run_with_registry(jobs: int) -> "tuple[list, dict]":
+def _run_with_registry(jobs: int, tasks: int = 9) -> "tuple[list, dict]":
     reg = MetricsRegistry()
     obs.install(Telemetry(metrics=reg))
     try:
         with obs_metrics.prefix_scope("EX"):
             out = map_tasks(
-                _instrumented_task, make_tasks(range(9)), jobs=jobs, stage="sweep"
+                _instrumented_task, make_tasks(range(tasks)), jobs=jobs, stage="sweep"
             )
     finally:
         obs.install(None)
@@ -101,7 +101,7 @@ class TestDispatchChunkDeterminism:
     )
 
     def _task_counters(self, counters: dict) -> dict:
-        # Infrastructure counters (queues, leases) legitimately depend
+        # Infrastructure counters (queues, re-issues) legitimately depend
         # on the backend; the determinism contract covers everything a
         # task function reports plus the executor's task totals.
         return {
@@ -114,18 +114,18 @@ class TestDispatchChunkDeterminism:
     def test_chunked_dispatch_counters_match_serial(self, tmp_path, chunk):
         from repro.engine.backends import DispatchBackend
 
-        serial_out, serial_counters = _run_with_registry(1)
+        # On 2 workers, 8 * chunk + 1 tasks make units of ``chunk`` tasks.
+        tasks = 8 * chunk + 1
+        serial_out, serial_counters = _run_with_registry(1, tasks)
 
-        backend = DispatchBackend(
-            tmp_path / "root", local_workers=2, lease_timeout=10.0,
-            poll=0.01, chunk=chunk,
-        )
+        backend = DispatchBackend(tmp_path / "root", local_workers=2, poll=0.01)
+        assert backend._chunk(tasks) == chunk
         reg = MetricsRegistry()
         obs.install(Telemetry(metrics=reg))
         try:
             with obs_metrics.prefix_scope("EX"):
                 out = map_tasks(
-                    _instrumented_task, make_tasks(range(9)),
+                    _instrumented_task, make_tasks(range(tasks)),
                     executor=backend, stage="sweep",
                 )
         finally:
@@ -136,7 +136,7 @@ class TestDispatchChunkDeterminism:
         assert self._task_counters(chunked) == self._task_counters(serial_counters)
         # Histogram counts (one task_seconds sample per task) also match.
         hists = reg.to_dict()["histograms"]
-        assert hists["EX"]["executor.task_seconds"]["count"] == 9
+        assert hists["EX"]["executor.task_seconds"]["count"] == tasks
 
 
 class TestChaosRetryCounters:

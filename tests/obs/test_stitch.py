@@ -35,29 +35,29 @@ def _read(path) -> list:
     ]
 
 
-def _run_traced(tmp_path, **kwargs) -> list:
+def _run_traced(tmp_path, n_tasks=N_TASKS, **kwargs) -> list:
     tracer = TraceWriter(tmp_path / "trace.jsonl")
     obs.install(Telemetry(tracer=tracer))
     try:
         with span("sweep", kind="stage"):
-            out = map_tasks(_traced_task, make_tasks(range(N_TASKS)),
+            out = map_tasks(_traced_task, make_tasks(range(n_tasks)),
                             stage="sweep", **kwargs)
     finally:
         obs.install(None)
         tracer.close()
-    assert out == [i * 2 for i in range(N_TASKS)]
+    assert out == [i * 2 for i in range(n_tasks)]
     return _read(tmp_path / "trace.jsonl")
 
 
-def _check_stitched(spans, *, expect_workers: bool) -> None:
+def _check_stitched(spans, *, expect_workers: bool, n_tasks=N_TASKS) -> None:
     stage = [s for s in spans if s["kind"] == "stage" and s["name"] == "sweep"]
     assert len(stage) == 1
     tasks = [s for s in spans if s["kind"] == "task"]
     # One span per task, every index present, all under the stage span.
-    assert sorted(t["meta"]["index"] for t in tasks) == list(range(N_TASKS))
+    assert sorted(t["meta"]["index"] for t in tasks) == list(range(n_tasks))
     assert all(t["parent"] == stage[0]["id"] for t in tasks)
     inner = [s for s in spans if s["name"] == "inner-kernel"]
-    assert len(inner) == N_TASKS
+    assert len(inner) == n_tasks
     task_ids = {t["id"] for t in tasks}
     assert all(s["parent"] in task_ids for s in inner)
     # Remapped ids stay unique across the whole stitched document.
@@ -108,15 +108,14 @@ class TestMeasuredTimes:
 class TestDispatchStitching:
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_every_workers_spans_land_in_one_trace(self, tmp_path, chunk):
-        backend = DispatchBackend(
-            tmp_path / "root", local_workers=2, lease_timeout=10.0,
-            poll=0.01, chunk=chunk,
-        )
+        # On 2 workers, 8 * chunk tasks make units of ``chunk`` tasks.
+        backend = DispatchBackend(tmp_path / "root", local_workers=2, poll=0.01)
+        assert backend._chunk(8 * chunk) == chunk
         try:
-            spans = _run_traced(tmp_path, executor=backend)
+            spans = _run_traced(tmp_path, 8 * chunk, executor=backend)
         finally:
             backend.close()
-        _check_stitched(spans, expect_workers=True)
+        _check_stitched(spans, expect_workers=True, n_tasks=8 * chunk)
         tasks = [s for s in spans if s["kind"] == "task"]
         assert all(s["meta"]["stage"] == "sweep" for s in tasks)
 
@@ -124,7 +123,7 @@ class TestDispatchStitching:
 class TestEmitSubtree:
     def test_noop_without_tracer(self):
         emit_subtree([{"name": "x", "kind": "task", "id": 1, "parent": None,
-                       "rel": 0.0, "dur": 0.1, "meta": {}}])  # must not raise
+                       "rel": 0.0, "dur": 0.1, "meta": {}}], 0.0)  # must not raise
 
     def test_collector_buffer_grafts_under_current_span(self, tmp_path):
         with run_scope(spans=True), obs.capture() as captured:
@@ -137,7 +136,7 @@ class TestEmitSubtree:
         obs.install(Telemetry(tracer=tracer))
         try:
             with span("stage-x", kind="stage"):
-                emit_subtree(captured.spans)
+                emit_subtree(captured.spans, captured.epoch)
         finally:
             obs.install(None)
             tracer.close()
@@ -145,22 +144,3 @@ class TestEmitSubtree:
         assert spans["task-0"]["parent"] == spans["stage-x"]["id"]
         assert spans["deep"]["parent"] == spans["task-0"]["id"]
         assert spans["deep"]["dur"] <= spans["task-0"]["dur"] + 1e-9
-
-    def test_captures_from_another_host_end_at_settle(self, tmp_path):
-        # Only this host's perf_counter clock places spans at their
-        # measured times; another host's epoch means nothing here.
-        record = {"name": "task-0", "kind": "task", "id": 1, "parent": None,
-                  "rel": 0.0, "dur": 0.25, "meta": {}}
-        tracer = TraceWriter(tmp_path / "trace.jsonl")
-        obs.install(Telemetry(tracer=tracer))
-        try:
-            with span("stage-x", kind="stage"):
-                obs.Captured(spans=[dict(record)], epoch=0.0).adopt()
-                obs.Captured(spans=[dict(record)], epoch=0.0, host="elsewhere").adopt()
-        finally:
-            obs.install(None)
-            tracer.close()
-        here, there = [s for s in _read(tmp_path / "trace.jsonl") if s["kind"] == "task"]
-        assert here["t0"] < 0.0  # measured long before the trace opened
-        assert there["t0"] + there["dur"] >= 0.0  # ends when it settled
-

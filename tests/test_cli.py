@@ -13,6 +13,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.engine import chaos
 from repro.engine.chaos import ChaosPlan, Fault
+from repro.engine.executor import JOBS_CAP
 from repro.engine.journal import RunJournal
 from repro.engine.registry import all_specs
 
@@ -213,6 +214,52 @@ class TestFailurePaths:
         with pytest.raises(SystemExit) as err:
             main(["run", "E11", "--resume", "older", "--runs-root", str(tmp_path)])
         assert "experiment_ids=['E13']" in str(err.value)
+
+    def test_negative_seed_is_refused_before_a_journal_exists(self, tmp_path, capsys):
+        root = tmp_path / "runs"
+        with pytest.raises(SystemExit) as err:
+            main(["run", "E13", "--seed", "-1", "--run-id", "x", "--runs-root", str(root)])
+        assert err.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not (root / "x").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "E13", "--quarantine-after", "0"],
+             "argument --quarantine-after: must be >= 1, got 0"),
+            (["run", "E13", "--retries", "x"], "argument --retries: must be an integer"),
+            (["top", "--interval", "0"], "argument --interval: must be positive, got 0"),
+            (["tail", "--interval", "x"], "argument --interval: must be a number, got 'x'"),
+            (["run", "E13", "--topk", "0"], "argument --topk: must be >= 1, got 0"),
+        ],
+        ids=["quarantine-after", "retries", "top-interval", "tail-interval", "topk"],
+    )
+    def test_number_errors_state_only_their_constraint(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert message in stderr
+        assert "retries must" not in stderr and "timeout must" not in stderr
+
+    @pytest.mark.parametrize("workers", ["-2", "0", str(JOBS_CAP + 1)])
+    def test_dispatch_workers_outside_one_to_jobs_cap_rejected(self, workers, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["run", "E13", "--executor", "dispatch", "--dispatch-workers", workers])
+        assert err.value.code == 2
+        assert f"must be between 1 and {JOBS_CAP}" in capsys.readouterr().err
+
+    def test_dispatch_workers_default_to_jobs(self, tmp_path):
+        from repro.cli import _build_executor
+
+        args = build_parser().parse_args(
+            ["run", "E13", "--jobs", "3", "--executor", "dispatch",
+             "--runs-root", str(tmp_path)]
+        )
+        backend = _build_executor(args)
+        assert backend.local_workers == 3
+        assert backend._fleet is None  # nothing forks before a queue opens
 
     def test_dispatch_workers_require_dispatch_executor(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -129,6 +129,49 @@ class TestExports:
         for name in ("install", "current", "shed", "capture", "Captured"):
             assert name in repro.obs.__all__
 
+    def test_dispatch_serves_only_the_workers_it_forks(self):
+        """Dispatch is a single-host transport that owns its workers: the
+        worker command, leases and their knobs, the default queue root,
+        the unit-size knob and cross-host span placement are gone."""
+        import dataclasses
+        import inspect
+        from pathlib import Path
+
+        import repro.engine.backends
+        import repro.engine.backends.dispatch
+        import repro.engine.doctor
+        import repro.engine.journal
+        import repro.obs
+        from repro.cli import build_parser
+        from repro.engine import chaos
+
+        dispatch = repro.engine.backends.dispatch
+        deleted = {
+            repro.engine.backends: ("worker_loop",),
+            dispatch: ("worker_loop", "DEFAULT_DISPATCH_ROOT", "DISPATCH_ROOT_ENV"),
+            repro.engine.journal: ("LeaseLedger",),
+            repro.engine.doctor: ("DEFAULT_STALE_AFTER",),
+            repro.obs: ("HOST",),
+        }
+        for ns, names in deleted.items():
+            for name in names:
+                assert not hasattr(ns, name), (ns.__name__, name)
+                assert name not in getattr(ns, "__all__", ()), (ns.__name__, name)
+        assert "REPRO_DISPATCH_ROOT" not in Path(dispatch.__file__).read_text()
+        assert "journal.lease" not in chaos.FAULT_SITES
+        assert "host" not in {f.name for f in dataclasses.fields(repro.obs.Captured)}
+        params = inspect.signature(repro.engine.backends.DispatchBackend).parameters
+        assert "lease_timeout" not in params and "chunk" not in params
+        parser = build_parser()
+        for argv in (
+            ["worker", ".repro-runs"],
+            ["run", "E13", "--executor", "dispatch", "--dispatch-chunk", "2"],
+            ["run", "E13", "--executor", "dispatch", "--lease-timeout", "5"],
+            ["doctor", "--stale-after", "5"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+
     def test_graph_views_are_arrays(self):
         """The conflict graph is a boolean matrix, and the networkx-only
         affectance digraph is gone from every namespace."""
