@@ -15,12 +15,11 @@
     python -m repro run E6 --on-error retry --task-timeout 120
     python -m repro run E1 --out r/ --trace --metrics   # telemetry, same bytes
     python -m repro run E1 --executor dispatch --dispatch-workers 2  # file queue
-    python -m repro run E1 --monitor --out r/ # live event bus + metrics.prom
+    python -m repro run E1 --monitor          # live event bus for top/tail
     python -m repro top .repro-runs           # live dashboard (files only)
     python -m repro tail .repro-runs --follow # stream the event bus
     python -m repro stats r/                  # render a past run's telemetry
     python -m repro stats r/ --json           # machine-readable document
-    python -m repro stats r/ --format openmetrics   # Prometheus exposition
     python -m repro report --out EXPERIMENTS.md
 
 Experiments are discovered through :mod:`repro.engine.registry` — each
@@ -52,20 +51,19 @@ hierarchical spans (run → experiment → stage → task) to
 ``trace.jsonl``, ``--metrics`` aggregates kernel/executor counters into
 ``metrics.json``, and ``--profile`` dumps per-stage cProfile files —
 all inside the ``--out`` directory, which these flags therefore
-require.  Telemetry never changes result bytes, at any ``--jobs``.
+require.  Telemetry never changes result bytes, at any ``--jobs``, and
+``metrics.json`` itself has the same bytes at every ``--jobs``.
 ``repro stats <run-dir>`` renders what a past run left behind
-(``--json`` for the machine-readable document, ``--format openmetrics``
-for the Prometheus text exposition of ``metrics.json``).
+(``--json`` for the machine-readable document).
 
 Live observability (see DESIGN.md, "Live fleet observability"):
 ``--monitor`` appends structured events (task lifecycle, re-issues,
 quarantines, degraded writes, chaos faults, heartbeats) to
-``<runs-root>/events/`` and — when ``--out`` is given — refreshes a
-``metrics.prom`` OpenMetrics snapshot during the run.  ``repro top
+``<runs-root>/events/``, and does nothing else.  ``repro top
 <runs-root>`` is the refreshing files-only dashboard (stage progress,
-ETAs, worker health with stale-heartbeat warnings); ``repro tail
-<runs-root> --follow`` streams the merged event bus.  Events never
-change result bytes.
+ETAs, worker health with stale-heartbeat warnings, dead queues);
+``repro tail <runs-root> --follow`` streams the merged event bus.
+Events never change result bytes.
 
 Array backend (see DESIGN.md, "Array backend & dtype policy"):
 ``--dtype float64|float32`` picks the compute precision of the
@@ -339,11 +337,10 @@ def _cmd_run(args) -> int:
         )
     # The event bus lives under the *runs root* (not --out), next to the
     # dispatch queues, where `repro top`/`repro tail` find every process
-    # of the run.  --monitor with --out also collects metrics, for the
-    # live metrics.prom snapshot.
+    # of the run.
     run = _build_run(
         args,
-        metrics=bool(args.metrics or (args.monitor and out_dir is not None)),
+        metrics=args.metrics,
         spans=args.trace,
         events=(
             str(Path(args.runs_root) / obs_events.EVENTS_DIRNAME) if args.monitor else None
@@ -412,7 +409,6 @@ def _cmd_run_scoped(args, run: RunContext, out_dir, journal, policy) -> int:
                 "events": (
                     str(telemetry.events.path) if telemetry.events is not None else None
                 ),
-                "prom": telemetry.snapshot.name if telemetry.snapshot is not None else None,
             }
         _write_text(out_dir / "summary.json", json.dumps(doc, indent=2) + "\n")
         if telemetry is not None and telemetry.metrics is not None:
@@ -476,23 +472,9 @@ def _cmd_tail(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    fmt = "json" if args.json else args.format
     try:
-        if fmt == "json":
+        if args.json:
             print(json.dumps(stats_doc(args.run_dir), indent=2))
-        elif fmt == "openmetrics":
-            metrics_path = Path(args.run_dir) / METRICS_FILENAME
-            try:
-                doc = json.loads(metrics_path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise RunDirError(
-                    f"cannot read {metrics_path} ({exc}); the openmetrics "
-                    "format renders metrics.json — run with --metrics or "
-                    "--monitor"
-                ) from exc
-            from repro.obs.openmetrics import render
-
-            sys.stdout.write(render(doc))
         else:
             print(render_run_dir(args.run_dir))
     except RunDirError as exc:
@@ -692,8 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--monitor", action="store_true",
         help="append live structured events (task lifecycle, "
         "heartbeats, faults) under <runs-root>/events/ for repro "
-        "top/tail, and refresh a metrics.prom OpenMetrics snapshot in "
-        "--out during the run; never changes result bytes",
+        "top/tail; never changes result bytes",
     )
     run_p.add_argument(
         "--run-id", default=None, metavar="ID",
@@ -771,13 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
         "run_dir", help="a --out directory written by a previous repro run"
     )
     stats_p.add_argument(
-        "--format", choices=("human", "json", "openmetrics"), default="human",
-        help="human (default), json (the full machine-readable document), "
-        "or openmetrics (the Prometheus text exposition of metrics.json)",
-    )
-    stats_p.add_argument(
         "--json", action="store_true",
-        help="shorthand for --format json",
+        help="print the full machine-readable document instead of the report",
     )
     stats_p.set_defaults(func=_cmd_stats)
 

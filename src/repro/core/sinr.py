@@ -253,17 +253,6 @@ class SINRInstance:
             self._backend_ops[key] = op
         return op
 
-    def topk_gains(self, k: int, *, keep_diagonal: bool = True):
-        """Sparse top-k-interferer representation of ``S̄`` (uncached).
-
-        A direct builder for callers that want the sparse form
-        irrespective of the run's config — e.g. the scaling benchmark
-        comparing dense vs sparse on one instance.
-        """
-        from repro.backend import TopKGains
-
-        return TopKGains.build(self._gains, k, keep_diagonal=keep_diagonal)
-
     # -- SINR / success -----------------------------------------------------
 
     def sinr(self, active) -> np.ndarray:

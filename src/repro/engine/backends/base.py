@@ -210,7 +210,6 @@ def settle_success(state: RunState, task: "Task", outcome: Any) -> Any:
         # Metrics merge under the experiment's prefix, and a worker's
         # spans are stitched under the open stage span.
         captured.adopt()
-        obs_metrics.observe("executor.task_seconds", captured.seconds)
         fields = {"seconds": round(captured.seconds, 6), "worker": captured.worker}
     obs_events.emit(
         "task-done",

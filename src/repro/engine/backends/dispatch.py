@@ -87,6 +87,7 @@ from repro.engine.backends.base import (
 from repro.engine.backends.lifecycle import StageRun
 from repro.engine.backends.serial import degrade_local
 from repro.engine.executor import JOBS_CAP
+from repro.engine.journal import read_json
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.utils.atomic import atomic_write_bytes, atomic_write_text, exhaustion_kind
@@ -554,10 +555,9 @@ class _LocalFleet:
     dispatcher (``daemon=True``), each in a numbered *slot*, and the
     pipe through which they wake it after posting a result envelope.
 
-    Forking skips a fresh interpreter's imports.  It is safe here
-    although a monitored dispatcher runs a metrics-snapshot thread: a
-    forked worker drops the registry that thread renders and never
-    writes the snapshot file, so it takes no lock that thread may hold.
+    Forking skips a fresh interpreter's imports.  The dispatcher runs no
+    thread of its own, so a forked worker inherits no lock held
+    mid-write.
     """
 
     def __init__(self, root: Path, size: int, prefix: str):
@@ -747,11 +747,8 @@ class _Worker:
     def _drain(self, qdir: Path) -> None:
         """Claim and execute units of one open queue until its todo pile
         is empty or the dispatcher is gone."""
-        try:
-            manifest = json.loads((qdir / "manifest.json").read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return
-        if manifest.get("status") != "open" or not self._adopt(qdir):
+        manifest = read_json(qdir / "manifest.json")
+        if manifest is None or manifest.get("status") != "open" or not self._adopt(qdir):
             return
         while self.serving():
             claim = _claim_next(qdir, self.name)

@@ -83,7 +83,6 @@ __all__ = [
     "RandomSchedule",
     "corrupt",
     "declare_worker_process",
-    "is_worker_process",
     "load_plan",
     "on_task_start",
     "on_write",
@@ -351,10 +350,6 @@ def declare_worker_process(flag: bool = True) -> None:
     may kill it hard instead of downgrading to an exception)."""
     global _WORKER_PROCESS
     _WORKER_PROCESS = bool(flag)
-
-
-def is_worker_process() -> bool:
-    return _WORKER_PROCESS
 
 
 def load_plan(path) -> ChaosPlan:

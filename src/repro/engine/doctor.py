@@ -19,10 +19,12 @@ Findings (each a ``{kind, path, detail, repaired}`` record):
     it, so nothing will ever finish or close it.  Repair: delete the
     queue.
 ``corrupt-record``
-    A journal ``task-*.json`` that fails parsing or its SHA-256
-    checksum (a torn write).  Repair: quarantine the file into the run
+    A journal ``task-*.json`` that fails the checks of
+    :func:`~repro.engine.journal.check_record` (a torn write, or JSON
+    that is no record).  Repair: quarantine the file into the run
     directory's ``corrupt/`` folder — the task simply re-runs on
-    resume, and the evidence is preserved for forensics.
+    resume, and the evidence is preserved for forensics.  An unreadable
+    ``status.json`` is reported under this kind too, unrepaired.
 ``index-out-of-range``
     A record whose index exceeds the stage's task count recorded in
     ``status.json`` — the journal was written by a different
@@ -38,37 +40,25 @@ plain JSON document, so fleet tooling can diff it between sweeps.
 
 from __future__ import annotations
 
-import base64
-import hashlib
 import json
 import os
 import shutil
 from pathlib import Path
 from typing import Any
 
+from repro.engine.journal import check_record, read_json
 from repro.obs import metrics as _metrics
 
-__all__ = ["diagnose", "iter_jsonl", "read_json"]
-
-_RECORD_FORMAT = "repro-journal-record"
+__all__ = ["diagnose", "dispatcher_pid", "is_alive", "iter_jsonl"]
 
 
 # -- torn-tolerant readers ---------------------------------------------------
 # The doctor audits runs roots that may be *live*: a writer can be
-# mid-rename, mid-append, or dead mid-line at any moment.  These two
-# readers encode the tolerance policy once — unreadable JSON reads as
-# "absent", a torn JSONL tail reads as "not yet written" — and are
-# shared by the live views (``repro top`` / ``repro tail``), which watch
-# exactly the same in-flight state.
-
-
-def read_json(path) -> "dict[str, Any] | None":
-    """A JSON document, or ``None`` when missing, torn, or garbled."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    return doc if isinstance(doc, dict) else None
+# mid-rename, mid-append, or dead mid-line at any moment.  Unreadable
+# JSON reads as "absent" (:func:`~repro.engine.journal.read_json`), and
+# a torn JSONL tail reads as "not yet written" (this reader, shared by
+# the live views ``repro top`` / ``repro tail``, which watch exactly the
+# same in-flight state).
 
 
 def iter_jsonl(path) -> "list[dict[str, Any]]":
@@ -122,23 +112,16 @@ def _audit_records(
         return findings
     for path in sorted(stages_dir.rglob("task-*.json")):
         problem = None
-        doc: "dict[str, Any]" = {}
+        doc = read_json(path)
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            if doc.get("format") != _RECORD_FORMAT:
-                raise ValueError("not a journal record")
-            payload = base64.b64decode(doc["pickle_b64"])
-            if hashlib.sha256(payload).hexdigest() != doc["sha256"]:
-                raise ValueError("checksum mismatch")
-            int(doc["index"])
-        except (OSError, ValueError, KeyError) as exc:
+            index = check_record(doc)[0]
+        except ValueError as exc:
             problem = _finding(
                 "corrupt-record", path, f"torn or invalid record ({exc})"
             )
-        if problem is None:
+        else:
             stage = str(doc.get("stage", ""))
             expected = stage_counts.get(stage)
-            index = int(doc["index"])
             if expected is not None and not (0 <= index < expected):
                 problem = _finding(
                     "index-out-of-range",
@@ -168,18 +151,25 @@ def _audit_run(run_dir: Path, repair: bool) -> "list[dict[str, Any]]":
             )
         )
     else:
+        status = read_json(status_path)
         try:
-            status = json.loads(status_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            status = {}
+            # AttributeError: no document, or a block that is no object.
+            stage_counts = {
+                str(k): int(v)
+                for k, v in (status.get("journal") or {}).get("stages", {}).items()
+            }
+        except (AttributeError, TypeError, ValueError):
+            status = None
+        if status is None:
             findings.append(
-                _finding("corrupt-record", status_path, f"unreadable status.json ({exc})")
+                _finding(
+                    "corrupt-record",
+                    status_path,
+                    "unreadable status.json (torn, garbled, not a JSON object, "
+                    "or a stage count that is no integer)",
+                )
             )
-        stage_counts = {
-            str(k): int(v)
-            for k, v in (status.get("journal") or {}).get("stages", {}).items()
-        }
-        if status and not status.get("complete", True):
+        elif not status.get("complete", True):
             findings.append(
                 _finding(
                     "incomplete-run",
@@ -192,9 +182,19 @@ def _audit_run(run_dir: Path, repair: bool) -> "list[dict[str, Any]]":
     return findings
 
 
-def _alive(pid: Any) -> bool:
+def dispatcher_pid(qdir: Path, manifest: "dict[str, Any]") -> Any:
+    """The pid of the dispatcher that owns queue ``qdir``: the one its
+    ``manifest`` records, else the one that leads its id (a queue still
+    being published has no manifest yet)."""
+    head = qdir.name.split("-", 1)[0]
+    return manifest.get("dispatcher", int(head) if head.isdigit() else None)
+
+
+def is_alive(pid: Any) -> bool:
     """Whether ``pid`` names a process that exists (a pid reused since
-    reads as alive, so a live queue is never taken for dead)."""
+    reads as alive, so a live queue is never taken for dead).  A queue
+    whose dispatcher is not alive is dead: ``repro doctor`` reports it
+    and ``repro top`` shows it so."""
     if not isinstance(pid, int) or pid <= 0:
         return False
     try:
@@ -207,13 +207,8 @@ def _alive(pid: Any) -> bool:
 
 
 def _audit_queue(qdir: Path, repair: bool) -> "list[dict[str, Any]]":
-    # A queue still being published has no manifest yet; its id starts
-    # with the dispatcher's pid, so a live one is never taken for dead.
-    head = qdir.name.split("-", 1)[0]
-    pid = (read_json(qdir / "manifest.json") or {}).get(
-        "dispatcher", int(head) if head.isdigit() else None
-    )
-    if _alive(pid):
+    pid = dispatcher_pid(qdir, read_json(qdir / "manifest.json") or {})
+    if is_alive(pid):
         return []
     finding = _finding(
         "dead-queue",

@@ -45,7 +45,7 @@ from repro.utils.atomic import atomic_write_text, exhaustion_kind
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.faults import TaskFailure
 
-__all__ = ["JournalError", "RunJournal"]
+__all__ = ["JournalError", "RunJournal", "check_record", "read_json"]
 
 _RECORD_FORMAT = "repro-journal-record"
 _RECORD_VERSION = 1
@@ -54,6 +54,45 @@ _SAFE = re.compile(r"[^-._A-Za-z0-9]")
 
 class JournalError(RuntimeError):
     """A run directory is missing, corrupt, or belongs to another config."""
+
+
+def read_json(path) -> "dict[str, Any] | None":
+    """A JSON object, or ``None`` when the file is missing, torn, garbled,
+    or holds JSON that is not an object.
+
+    The one reader of the JSON documents under a runs root — journal
+    records, ``meta.json``, ``status.json``, ``crashes.json``, queue
+    manifests, and a run directory's ``summary.json`` and
+    ``metrics.json``.  Any of them may be mid-write, or left behind by a
+    writer that died, so each caller treats ``None`` as damage to
+    tolerate, never as a crash."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    return doc if isinstance(doc, dict) else None
+
+
+def check_record(doc: "dict[str, Any] | None") -> "tuple[int, bytes]":
+    """The task index and pickled payload of a journal record read by
+    :func:`read_json`, after its format, base64 and SHA-256 checks.
+
+    Raises ``ValueError`` naming the first check that fails; both the
+    resume path (:meth:`RunJournal.load_stage`) and ``repro doctor``
+    judge records by it."""
+    if doc is None:
+        raise ValueError("torn, garbled, or not a JSON object")
+    if doc.get("format") != _RECORD_FORMAT:
+        raise ValueError("not a journal record")
+    try:
+        index = int(doc["index"])
+        payload = base64.b64decode(doc["pickle_b64"])
+        digest = doc["sha256"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"missing or mistyped field {exc}") from exc
+    if hashlib.sha256(payload).hexdigest() != digest:
+        raise ValueError("checksum mismatch")
+    return index, payload
 
 
 def _sanitize(name: str) -> str:
@@ -105,10 +144,11 @@ class RunJournal:
             known = cls.list_runs(root)
             hint = f"; known run ids: {', '.join(known)}" if known else ""
             raise JournalError(f"no journaled run at {run_dir}{hint}")
-        try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise JournalError(f"corrupt run metadata at {meta_path}: {exc}") from exc
+        meta = read_json(meta_path)
+        if meta is None:
+            raise JournalError(
+                f"corrupt run metadata at {meta_path}: torn, garbled, or not a JSON object"
+            )
         if meta.get("format") != "repro-run":
             raise JournalError(f"{meta_path} is not a repro run journal")
         return cls(run_dir, meta)
@@ -226,15 +266,9 @@ class RunJournal:
             return results
         for path in sorted(stage_dir.glob("task-*.json")):
             try:
-                doc = json.loads(path.read_text(encoding="utf-8"))
-                if doc.get("format") != _RECORD_FORMAT:
-                    raise ValueError("not a journal record")
-                index = int(doc["index"])
-                payload = base64.b64decode(doc["pickle_b64"])
-                if hashlib.sha256(payload).hexdigest() != doc["sha256"]:
-                    raise ValueError("checksum mismatch")
+                index, payload = check_record(read_json(path))
                 value = pickle.loads(payload)
-            except (OSError, ValueError, KeyError, pickle.UnpicklingError) as exc:
+            except (ValueError, pickle.UnpicklingError) as exc:
                 self.corrupt_records += 1
                 _metrics.add("journal.corrupt_records")
                 warnings.warn(
@@ -264,10 +298,10 @@ class RunJournal:
         a task that killed its worker K times in a previous incarnation
         of the run starts this incarnation already at K.
         """
+        doc = read_json(self._crashes_path(stage)) or {}
         try:
-            doc = json.loads(self._crashes_path(stage).read_text(encoding="utf-8"))
             return {int(k): int(v) for k, v in doc.items()}
-        except (OSError, ValueError, json.JSONDecodeError):
+        except (TypeError, ValueError):
             return {}
 
     def record_crash(self, stage: str, index: int) -> int:

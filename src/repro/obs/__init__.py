@@ -1,4 +1,4 @@
-"""Telemetry layer: spans, metrics, profiles and events, installed as one.
+"""Telemetry layer: spans, counters, profiles and events, installed as one.
 
 Zero-dependency observability for the reproduction engine.  Four modules
 are sinks a run writes into:
@@ -6,22 +6,19 @@ are sinks a run writes into:
 * :mod:`repro.obs.trace` — hierarchical spans (run → experiment →
   stage → task) emitted as JSONL; :class:`~repro.obs.trace.StageTimer`
   and every ``timings`` entry are renderings of span data.
-* :mod:`repro.obs.metrics` — a counters/gauges/histograms registry the
-  hot kernels report into.
+* :mod:`repro.obs.metrics` — the counters registry the hot kernels
+  report into, written as ``metrics.json``.
 * :mod:`repro.obs.profile` — optional per-stage cProfile dumps.
 * :mod:`repro.obs.events` — the live JSONL event bus a monitored run
   (``--monitor``) appends under ``<runs-root>/events/``: task
   lifecycle, re-issues, quarantines, degraded writes, chaos faults,
   worker heartbeats.
 
-Three read what a run left behind:
+Two read what a run left behind:
 
 * :mod:`repro.obs.stats` — the ``repro stats <run-dir>`` renderer.
 * :mod:`repro.obs.live` — ``repro top`` / ``repro tail``, the
   files-only live views over the event bus.
-* :mod:`repro.obs.openmetrics` — the Prometheus text exposition
-  (``repro stats --format openmetrics`` and the ``metrics.prom``
-  snapshot a monitored run refreshes).
 
 One :class:`Telemetry` record holds a process's four sinks, and
 :func:`install` is their one setter.  :func:`obs_scope` installs a run's
@@ -34,10 +31,11 @@ travels back to the dispatching process and is folded into its sinks
 by :meth:`Captured.adopt`.
 
 The layer's hard invariant: telemetry on or off, any sink, any
-``--jobs`` value, the result bytes of every experiment are identical.
-Spans and counters consume no randomness, never mutate kernel outputs,
-and are excluded from result JSON; CI's ``obs-smoke`` job ``cmp``-s the
-bytes to keep it that way.
+``--jobs`` value, the result bytes of every experiment are identical,
+and so are the bytes of ``metrics.json``.  Spans and counters consume
+no randomness, never mutate kernel outputs, and are excluded from
+result JSON; CI's ``obs-smoke`` job ``cmp``-s the bytes to keep it
+that way.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ from repro.obs import profile as _profile
 from repro.obs import trace as _trace
 from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.openmetrics import SNAPSHOT_FILENAME, MetricsSnapshotter
 from repro.obs.trace import SpanCollector, StageTimer, TraceWriter, span
 from repro.run_context import current_run
 
@@ -90,17 +87,14 @@ class Telemetry:
     events: "EventBus | None" = None
     #: File names of the profile dumps written while this record was installed.
     profiles: "list[str]" = field(default_factory=list)
-    #: Where :func:`obs_scope` keeps the live OpenMetrics exposition of
-    #: ``metrics`` (``--monitor`` with ``--out``).
-    snapshot: "Path | None" = None
 
     @classmethod
     def for_run_dir(
         cls, out_dir, *, trace: bool, metrics: bool, profile: bool, events: "str | None" = None
     ) -> "Telemetry | None":
         """The record a ``repro run`` invocation asks for: the trace,
-        metrics, profile dumps and snapshot inside ``out_dir``, and the
-        event bus under ``events`` (``None`` when nothing is on)."""
+        metrics and profile dumps inside ``out_dir``, and the event bus
+        under ``events`` (``None`` when nothing is on)."""
         if not (trace or metrics or profile or events):
             return None
         out = None if out_dir is None else Path(out_dir)
@@ -109,7 +103,6 @@ class Telemetry:
             metrics=MetricsRegistry() if metrics else None,
             profile_dir=out if profile else None,
             events=EventBus(events, _events.default_source("run")) if events else None,
-            snapshot=out / SNAPSHOT_FILENAME if events and out is not None else None,
         )
 
 
@@ -162,23 +155,14 @@ def shed() -> None:
 def obs_scope(telemetry: "Telemetry | None"):
     """Install ``telemetry`` for the block, then restore the previous
     record and close the trace writer and the event bus (metrics and
-    profile names stay on the record for the caller to serialise).
-
-    With a ``snapshot`` path, a :class:`MetricsSnapshotter` refreshes it
-    meanwhile; it writes its final snapshot, or counts the failed write,
-    before the previous record is restored."""
+    profile names stay on the record for the caller to serialise)."""
     if telemetry is None:
         yield None
         return
     previous = install(telemetry)
-    snapshotter = None
     try:
-        if telemetry.snapshot is not None:
-            snapshotter = MetricsSnapshotter(telemetry.metrics, telemetry.snapshot).start()
         yield telemetry
     finally:
-        if snapshotter is not None:
-            snapshotter.stop()
         install(previous)
         if telemetry.tracer is not None:
             telemetry.tracer.close()
@@ -199,7 +183,7 @@ class Captured:
     """What :func:`capture` measured in a worker, for the dispatching
     process to :meth:`adopt`."""
 
-    #: Counters, gauges and histograms, unprefixed (``None``: not collected).
+    #: Counters, unprefixed (``None``: not collected).
     metrics: "MetricsRegistry | None" = None
     #: A :class:`~repro.obs.trace.SpanCollector` buffer (empty when the
     #: spans were emitted in place, or nothing traced them).

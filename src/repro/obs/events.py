@@ -1,6 +1,6 @@
 """Structured event bus — the live feed of a running fleet.
 
-Spans and metrics (PR 5) answer questions *after* a run; the event bus
+Spans and counters answer questions *after* a run; the event bus
 answers them *while* the run is alive.  Every interesting state change —
 task lifecycle, re-issues, quarantines, degraded writes, chaos faults,
 worker heartbeats — is appended as one JSON line to a file under
@@ -26,8 +26,7 @@ The layer inherits the obs invariants wholesale:
 * **Never takes the run down.**  A full or read-only filesystem
   degrades event writes to a once-warned counter
   (``events.degraded_writes``), the same :class:`DegradedWrites` policy
-  the trace writer, the journal and the ``metrics.prom`` snapshot
-  follow.
+  the trace writer and the journal follow.
 
 Wall-clock timestamps are deliberate: events are *not* trace spans, and
 an operator reading ``repro tail`` needs "when" in human time.  Nothing
@@ -102,14 +101,13 @@ class DegradedWrites:
     down; ``repro stats`` sums the counters.  A write that names
     ``what`` it lost also emits a ``degraded-write`` event — the journal
     does; the event bus's own file never does, so a failing
-    bus does not write about itself.  A writer on a thread of its own
-    passes the ``registry`` it serves: the installed one follows what
-    the main thread runs (an experiment's prefix, a task's capture).
+    bus does not write about itself.  The counter lands in the installed
+    registry, under whatever the writer is running (an experiment's
+    prefix, a task's capture).
     """
 
-    def __init__(self, counter: str, registry: "_metrics.MetricsRegistry | None" = None):
+    def __init__(self, counter: str):
         self.counter = counter
-        self.registry = registry
         #: Failed writes absorbed so far.
         self.count = 0
         self._warned = False
@@ -126,10 +124,7 @@ class DegradedWrites:
         if it is the first; ``stacklevel`` counts from the caller, as
         for :func:`warnings.warn`."""
         self.count += 1
-        if self.registry is not None:
-            self.registry.add(self.counter)
-        else:
-            _metrics.add(self.counter)
+        _metrics.add(self.counter)
         if what is not None:
             emit("degraded-write", what=what, cause=exhaustion_kind(exc) or "write-error")
         if not self._warned:

@@ -8,14 +8,15 @@ and nothing shared with the run but its directory.
 
 ``repro top`` is the refreshing dashboard: per-stage progress bars with
 task rates and ETAs, per-worker health (host/pid/RSS/tasks-per-second
-from heartbeats, with stale-heartbeat warnings), open queue depths, and
+from heartbeats, with stale-heartbeat warnings), open queue depths, dead
+queues (judged by ``repro doctor``'s rule: the dispatcher is gone), and
 event-counter deltas between frames.  ``repro tail`` is the raw feed:
 the merged event stream, one human-formatted line per event, with
 ``--follow`` streaming new events as they append.
 
 Torn-line tolerance is inherited, not reimplemented: both views read
 through :func:`repro.engine.doctor.iter_jsonl` /
-:func:`~repro.engine.doctor.read_json` — the doctor's readers — so a
+:func:`~repro.engine.journal.read_json` — the doctor's readers — so a
 worker SIGKILLed mid-append, or a dispatcher appending *right now*,
 never crashes the view; the torn tail line simply appears on the next
 refresh once it is whole.  Reading is strictly passive: the views never
@@ -29,7 +30,8 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.engine.doctor import iter_jsonl, read_json
+from repro.engine.doctor import dispatcher_pid, is_alive, iter_jsonl
+from repro.engine.journal import read_json
 from repro.obs.events import EVENTS_DIRNAME
 
 __all__ = ["collect_state", "render_event_line", "render_top", "tail", "top"]
@@ -148,6 +150,7 @@ def collect_state(root, *, now: "float | None" = None) -> "dict[str, Any]":
     if queues_root.is_dir():
         for qdir in sorted(p for p in queues_root.iterdir() if p.is_dir()):
             manifest = read_json(qdir / "manifest.json") or {}
+            alive = is_alive(dispatcher_pid(qdir, manifest))
 
             def _count(sub: str, q: Path = qdir) -> int:
                 try:
@@ -159,7 +162,7 @@ def collect_state(root, *, now: "float | None" = None) -> "dict[str, Any]":
                 {
                     "queue": qdir.name,
                     "stage": manifest.get("stage"),
-                    "status": manifest.get("status", "?"),
+                    "status": manifest.get("status", "?") if alive else "dead",
                     "tasks": manifest.get("tasks"),
                     "todo": _count("todo"),
                     "claimed": _count("claimed"),
@@ -293,13 +296,21 @@ def render_top(
                                       state["workers"][src]))
 
     open_queues = [q for q in state["queues"] if q["status"] == "open"]
-    if open_queues:
+    dead_queues = [q for q in state["queues"] if q["status"] == "dead"]
+    if open_queues or dead_queues:
         lines.append("")
-        lines.append(f"queues: {len(open_queues)} open")
-        for q in open_queues:
+        dead = f", {len(dead_queues)} dead" if dead_queues else ""
+        lines.append(f"queues: {len(open_queues)} open{dead}")
+        for q in open_queues + dead_queues:
             lines.append(
                 f"  {q['queue']:<36} stage={q['stage']}  todo={q['todo']} "
                 f"claimed={q['claimed']} results={q['results']}"
+                + ("  DEAD" if q["status"] == "dead" else "")
+            )
+        if dead_queues:
+            lines.append(
+                "  DEAD queues lost their dispatcher and no worker will serve "
+                f"them again; `repro doctor {state['root']} --repair` removes them"
             )
 
     if state["counts"]:

@@ -2,19 +2,16 @@
 
 Reads whatever a ``repro run --out DIR`` invocation left behind —
 ``summary.json`` (checks, timings, fault records), ``metrics.json``
-(aggregated counters/gauges/histograms), ``trace.jsonl`` (spans), and
-any ``profile-*.pstats`` dumps — and renders one human-readable report.
+(aggregated counters), ``trace.jsonl`` (spans), and any
+``profile-*.pstats`` dumps — and renders one human-readable report.
 Pretty-printing past faults lives here too: ``summary.json`` has carried
 per-experiment fault metadata since the fault-tolerance work, and this
 command is its reader.
 
-Three output shapes since the live-observability work:
-``--format human`` (the default report, now with a *fleet* section
-summing the dispatch counters and the per-worker task tally stitched
-into the trace), ``--format json`` (:func:`stats_doc` — the full
-machine-readable document: counters, spans summary, faults, degraded
-writes), and ``--format openmetrics`` (the Prometheus text exposition
-of ``metrics.json``, rendered by :mod:`repro.obs.openmetrics`).
+Two output shapes: the human report (with a *fleet* section summing the
+dispatch counters and the per-worker task tally stitched into the
+trace), and ``--json`` (:func:`stats_doc` — the full machine-readable
+document: counters, spans summary, faults, degraded writes).
 
 Both renderings come from one document: the human report formats what
 :func:`stats_doc` read.  Everything is file-based and read-only:
@@ -24,12 +21,12 @@ directory was copied to.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any
 
 from repro.backend.config import BackendConfig
 from repro.engine.doctor import iter_jsonl
+from repro.engine.journal import read_json
 
 __all__ = ["RunDirError", "render_run_dir", "stats_doc"]
 
@@ -41,7 +38,6 @@ DEGRADED_COUNTERS = (
     "journal.degraded_writes",
     "events.degraded_writes",
     "trace.degraded_writes",
-    "metrics.degraded_writes",
 )
 
 #: Counter names summed across scopes into the fleet section.
@@ -60,12 +56,14 @@ class RunDirError(RuntimeError):
 
 
 def _load_json(path: Path) -> "dict[str, Any] | None":
+    """A run-directory document, ``None`` when absent; one that is there
+    but not readable as a JSON object is an error."""
     if not path.is_file():
         return None
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise RunDirError(f"cannot read {path}: {exc}") from exc
+    doc = read_json(path)
+    if doc is None:
+        raise RunDirError(f"cannot read {path}: torn, garbled, or not a JSON object")
+    return doc
 
 
 def _experiment_spans(spans: "list[dict[str, Any]]", experiment: str) -> "dict[str, Any]":
@@ -190,10 +188,10 @@ def stats_doc(run_dir) -> "dict[str, Any]":
 
     Everything the human renderer shows, as one JSON object: run flags
     (``None`` without a ``summary.json``) and status, journal health,
-    per-experiment checks/timings/faults, the full counter/gauge/
-    histogram document, a spans summary (with the per-worker task tally
-    and each experiment's stages), the fleet totals, and the
-    degraded-write counts.
+    per-experiment checks/timings/faults, the ``metrics.json`` counters,
+    a spans summary (with the per-worker task tally and each
+    experiment's stages), the fleet totals, and the degraded-write
+    counts.
     """
     base = Path(run_dir)
     summary = _load_json(base / "summary.json")
@@ -237,8 +235,7 @@ def stats_doc(run_dir) -> "dict[str, Any]":
 def render_run_dir(run_dir) -> str:
     """One readable report of everything the run directory recorded."""
     doc = stats_doc(run_dir)
-    metrics = doc["metrics"] or {}
-    grouped = metrics.get("counters", {})
+    grouped = (doc["metrics"] or {}).get("counters", {})
     spans = doc["spans"]
     lines = [f"run directory: {doc['run_dir']}"]
     if doc["flags"] is not None:
@@ -293,24 +290,10 @@ def render_run_dir(run_dir) -> str:
     lines.extend(_fleet_lines(doc["fleet"], spans["workers"]))
 
     run_counters = _counter_lines(grouped, "run")
-    gauges = metrics.get("gauges", {})
-    hists = metrics.get("histograms", {})
-    if run_counters or spans["total"] or doc["profiles"] or gauges or hists:
+    if run_counters or spans["total"] or doc["profiles"]:
         lines.append("")
         lines.append("run totals:")
         lines.extend(run_counters)
-        for scope, named in gauges.items():
-            for name, value in named.items():
-                lines.append(f"  gauge {scope}/{name} = {value}")
-        for scope, named in hists.items():
-            for name, hist in named.items():
-                count = hist.get("count", 0)
-                total = hist.get("sum", 0.0)
-                mean = total / count if count else 0.0
-                lines.append(
-                    f"  histogram {scope}/{name}: count={count} "
-                    f"sum={total:.4f} mean={mean:.5f}"
-                )
         if spans["total"]:
             lines.append(f"  trace: {spans['total']} span(s) in trace.jsonl")
         for name in doc["profiles"]:

@@ -79,6 +79,31 @@ class TestTelemetryFlags:
         assert doc["degraded_writes"]["counted"] == doc["fleet"]["trace.degraded_writes"]
 
 
+class TestMetricsBytes:
+    @pytest.mark.parametrize(
+        "selection",
+        [
+            pytest.param("E1,E7", id="whole-experiments"),
+            pytest.param("E7", id="per-task-pool"),
+        ],
+    )
+    def test_metrics_json_has_the_same_bytes_at_every_jobs(self, tmp_path, capsys, selection):
+        # Two experiments on two workers run whole, one per pool worker;
+        # one experiment spreads its sweep tasks over the pool.  Either
+        # way metrics.json holds counters only, merged in task order.
+        docs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"j{jobs}"
+            assert main([
+                "run", selection, "--scale", "quick", "--jobs", jobs,
+                "--metrics", "--out", str(out),
+            ]) == 0
+            docs.append((out / "metrics.json").read_bytes())
+        capsys.readouterr()
+        assert docs[0] == docs[1]
+        assert list(json.loads(docs[0])) == ["counters"]
+
+
 class TestMonitorFlag:
     def test_monitored_run_is_byte_identical_at_any_jobs(self, tmp_path, capsys):
         # E1 drives a real task sweep, so the event bus sees the full
@@ -93,17 +118,19 @@ class TestMonitorFlag:
                 "--out", str(out), "--runs-root", str(root),
             ]) == 0
             capsys.readouterr()
-            # The invariant extends to the live plane: events, the prom
-            # snapshot, and stitched traces never touch result bytes.
+            # The invariant extends to the live plane: events and
+            # stitched traces never touch result bytes.
             assert (out / "E1.json").read_bytes() == (plain / "E1.json").read_bytes()
             events = list((root / "events").glob("*.jsonl"))
             assert events and any(p.stat().st_size for p in events)
-            assert (out / "metrics.prom").read_text().endswith("# EOF\n")
             summary = json.loads((out / "summary.json").read_text())
             assert summary["telemetry"]["events"]
-            assert summary["telemetry"]["prom"] == "metrics.prom"
-            # --monitor implies a metrics registry even without --metrics.
-            assert summary["telemetry"]["metrics"] == "metrics.json"
+            # --monitor is the event bus and nothing else: no metrics
+            # without --metrics, and no exposition snapshot.
+            assert summary["telemetry"]["metrics"] is None
+            assert "prom" not in summary["telemetry"]
+            assert not (out / "metrics.json").exists()
+            assert not (out / "metrics.prom").exists()
 
     def test_monitor_without_out_still_events(self, tmp_path, capsys):
         root = tmp_path / "root"
@@ -174,23 +201,6 @@ class TestStatsCommand:
         assert "experiment" in doc["spans"]["by_kind"]
         assert doc["degraded_writes"] == {"journal": 0, "counted": 0}
         assert [e["experiment_id"] for e in doc["experiments"]] == ["E11"]
-
-    def test_stats_openmetrics_exposition(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert main(["run", "E11", "--out", str(out), "--metrics"]) == 0
-        capsys.readouterr()
-        assert main(["stats", str(out), "--format", "openmetrics"]) == 0
-        text = capsys.readouterr().out
-        assert "# TYPE" in text
-        assert text.endswith("# EOF\n")
-        assert 'scope="E11"' in text
-
-    def test_stats_openmetrics_without_metrics_fails(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert main(["run", "E11", "--out", str(out), "--trace"]) == 0
-        capsys.readouterr()
-        with pytest.raises(SystemExit, match="metrics.json"):
-            main(["stats", str(out), "--format", "openmetrics"])
 
     def test_stats_renders_fleet_section_for_dispatch_run(self, tmp_path, capsys):
         out, root = tmp_path / "run", tmp_path / "root"

@@ -33,7 +33,6 @@ def _instrumented_task(task: Task) -> int:
     """Pickleable task that reports into the ambient metrics API."""
     obs_metrics.add("demo.calls")
     obs_metrics.add("demo.work", task.payload)
-    obs_metrics.observe("demo.size", float(task.payload))
     return task.payload * 3
 
 
@@ -56,8 +55,7 @@ class TestJobsDeterminism:
         serial_out, serial_counters = _run_with_registry(1)
         pool_out, pool_counters = _run_with_registry(jobs)
         assert pool_out == serial_out
-        # Counters (including the json rendering) must match exactly;
-        # only wall-clock histograms may differ between runs.
+        # Counters (including the json rendering) must match exactly.
         assert pool_counters == serial_counters
         assert json.dumps(pool_counters, sort_keys=True) == json.dumps(
             serial_counters, sort_keys=True
@@ -134,9 +132,6 @@ class TestDispatchChunkDeterminism:
         assert out == serial_out
         chunked = reg.grouped_counters()
         assert self._task_counters(chunked) == self._task_counters(serial_counters)
-        # Histogram counts (one task_seconds sample per task) also match.
-        hists = reg.to_dict()["histograms"]
-        assert hists["EX"]["executor.task_seconds"]["count"] == tasks
 
 
 class TestChaosRetryCounters:

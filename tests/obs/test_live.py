@@ -1,7 +1,11 @@
 """``repro top`` / ``repro tail`` tests over synthetic event files."""
 
 import json
+import os
+import subprocess
+import sys
 
+from repro.engine.doctor import diagnose
 from repro.obs.live import (
     collect_state,
     render_event_line,
@@ -19,6 +23,24 @@ def _write_events(root, name, events):
     with open(events_dir / f"{name}.jsonl", "w") as fh:
         for i, doc in enumerate(events, start=1):
             fh.write(json.dumps({"src": name, "seq": i, **doc}) + "\n")
+
+
+def _dead_pid() -> int:
+    """The pid of a process that has exited and been reaped."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os; print(os.getpid())"],
+        capture_output=True, text=True, check=True,
+    )
+    return int(proc.stdout)
+
+
+def _queue(root, name, manifest):
+    qdir = root / "queues" / name
+    for sub in ("todo", "claimed", "results"):
+        (qdir / sub).mkdir(parents=True)
+    (qdir / "todo" / "task-000001.pkl").write_bytes(b"x")
+    (qdir / "manifest.json").write_text(json.dumps(manifest))
+    return qdir
 
 
 def _fleet(root):
@@ -65,18 +87,39 @@ class TestCollectState:
 
     def test_queue_directories_are_scanned(self, tmp_path):
         _fleet(tmp_path)
-        qdir = tmp_path / "queues" / "q-001-sweep"
-        for sub in ("todo", "claimed", "results"):
-            (qdir / sub).mkdir(parents=True)
-        (qdir / "todo" / "task-000001.pkl").write_bytes(b"x")
-        (qdir / "manifest.json").write_text(
-            json.dumps({"stage": "sweep", "status": "open", "tasks": 4})
-        )
+        _queue(tmp_path, "q-001-sweep", {
+            "stage": "sweep", "status": "open", "tasks": 4, "dispatcher": os.getpid(),
+        })
         state = collect_state(tmp_path, now=T0 + 3)
         assert state["queues"] == [{
             "queue": "q-001-sweep", "stage": "sweep", "status": "open",
             "tasks": 4, "todo": 1, "claimed": 0, "results": 0,
         }]
+
+    def test_a_killed_dispatchers_queue_is_dead(self, tmp_path):
+        # The doctor's rule: an open queue whose dispatcher is gone, or an
+        # unpublished one whose id leads with a dead pid, is dead.
+        _fleet(tmp_path)
+        dead = _dead_pid()
+        _queue(tmp_path, "q-002-sweep", {
+            "stage": "sweep", "status": "open", "tasks": 4, "dispatcher": dead,
+        })
+        _queue(tmp_path, f"{dead}-0a1b-003-sweep", {})
+        _queue(tmp_path, "q-004-sweep", {
+            "stage": "sweep", "status": "open", "tasks": 4, "dispatcher": os.getpid(),
+        })
+        state = collect_state(tmp_path, now=T0 + 3)
+        status = {q["queue"]: q["status"] for q in state["queues"]}
+        assert status == {
+            "q-002-sweep": "dead", f"{dead}-0a1b-003-sweep": "dead", "q-004-sweep": "open",
+        }
+        doomed = {f["path"] for f in diagnose(tmp_path)["findings"]}
+        assert doomed == {
+            str(tmp_path / "queues" / q) for q, s in status.items() if s == "dead"
+        }
+        frame = render_top(state)
+        assert "queues: 1 open, 2 dead" in frame
+        assert "DEAD" in frame and "repro doctor" in frame and "--repair" in frame
 
 
 class TestRenderTop:

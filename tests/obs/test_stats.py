@@ -69,7 +69,7 @@ class TestRenderRunDir:
         assert "[lost]  task 3 (stage 'sweep') error after 2 attempt(s): boom" in out
         assert "result is INCOMPLETE" in out
 
-    def test_counters_and_histograms_render(self, tmp_path):
+    def test_counters_render(self, tmp_path):
         _write(tmp_path / "summary.json", _summary())
         _write(
             tmp_path / "metrics.json",
@@ -78,21 +78,11 @@ class TestRenderRunDir:
                     "E1": {"theorem1.cache_hits": 12},
                     "run": {"executor.tasks": 8},
                 },
-                "histograms": {
-                    "E1": {
-                        "executor.task_seconds": {
-                            "count": 8,
-                            "sum": 2.0,
-                            "buckets": {"<=2^-2": 8},
-                        }
-                    }
-                },
             },
         )
         out = render_run_dir(tmp_path)
         assert "theorem1.cache_hits" in out and "12" in out
         assert "executor.tasks" in out
-        assert "histogram E1/executor.task_seconds: count=8" in out
 
     def test_spans_render_per_experiment_subtree(self, tmp_path):
         _write(tmp_path / "summary.json", _summary())

@@ -172,6 +172,39 @@ class TestExports:
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
 
+    def test_metrics_are_counters(self):
+        """The metrics registry holds counters only and ``metrics.json``
+        is its one output: the OpenMetrics exposition and its snapshot,
+        gauges, histograms and ``repro stats --format`` are gone, and so
+        are two helpers without callers."""
+        import importlib
+        import inspect
+
+        import repro.core.sinr
+        import repro.obs
+        from repro.cli import build_parser
+        from repro.engine import chaos
+        from repro.obs import events, metrics
+        from repro.obs.metrics import MetricsRegistry
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.obs.openmetrics")
+        deleted = {
+            MetricsRegistry: ("set_gauge", "observe", "gauges", "histograms"),
+            metrics: ("set_gauge", "observe", "_bucket_of"),
+            repro.obs.Telemetry: ("snapshot",),
+            repro.core.sinr.SINRInstance: ("topk_gains",),
+            chaos: ("is_worker_process",),
+        }
+        for ns, names in deleted.items():
+            for name in names:
+                assert not hasattr(ns, name), (ns.__name__, name)
+                assert name not in getattr(ns, "__all__", ()), (ns.__name__, name)
+        assert "snapshot" not in repro.obs.Telemetry.__dataclass_fields__
+        assert list(inspect.signature(events.DegradedWrites).parameters) == ["counter"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["stats", "out", "--format", "json"])
+
     def test_graph_views_are_arrays(self):
         """The conflict graph is a boolean matrix, and the networkx-only
         affectance digraph is gone from every namespace."""
